@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import math
+
 import numpy as np
 
 
@@ -40,7 +42,7 @@ class SymmetryKind(Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical inputs, all pure numbers (hbar = c = 1).
+    """Physical inputs, all finite pure numbers (hbar = c = 1).
 
     M      : mass, > 0
     omega0 : oscillator frequency, > 0
@@ -58,6 +60,10 @@ class ModelParams:
     C: float = 0.0
 
     def __post_init__(self):
+        for name in ("M", "omega0", "q", "eps", "C"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.M > 0:
             raise ValueError(f"M must be > 0, got {self.M}")
         if not self.omega0 > 0:
@@ -104,6 +110,15 @@ def eval_potential(params: ModelParams, r):
     return combined_potential(params.M, params.omega0, params.q, params.eps, r)
 
 
+def _stark_shift(M, omega0, q, eps):
+    """g_shift = q^2 eps^2 / (2 M w0^2) on plain floats.
+
+    The energy solvers call this instead of derived_constants; keeping one
+    operation order makes every caller's g_shift agree to the last bit.
+    """
+    return (q * eps) ** 2 / (2.0 * (M * omega0 * omega0))
+
+
 def derived_constants(params: ModelParams) -> DerivedConstants:
     """Compute the shifted-well constants for the given parameters.
 
@@ -111,7 +126,7 @@ def derived_constants(params: ModelParams) -> DerivedConstants:
     holds exactly in floating point.
     """
     m_omega2 = params.M * params.omega0 * params.omega0
-    g_shift = (params.q * params.eps) ** 2 / (2.0 * m_omega2)
+    g_shift = _stark_shift(params.M, params.omega0, params.q, params.eps)
     r0 = params.q * params.eps / m_omega2
     return DerivedConstants(
         g_shift=g_shift,

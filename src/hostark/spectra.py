@@ -42,7 +42,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import ModelParams, SymmetryKind, derived_constants
+import numpy as np
+
+from .model import ModelParams, SymmetryKind, _stark_shift, derived_constants
 
 _BOUNDARY_TOL = 1e-12
 _BISECT_TOL = 1e-12
@@ -136,43 +138,54 @@ class EnergyLevel:
     diagnostics: ChannelScalars | None = None
 
 
-def _spin_cubic_bcd(M_s: float, g: float, R: float) -> tuple[float, float, float]:
-    """Coefficients of (E + M_s)(E + g)^2 - R expanded."""
+def _spin_cubic_bcd(M_s, g, R):
+    """Coefficients of (E + M_s)(E + g)^2 - R expanded (floats or arrays)."""
     return (M_s + 2.0 * g, g * (g + 2.0 * M_s), g * g * M_s - R)
 
 
-def _rhs_squared(params: ModelParams, n: int) -> float:
-    return 2.0 * params.M * params.omega0 ** 2 * (n + 0.5) ** 2
+def _rhs_squared(M: float, omega0: float, n: int) -> float:
+    return 2.0 * M * omega0 ** 2 * (n + 0.5) ** 2
+
+
+def _level_bcd(spin: bool, M, C, gp, R):
+    """B, C, D of the monic level cubic of either channel (floats or arrays)."""
+    if spin:
+        return _spin_cubic_bcd(M - C, gp - M, R)
+    return _spin_cubic_bcd(-(M + C), M + gp, R)
+
+
+def _mapped_bcd(M, C, gp, R):
+    """Pseudospin B, C, D obtained by transforming the spin cubic.
+
+    Build the spin cubic with C_s -> -C_ps and g' -> -g', flip the sign of
+    the squared right side, then send E -> -E and negate the polynomial
+    (which negates the odd coefficients of the monic cubic).
+    """
+    B, C, D = _spin_cubic_bcd(M + C, -gp - M, -R)
+    return (-B, C, -D)
+
+
+def _mapped_spin_coefficients(params: ModelParams, n: int) -> tuple[float, float, float]:
+    gp = _stark_shift(params.M, params.omega0, params.q, params.eps)
+    return _mapped_bcd(params.M, params.C, gp, _rhs_squared(params.M, params.omega0, n))
+
+
+def _check_mapping(direct, mapped) -> None:
+    for a, b in zip(direct, mapped):
+        if abs(a - b) > 1e-12 * max(1.0, abs(a)):
+            raise RuntimeError(
+                f"pseudospin cubic fails the mapping identity: {a} vs {b}"
+            )
 
 
 def cubic_coefficients(params: ModelParams, n: int) -> CubicCoefficients:
     """Monic cubic whose roots contain the level-n energy."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    dc = derived_constants(params)
-    R = _rhs_squared(params, n)
-    if params.sym is SymmetryKind.SPIN:
-        B, C, D = _spin_cubic_bcd(dc.M_s, dc.g_eps, R)
-    else:
-        P = -(params.M + params.C)
-        h = params.M + dc.g_shift
-        B, C, D = _spin_cubic_bcd(P, h, R)
+    gp = _stark_shift(params.M, params.omega0, params.q, params.eps)
+    B, C, D = _level_bcd(params.sym is SymmetryKind.SPIN, params.M, params.C, gp,
+                         _rhs_squared(params.M, params.omega0, n))
     return CubicCoefficients(1.0, B, C, D, sym=params.sym, n=n, params=params)
-
-
-def _mapped_spin_coefficients(params: ModelParams, n: int) -> tuple[float, float, float]:
-    """Pseudospin coefficients obtained by transforming the spin cubic.
-
-    Build the spin cubic with C_s -> -C_ps and g' -> -g', flip the sign of
-    the squared right side, then send E -> -E and negate the polynomial
-    (which negates the odd coefficients of the monic cubic).
-    """
-    dc = derived_constants(params)
-    R = _rhs_squared(params, n)
-    M_s = params.M + params.C  # C_s -> -C_ps
-    g = -dc.g_shift - params.M  # g' -> -g'
-    B, C, D = _spin_cubic_bcd(M_s, g, -R)
-    return (-B, C, -D)
 
 
 def _depressed(B: float, C: float, D: float) -> tuple[float, float, float]:
@@ -202,21 +215,12 @@ def _polish(root: complex, B: float, C: float, D: float) -> complex:
     return complex(z)
 
 
-def solve_cubic_cardano(c: CubicCoefficients) -> CubicSolution:
-    """All three roots of the cubic with discriminant-regime bookkeeping.
-
-    e^2 >= 4p: the real cube-root expression gives one root, the other two
-    come from deflation.  e^2 < 4p: three real roots via the trigonometric
-    form, flagged as the complex-intermediate regime.
-    """
-    if c.A == 0:
-        raise DegenerateCubic("leading coefficient is zero")
-    B, C, D = c.B / c.A, c.C / c.A, c.D / c.A
+def _cubic_roots(B: float, C: float, D: float):
+    """solve_cubic_cardano on plain floats: (sorted roots, d, e, p, cardano_real)."""
     d, e, p = _depressed(B, C, D)
     cardano_real = e * e >= 4.0 * p
 
     if cardano_real:
-        method = CubicMethod.CARDANO_REAL
         if d == 0.0:
             y1 = _cbrt(-e)
         else:
@@ -237,7 +241,6 @@ def solve_cubic_cardano(c: CubicCoefficients) -> CubicSolution:
             pair = (complex(-b1 / 2.0, sq / 2.0), complex(-b1 / 2.0, -sq / 2.0))
         roots = (complex(e1),) + pair
     else:
-        method = CubicMethod.TRIGONOMETRIC
         # e^2 < 4p forces p > 0, hence d < 0
         u = math.sqrt(-d / 3.0)
         arg = min(1.0, max(-1.0, -e / (2.0 * u ** 3)))
@@ -249,7 +252,21 @@ def solve_cubic_cardano(c: CubicCoefficients) -> CubicSolution:
 
     polished = tuple(sorted((_polish(r, B, C, D) for r in roots),
                             key=lambda z: (z.real, z.imag)))
-    return CubicSolution(polished, (d, e), p, cardano_real, method)
+    return polished, d, e, p, cardano_real
+
+
+def solve_cubic_cardano(c: CubicCoefficients) -> CubicSolution:
+    """All three roots of the cubic with discriminant-regime bookkeeping.
+
+    e^2 >= 4p: the real cube-root expression gives one root, the other two
+    come from deflation.  e^2 < 4p: three real roots via the trigonometric
+    form, flagged as the complex-intermediate regime.
+    """
+    if c.A == 0:
+        raise DegenerateCubic("leading coefficient is zero")
+    roots, d, e, p, cardano_real = _cubic_roots(c.B / c.A, c.C / c.A, c.D / c.A)
+    method = CubicMethod.CARDANO_REAL if cardano_real else CubicMethod.TRIGONOMETRIC
+    return CubicSolution(roots, (d, e), p, cardano_real, method)
 
 
 def cardano_complex_roots(B: float, C: float, D: float) -> tuple[complex, complex, complex]:
@@ -275,24 +292,28 @@ def cardano_complex_roots(B: float, C: float, D: float) -> tuple[complex, comple
     return tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
 
 
-def _spin_residual(params: ModelParams, n: int, E: float) -> float:
-    gamma = E + params.M - params.C
-    if gamma <= 0.0:
-        return math.nan
-    gp = derived_constants(params).g_shift
-    return (E - params.M + gp) - (2 * n + 1) * math.sqrt(
-        params.M * params.omega0 ** 2 / (2.0 * gamma)
-    )
+def _margins(spin: bool, E, M, C, gp):
+    """The two sign-condition margins, both > 0 for a physical root (floats or arrays)."""
+    if spin:
+        return E + M - C, E - M + gp
+    return E - M - C, -(E + M + gp)
 
 
-def _pseudo_residual(params: ModelParams, n: int, E: float) -> float:
-    depth = E - params.M - params.C
+def _residual(spin: bool, k: int, E: float, M: float, C: float, gp: float,
+              w2: float) -> float:
+    """Unsquared condition at E for level (k - 1)/2; nan outside its domain.
+
+    w2 = M w0^2.  A root of the condition is a zero of the residual.
+    """
+    if spin:
+        gamma = E + M - C
+        if gamma <= 0.0:
+            return math.nan
+        return (E - M + gp) - k * math.sqrt(w2 / (2.0 * gamma))
+    depth = E - M - C
     if depth < 0.0:
         return math.nan
-    gp = derived_constants(params).g_shift
-    return (2 * n + 1) + (E + params.M + gp) * math.sqrt(
-        2.0 * depth / (params.M * params.omega0 ** 2)
-    )
+    return k + (E + M + gp) * math.sqrt(2.0 * depth / w2)
 
 
 def _relho_residual(M: float, omega: float, n: int, E: float) -> float:
@@ -375,6 +396,77 @@ def _refine_near_boundary(params: ModelParams, n: int, E: float):
     return boundary + direction * t, abs(f(t))
 
 
+# Each root gets a code: 0 survives the sign conditions, 1..3 fails the first
+# and/or second one (bit 0 / bit 1), _COMPLEX is a complex pair member.
+_COMPLEX = 4
+
+
+def _reason_table(first: str, second: str) -> tuple[str, ...]:
+    return ("", f"fails {first}", f"fails {second}", f"fails {first} and {second}",
+            "complex conjugate pair member")
+
+
+_REASONS = {
+    True: _reason_table("E + M - C_s > 0", "E - M + g' > 0"),
+    False: _reason_table("E - M - C_ps > 0", "E + M + g' < 0"),
+}
+_LOWER_ROOT = ("sign conditions hold; lower root of the bound pair "
+               "(tabulated branch takes the upper)")
+
+
+def _assemble(params: ModelParams, n: int, gp: float, roots, codes,
+              cardano_real: bool, selected: float | None,
+              residual: float | None) -> EnergyLevel:
+    """Build the level from classified roots; shared by both solver routes.
+
+    roots are sorted by (real, imag) and codes holds each root's sign-code;
+    selected is the largest surviving energy (None without survivors) and
+    residual the magnitude of the unsquared condition there.  A residual
+    above 1e-9 triggers the margin-form refinement.
+    """
+    spin = params.sym is SymmetryKind.SPIN
+    reasons = _REASONS[spin]
+    rejected = [RejectedRoot(r, reasons[c]) for r, c in zip(roots, codes) if c]
+    if selected is None:
+        return EnergyLevel(n, params.kappa, Status.NO_PHYSICAL_ROOT, None, None,
+                           tuple(rejected), not cardano_real)
+    rejected += [RejectedRoot(complex(r.real), _LOWER_ROOT)
+                 for r, c in zip(roots, codes) if not c and r.real != selected]
+    if residual > 1e-9:
+        refined = _refine_near_boundary(params, n, selected)
+        if refined is not None and refined[1] < residual:
+            selected, residual = refined
+    tol = _BOUNDARY_TOL * max(1.0, abs(selected))
+    margins = _margins(spin, selected, params.M, params.C, gp)
+    return EnergyLevel(n, params.kappa, Status.BOUND, selected, residual,
+                       tuple(rejected), not cardano_real,
+                       boundary=any(abs(m) <= tol for m in margins),
+                       diagnostics=_channel_scalars(params, selected))
+
+
+def _select(params: ModelParams, n: int, gp: float, roots,
+            cardano_real: bool) -> EnergyLevel:
+    """Classify the roots against the sign conditions, then assemble the level."""
+    spin = params.sym is SymmetryKind.SPIN
+    M, C = params.M, params.C
+    codes = []
+    selected = None
+    for r in roots:
+        if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
+            codes.append(_COMPLEX)
+            continue
+        E = r.real
+        tol = _BOUNDARY_TOL * max(1.0, abs(E))
+        m1, m2 = _margins(spin, E, M, C, gp)
+        code = (m1 < -tol) + 2 * (m2 < -tol)
+        codes.append(code)
+        if not code and (selected is None or E > selected):
+            selected = E
+    residual = None if selected is None else abs(
+        _residual(spin, 2 * n + 1, selected, M, C, gp, M * params.omega0 ** 2))
+    return _assemble(params, n, gp, roots, codes, cardano_real, selected, residual)
+
+
 def select_physical_root(sol: CubicSolution, params: ModelParams, n: int) -> EnergyLevel:
     """Apply the sign conditions of the unsquared condition to the cubic roots.
 
@@ -384,83 +476,30 @@ def select_physical_root(sol: CubicSolution, params: ModelParams, n: int) -> Ene
     Roots sitting on a sign boundary within 1e-12 count as satisfying it and
     set the boundary flag.
     """
-    gp = derived_constants(params).g_shift
+    gp = _stark_shift(params.M, params.omega0, params.q, params.eps)
+    return _select(params, n, gp, sol.roots, sol.cardano_real)
+
+
+def _solve(params: ModelParams, n: int) -> EnergyLevel:
+    """One level through the scalar root stage, on plain floats."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     spin = params.sym is SymmetryKind.SPIN
-
-    survivors: list[float] = []
-    rejected: list[RejectedRoot] = []
-    for r in sol.roots:
-        if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
-            rejected.append(RejectedRoot(r, "complex conjugate pair member"))
-            continue
-        E = r.real
-        tol = _BOUNDARY_TOL * max(1.0, abs(E))
-        if spin:
-            conds = (
-                (E + params.M - params.C, +1, "E + M - C_s > 0"),
-                (E - params.M + gp, +1, "E - M + g' > 0"),
-            )
-        else:
-            conds = (
-                (E - params.M - params.C, +1, "E - M - C_ps > 0"),
-                (E + params.M + gp, -1, "E + M + g' < 0"),
-            )
-        failed = [name for value, sign, name in conds if sign * value < -tol]
-        if failed:
-            rejected.append(RejectedRoot(r, "fails " + " and ".join(failed)))
-        else:
-            survivors.append(E)
-
-    if not survivors:
-        return EnergyLevel(
-            n=n,
-            kappa=params.kappa,
-            status=Status.NO_PHYSICAL_ROOT,
-            E=None,
-            residual=None,
-            alternates=tuple(rejected),
-            cardano_complex_regime=not sol.cardano_real,
-        )
-
-    selected = max(survivors)
-    for E in survivors:
-        if E != selected:
-            rejected.append(RejectedRoot(
-                complex(E),
-                "sign conditions hold; lower root of the bound pair "
-                "(tabulated branch takes the upper)",
-            ))
-
-    residual_fn = _spin_residual if spin else _pseudo_residual
-    residual = abs(residual_fn(params, n, selected))
-    if residual > 1e-9:
-        refined = _refine_near_boundary(params, n, selected)
-        if refined is not None and refined[1] < residual:
-            selected, residual = refined
-    tol = _BOUNDARY_TOL * max(1.0, abs(selected))
-    if spin:
-        margins = (selected + params.M - params.C, selected - params.M + gp)
-    else:
-        margins = (selected - params.M - params.C, -(selected + params.M + gp))
-    return EnergyLevel(
-        n=n,
-        kappa=params.kappa,
-        status=Status.BOUND,
-        E=selected,
-        residual=residual,
-        alternates=tuple(rejected),
-        cardano_complex_regime=not sol.cardano_real,
-        boundary=any(abs(m) <= tol for m in margins),
-        diagnostics=_channel_scalars(params, selected),
-    )
+    M, C = params.M, params.C
+    gp = _stark_shift(M, params.omega0, params.q, params.eps)
+    R = _rhs_squared(M, params.omega0, n)
+    bcd = _level_bcd(spin, M, C, gp, R)
+    if not spin:
+        _check_mapping(bcd, _mapped_bcd(M, C, gp, R))
+    roots, _, _, _, cardano_real = _cubic_roots(*bcd)
+    return _select(params, n, gp, roots, cardano_real)
 
 
 def solve_spin_level(params: ModelParams, n: int) -> EnergyLevel:
     """Level-n energy in the spin-symmetry limit (kappa = -1)."""
     if params.sym is not SymmetryKind.SPIN:
         raise ValueError("solve_spin_level requires spin-symmetry parameters")
-    sol = solve_cubic_cardano(cubic_coefficients(params, n))
-    return select_physical_root(sol, params, n)
+    return _solve(params, n)
 
 
 def solve_pseudospin_level(params: ModelParams, n: int) -> EnergyLevel:
@@ -472,15 +511,7 @@ def solve_pseudospin_level(params: ModelParams, n: int) -> EnergyLevel:
     """
     if params.sym is not SymmetryKind.PSEUDOSPIN:
         raise ValueError("solve_pseudospin_level requires pseudospin parameters")
-    coeffs = cubic_coefficients(params, n)
-    mapped = _mapped_spin_coefficients(params, n)
-    for direct, via_map in zip((coeffs.B, coeffs.C, coeffs.D), mapped):
-        if abs(direct - via_map) > 1e-12 * max(1.0, abs(direct)):
-            raise RuntimeError(
-                f"pseudospin cubic fails the mapping identity: {direct} vs {via_map}"
-            )
-    sol = solve_cubic_cardano(coeffs)
-    return select_physical_root(sol, params, n)
+    return _solve(params, n)
 
 
 def solve_level(params: ModelParams, n: int) -> EnergyLevel:
@@ -488,6 +519,188 @@ def solve_level(params: ModelParams, n: int) -> EnergyLevel:
     if params.sym is SymmetryKind.SPIN:
         return solve_spin_level(params, n)
     return solve_pseudospin_level(params, n)
+
+
+# ---------------------------------------------------------------- batch route
+#
+# _solve_grid repeats the scalar stage (_level_bcd, _cubic_roots, _select)
+# over arrays of cells, operation for operation, so each level it assembles
+# equals solve_level's bit for bit.  Two kinds of operation are not
+# vectorised, because NumPy's versions can differ from CPython's in the last
+# bit: powers, cube roots, arccos and cos run through Python's math per
+# element (_map), and complex Newton steps repeat CPython's complex product
+# and quotient in real arithmetic (_cmul, _cdiv).
+
+
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    return np.array([fn(v) for v in x.tolist()], dtype=float)
+
+
+def _cmul(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """CPython's complex quotient: scale by the larger component of b."""
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _newton_batch(zr, zi, B, C, D, is_real):
+    """_polish over arrays: real roots in real arithmetic, complex ones in
+    CPython's complex arithmetic (a float operand enters as x + 0j)."""
+    active = np.ones(zr.shape, dtype=bool)
+    for _ in range(4):
+        # complex iterate: f = ((z + B) z + C) z + D, fp = (3z + 2B) z + C
+        fr, fi = _cmul(zr + B, zi + 0.0, zr, zi)
+        fr, fi = _cmul(fr + C, fi + 0.0, zr, zi)
+        fr, fi = fr + D, fi + 0.0
+        pr, pi = _cmul(3.0, 0.0, zr, zi)
+        pr, pi = _cmul(pr + 2.0 * B, pi + 0.0, zr, zi)
+        pr, pi = pr + C, pi + 0.0
+        sr, si = _cdiv(fr, fi, pr, pi)
+        # real iterate, same formulas
+        f = ((zr + B) * zr + C) * zr + D
+        fp = (3.0 * zr + 2.0 * B) * zr + C
+        sr = np.where(is_real, f / fp, sr)
+        abs_fp = np.where(is_real, np.abs(fp), np.hypot(pr, pi))
+        abs_step = np.where(is_real, np.abs(sr), np.hypot(sr, si))
+        abs_z = np.where(is_real, np.abs(zr), np.hypot(zr, zi))
+        active &= ~(abs_fp < 1e-300)
+        active &= ~(abs_step < 1e-18 * np.where(abs_z > 1.0, abs_z, 1.0))
+        zr = np.where(active, zr - sr, zr)
+        zi = np.where(active & ~is_real, zi - si, zi)
+    return zr, zi
+
+
+def _cubic_roots_batch(B, C, D):
+    """_cubic_roots over 1-d arrays of cubics.
+
+    Returns (re, im, cardano_real): re and im have shape (cells, 3) and hold
+    the polished roots sorted by (real, imag).
+    """
+    d = C - B * B / 3.0
+    e = D + B * (2.0 * B * B - 9.0 * C) / 27.0
+    p = -_map(lambda x: x ** 3, d / 3.0)
+    cardano_real = e * e >= 4.0 * p
+    re = np.empty((len(B), 3))
+    im = np.zeros((len(B), 3))
+
+    c = cardano_real
+    Bc, Cc, dc, ec = B[c], C[c], d[c], e[c]
+    x = ec * ec - 4.0 * p[c]
+    s = np.sqrt(np.where(0.0 > x, 0.0, x))  # max(x, 0.0)
+    z3 = np.where(ec > 0.0, -ec / 2.0 - s / 2.0, -ec / 2.0 + s / 2.0)
+    z = _map(_cbrt, np.where(dc == 0.0, -ec, z3))
+    y1 = np.where(dc == 0.0, z, z - dc / (3.0 * z))
+    e1 = y1 - Bc / 3.0
+    b1 = Bc + e1
+    b2 = Cc + b1 * e1
+    disc = b1 * b1 - 4.0 * b2
+    real_pair = disc >= 0.0
+    sq = np.sqrt(np.where(real_pair, disc, -disc))
+    re[c, 0] = e1
+    re[c, 1] = np.where(real_pair, (-b1 + sq) / 2.0, -b1 / 2.0)
+    re[c, 2] = np.where(real_pair, (-b1 - sq) / 2.0, -b1 / 2.0)
+    im[c, 1] = np.where(real_pair, 0.0, sq / 2.0)
+    im[c, 2] = np.where(real_pair, 0.0, -sq / 2.0)
+
+    t = ~cardano_real
+    u = np.sqrt(-d[t] / 3.0)
+    arg = -e[t] / (2.0 * _map(lambda x: x ** 3, u))
+    arg = np.where(arg > -1.0, arg, -1.0)  # min(1.0, max(-1.0, arg))
+    arg = np.where(arg < 1.0, arg, 1.0)
+    theta = _map(math.acos, arg) / 3.0
+    for k in range(3):
+        re[t, k] = (2.0 * u * _map(math.cos, theta - 2.0 * math.pi * k / 3.0)
+                    - B[t] / 3.0)
+
+    re, im = _newton_batch(re, im, B[:, None], C[:, None], D[:, None], im == 0.0)
+    for a, b in ((0, 1), (1, 2), (0, 1)):  # stable sort by (real, imag)
+        swap = (re[:, a] > re[:, b]) | ((re[:, a] == re[:, b]) & (im[:, a] > im[:, b]))
+        re[swap, a], re[swap, b] = re[swap, b], re[swap, a]
+        im[swap, a], im[swap, b] = im[swap, b], im[swap, a]
+    return re, im, cardano_real
+
+
+def _check_mapping_batch(direct, mapped) -> None:
+    """_check_mapping over arrays; raises for the first mismatching cell."""
+    bad = np.zeros(direct[0].shape, dtype=bool)
+    for a, b in zip(direct, mapped):
+        bad |= np.abs(a - b) > 1e-12 * np.maximum(1.0, np.abs(a))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_mapping([float(a[i]) for a in direct], [float(b[i]) for b in mapped])
+
+
+def _select_batch(spin: bool, re, im, M: float, C: float, gp, k, w2: float):
+    """_select's classification and residual over cells of three roots.
+
+    Returns (codes, bound, selected, residual); selected is the first of the
+    largest surviving energies, as Python's max picks it.
+    """
+    complex_ = np.abs(im) > 1e-9 * (1.0 + np.hypot(re, im))
+    abs_E = np.abs(re)
+    tol = _BOUNDARY_TOL * np.where(abs_E > 1.0, abs_E, 1.0)
+    m1, m2 = _margins(spin, re, M, C, gp[:, None])
+    codes = np.where(complex_, _COMPLEX, (m1 < -tol) + 2 * (m2 < -tol))
+    selected = np.full(gp.shape, np.nan)
+    bound = np.zeros(gp.shape, dtype=bool)
+    for col in range(3):
+        take = (codes[:, col] == 0) & (~bound | (re[:, col] > selected))
+        selected = np.where(take, re[:, col], selected)
+        bound |= take
+    m1, m2 = _margins(spin, selected, M, C, gp)
+    if spin:
+        residual = np.where(m1 > 0.0, m2 - k * np.sqrt(w2 / (2.0 * m1)), np.nan)
+    else:
+        residual = np.where(m1 < 0.0, np.nan,
+                            k + (selected + M + gp) * np.sqrt(2.0 * m1 / w2))
+    return codes, bound, selected, np.abs(residual)
+
+
+def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
+    """Levels of the cells (n, grid[j]), n outer, as one NumPy batch.
+
+    The parameters differ only in eps.  Cells with a non-finite coefficient
+    or root go through the scalar stage instead, which also raises wherever
+    solve_level would.
+    """
+    p0 = grid[0]
+    spin = p0.sym is SymmetryKind.SPIN
+    M, omega0, C = p0.M, p0.omega0, p0.C
+    cells = [(n, j, p) for n in range(n_max + 1) for j, p in enumerate(grid)]
+    gp_eps = [_stark_shift(M, omega0, p0.q, p.eps) for p in grid]
+    gp = np.array(gp_eps * (n_max + 1))
+    R = np.repeat([_rhs_squared(M, omega0, n) for n in range(n_max + 1)], len(grid))
+
+    with np.errstate(all="ignore"):
+        bcd = _level_bcd(spin, M, C, gp, R)
+        if not spin:
+            _check_mapping_batch(bcd, _mapped_bcd(M, C, gp, R))
+        re, im, cardano_real = _cubic_roots_batch(*bcd)
+
+        k = 2.0 * np.repeat(np.arange(n_max + 1), len(grid)) + 1.0
+        codes, bound, selected, residual = _select_batch(
+            spin, re, im, M, C, gp, k, M * omega0 ** 2)
+        finite = np.isfinite(np.column_stack(bcd + (re, im))).all(axis=1)
+
+    levels = []
+    for (n, j, p), ok, r, i, code, real, has, sel, res in zip(
+            cells, finite.tolist(), re.tolist(), im.tolist(), codes.tolist(),
+            cardano_real.tolist(), bound.tolist(), selected.tolist(),
+            residual.tolist()):
+        if not ok:
+            levels.append(_solve(p, n))
+            continue
+        roots = (complex(r[0], i[0]), complex(r[1], i[1]), complex(r[2], i[2]))
+        levels.append(_assemble(p, n, gp_eps[j], roots, code, real,
+                                sel if has else None, res if has else None))
+    return levels
 
 
 def _bisect(f, a: float, b: float, tol: float = _BISECT_TOL,
@@ -544,11 +757,11 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int,
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     gp = derived_constants(params).g_shift
+    k, w2 = 2 * n + 1, params.M * params.omega0 ** 2
 
-    if equation is Equation.SPIN_EQ:
-        f = lambda E: _spin_residual(params, n, E)
-    elif equation is Equation.PSEUDOSPIN_EQ:
-        f = lambda E: _pseudo_residual(params, n, E)
+    if equation in (Equation.SPIN_EQ, Equation.PSEUDOSPIN_EQ):
+        spin = equation is Equation.SPIN_EQ
+        f = lambda E: _residual(spin, k, E, params.M, params.C, gp, w2)
     else:
         f = lambda E: _relho_residual(params.M, params.omega0, n, E)
         if bracket is None:
@@ -610,15 +823,18 @@ def nr_pseudospin_level(params: ModelParams, n: int) -> float:
 
 def spectrum_grid(params: ModelParams, n_max: int,
                   eps_list) -> list[tuple[ModelParams, EnergyLevel]]:
-    """Levels over an (n, eps) grid, n outer and eps inner, cells independent."""
+    """Levels over an (n, eps) grid, n outer and eps inner, cells independent.
+
+    The whole grid is solved as one NumPy batch; every row equals
+    (p, solve_level(p, n)) field for field.  Rows of one eps share one
+    ModelParams.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rows = []
-    for n in range(n_max + 1):
-        for eps in eps_list:
-            p = dataclasses.replace(params, eps=float(eps))
-            rows.append((p, solve_level(p, n)))
-    return rows
+    grid = [dataclasses.replace(params, eps=float(eps)) for eps in eps_list]
+    if not grid:
+        return []
+    return list(zip(grid * (n_max + 1), _solve_grid(grid, n_max)))
 
 
 @dataclass(frozen=True)

@@ -338,8 +338,15 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
         values = fn(params, n, r, energy)
     values = np.asarray(values)
 
-    raw_norm_sq = float(simpson(np.abs(values) ** 2, x=r))
+    with np.errstate(over="ignore"):
+        raw_norm_sq = float(simpson(np.abs(values) ** 2, x=r))
     if normalize:
+        if not math.isfinite(raw_norm_sq):
+            # |values|^2 overflowed: normalize the peak-scaled samples instead
+            raw_peak = float(np.max(np.abs(values)))
+            if 0.0 < raw_peak < math.inf:
+                values = values / raw_peak
+                raw_norm_sq = float(simpson(np.abs(values) ** 2, x=r))
         if raw_norm_sq <= 0.0:
             raise ValueError("cannot normalize an identically zero function")
         values = values / math.sqrt(raw_norm_sq)

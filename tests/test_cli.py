@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,19 @@ class TestErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--symmetry", "spin", "--eps", "nan"),
+        ("--symmetry", "spin", "--eps", "0,inf"),
+        ("--symmetry", "pseudospin", "--C=-inf"),
+        ("--symmetry", "pseudospin", "--q", "nan", "--eps", "0.5"),
+    ])
+    def test_non_finite_params_exit_two(self, capsys, flags):
+        code, out, err = run_cli(capsys, "spectrum", "--M", "1", "--omega0", "1",
+                                 "--n-max", "0", *flags)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
     def test_omega0_and_inverse_conflict(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--symmetry", "spin",
                                "--M", "1", "--omega0", "1",
@@ -218,3 +232,28 @@ class TestErrors:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("r,V\n")
+
+
+DATA = Path(__file__).parent / "data"
+WIDE_EPS = "0,0.5,1,1.5,2,2.5,3,3.5,4,4.5,5"
+GOLDEN_SPECTRA = {
+    # the README example: table2 parameters
+    "spectrum_table2": ("--symmetry", "pseudospin", "--M", "1.5", "--omega0-inv", "2.4",
+                        "--C", "-10.3", "--eps", "0,0.5,1.5", "--n-max", "10"),
+    # wide range, margin refinement fires on about half of the cells
+    "spectrum_spin_wide": ("--symmetry", "spin", "--M", "7.6", "--omega0", "0.06",
+                           "--C", "-13.3", "--eps", WIDE_EPS, "--n-max", "10"),
+    # wide range, bound pairs with a lower-root alternate and unbound cells
+    "spectrum_pseudospin_wide": ("--symmetry", "pseudospin", "--M", "0.92",
+                                 "--omega0", "0.13", "--C", "-39.1",
+                                 "--eps", WIDE_EPS, "--n-max", "10"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECTRA))
+def test_spectrum_output_matches_golden_bytes(capsys, name, fmt):
+    """tests/data holds the output captured before spectrum_grid was batched."""
+    code, out, _ = run_cli(capsys, "spectrum", *GOLDEN_SPECTRA[name], "--format", fmt)
+    assert code == 0
+    assert out.encode("ascii") == (DATA / f"{name}.{fmt}").read_bytes()

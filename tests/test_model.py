@@ -28,6 +28,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             params(**bad)
 
+    @pytest.mark.parametrize("field", ["M", "omega0", "q", "eps", "C"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            params(**{field: value})
+
     def test_q_zero_allowed_at_zero_field(self):
         params(q=0.0, eps=0.0)
 

@@ -333,6 +333,14 @@ class TestSampling:
         rf = sample_radial(RadialKind.UPPER_F, spin(), 1, samples=101)
         assert rf.samples.shape == (101, 2)
 
+    def test_normalizes_when_norm_integral_overflows(self):
+        # raw peak ~8.7e216, so |F|^2 overflows and the raw Simpson integral is inf
+        p = spin(eps=1.2905, M=4.0638, omega0=0.08247, C=-36.985)
+        rf = sample_radial(RadialKind.UPPER_F, p, 3, samples=7986)
+        assert np.all(np.isfinite(rf.values))
+        assert rf.norm == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(rf.values)) > 0.0
+
     def test_lower_g_grid_avoids_origin(self):
         rf = sample_radial(RadialKind.LOWER_G, spin(eps=0.3), 0, samples=501)
         assert rf.r[0] == pytest.approx(1e-8)
