@@ -115,8 +115,13 @@ def _stark_shift(M, omega0, q, eps):
 
     The energy solvers call this instead of derived_constants; keeping one
     operation order makes every caller's g_shift agree to the last bit.
+    Raises ValueError where float64 cannot hold it.
     """
-    return (q * eps) ** 2 / (2.0 * (M * omega0 * omega0))
+    try:
+        return (q * eps) ** 2 / (2.0 * (M * omega0 * omega0))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"g_shift is not finite in float64 at "
+                         f"{M=}, {omega0=}, {q=}, {eps=}") from None
 
 
 def derived_constants(params: ModelParams) -> DerivedConstants:

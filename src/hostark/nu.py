@@ -109,7 +109,7 @@ def _k_candidates(sigma: Poly2, sigma_tilde: Poly2, u: Poly2) -> list[complex]:
     a = sigma.c1 * sigma.c1 - 4.0 * sigma.c2 * sigma.c0
     b = 2.0 * q1_0 * sigma.c1 - 4.0 * (q2_0 * sigma.c0 + q0_0 * sigma.c2)
     c = q1_0 * q1_0 - 4.0 * q2_0 * q0_0
-    scale = max(1.0, abs(a), abs(b), abs(c))
+    scale = max(abs(a), abs(b), abs(c))
     if abs(a) > _EPS * scale:
         rt = cmath.sqrt(b * b - 4.0 * a * c)
         k1 = (-b + rt) / (2.0 * a)
@@ -132,7 +132,7 @@ def _collapse_root(sigma: Poly2, sigma_tilde: Poly2, u: Poly2, k: complex) -> Po
     q2 = u.c1 * u.c1 - sigma_tilde.c2 + k * sigma.c2
     q1 = 2.0 * u.c1 * u.c0 - sigma_tilde.c1 + k * sigma.c1
     q0 = u.c0 * u.c0 - sigma_tilde.c0 + k * sigma.c0
-    scale = max(1.0, abs(q2), abs(q1), abs(q0))
+    scale = max(abs(q2), abs(q1), abs(q0))
     if abs(q2) > _EPS * scale:
         s1 = cmath.sqrt(q2)
         return Poly2(q1 / (2.0 * s1), s1, 0.0)

@@ -1,31 +1,29 @@
 """Bound-state energy levels of the oscillator-plus-linear Dirac problem.
 
-Squaring the transcendental quantization condition of either symmetry limit
-turns it into a monic cubic in the energy.  With
+Both symmetry limits are one channel in kappa = params.kappa: spin
+(kappa = -1, C = C_s) and pseudospin (kappa = +1, C = C_ps).  Squaring the
+transcendental quantization condition turns it into the monic cubic
 
-    g'  = q^2 eps^2 / (2 M w0^2),     R = 2 M w0^2 (n + 1/2)^2,
+    (E - kappa M - C)(E + kappa M + g')^2 = R,
+    g' = q^2 eps^2 / (2 M w0^2),     R = 2 M w0^2 (n + 1/2)^2,
 
-the two cubics are
-
-    spin       (kappa = -1):  (E + M - C_s)(E - M + g')^2  = R,
-    pseudospin (kappa = +1):  (E - M - C_ps)(E + M + g')^2 = R,
-
-and the pseudospin one is the image of the spin one under the mapping
+so the pseudospin cubic is the image of the spin one under the mapping
 E -> -E, C_s -> -C_ps, g' -> -g' with the squared right side sign-flipped.
 
 The cubic is solved by reduction to a depressed cubic y^3 + d y = -e and the
 substitution y = z - d/(3z), which turns it into a quadratic in z^3 with
 constant p = -(d/3)^3.  When e^2 >= 4p the real cube-root formula applies
 directly; when e^2 < 4p (three real roots, Cardano's intermediates turn
-complex) a trigonometric fallback is used and the solution is flagged.
+complex) a trigonometric fallback is used and the solution is flagged.  A
+cubic that is not finite in float64 (B, C, D, d, e, p or a root) raises
+ValueError.
 
-Squaring introduces spurious roots, so a cubic root is physical only if it
-also satisfies the unsquared condition:
+Squaring introduces spurious roots, so a cubic root is physical only if the
+sign-condition margins m1 = E - kappa M - C and m2 = -kappa (E + kappa M + g')
+are positive and the unsquared condition holds:
 
-    spin:        (2n+1) sqrt(M w0^2 / (2 (E + M - C_s))) = E - M + g',
-                 requiring  E + M - C_s > 0  and  E - M + g' > 0;
-    pseudospin:  (2n+1) = -(E + M + g') sqrt(2 (E - M - C_ps) / (M w0^2)),
-                 requiring  E - M - C_ps > 0  and  E + M + g' < 0.
+    spin:        m2 = (2n+1) sqrt(M w0^2 / (2 m1)),
+    pseudospin:  (2n+1) = m2 sqrt(2 m1 / (M w0^2)).
 
 In the pseudospin case two cubic roots can satisfy all conditions (the
 bound pair straddling the E = -(M + g') boundary and a near-boundary root
@@ -115,8 +113,10 @@ class RejectedRoot:
 class ChannelScalars:
     """Derived channel scalars evaluated at the selected energy.
 
-    For the spin channel all four are real; for pseudospin, gamma < 0 for
-    bound levels so v is imaginary and is kept complex.
+    gamma = -kappa (E - kappa M - C), alpha = gamma (M + kappa E),
+    v = sqrt(M w0^2 gamma / 2) and beta = q eps gamma.  For the spin channel
+    all four are real; for pseudospin, gamma < 0 for bound levels so v is
+    imaginary and is kept complex.
     """
 
     gamma: complex
@@ -138,44 +138,23 @@ class EnergyLevel:
     diagnostics: ChannelScalars | None = None
 
 
-def _spin_cubic_bcd(M_s, g, R):
-    """Coefficients of (E + M_s)(E + g)^2 - R expanded (floats or arrays)."""
-    return (M_s + 2.0 * g, g * (g + 2.0 * M_s), g * g * M_s - R)
+def _power(x: float, k: int) -> float:
+    """x ** k, with the infinity of its sign where Python raises OverflowError."""
+    try:
+        return x ** k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
 
 
 def _rhs_squared(M: float, omega0: float, n: int) -> float:
-    return 2.0 * M * omega0 ** 2 * (n + 0.5) ** 2
+    return 2.0 * M * _power(omega0, 2) * _power(n + 0.5, 2)
 
 
-def _level_bcd(spin: bool, M, C, gp, R):
-    """B, C, D of the monic level cubic of either channel (floats or arrays)."""
-    if spin:
-        return _spin_cubic_bcd(M - C, gp - M, R)
-    return _spin_cubic_bcd(-(M + C), M + gp, R)
-
-
-def _mapped_bcd(M, C, gp, R):
-    """Pseudospin B, C, D obtained by transforming the spin cubic.
-
-    Build the spin cubic with C_s -> -C_ps and g' -> -g', flip the sign of
-    the squared right side, then send E -> -E and negate the polynomial
-    (which negates the odd coefficients of the monic cubic).
-    """
-    B, C, D = _spin_cubic_bcd(M + C, -gp - M, -R)
-    return (-B, C, -D)
-
-
-def _mapped_spin_coefficients(params: ModelParams, n: int) -> tuple[float, float, float]:
-    gp = _stark_shift(params.M, params.omega0, params.q, params.eps)
-    return _mapped_bcd(params.M, params.C, gp, _rhs_squared(params.M, params.omega0, n))
-
-
-def _check_mapping(direct, mapped) -> None:
-    for a, b in zip(direct, mapped):
-        if abs(a - b) > 1e-12 * max(1.0, abs(a)):
-            raise RuntimeError(
-                f"pseudospin cubic fails the mapping identity: {a} vs {b}"
-            )
+def _level_bcd(kappa: int, M, C, gp, R):
+    """B, C, D of (E + a)(E + g)^2 - R expanded, with a = -kappa M - C and
+    g = g' + kappa M: the monic level cubic (floats or arrays)."""
+    a, g = -kappa * M - C, gp + kappa * M
+    return (a + 2.0 * g, g * (g + 2.0 * a), g * g * a - R)
 
 
 def cubic_coefficients(params: ModelParams, n: int) -> CubicCoefficients:
@@ -183,7 +162,7 @@ def cubic_coefficients(params: ModelParams, n: int) -> CubicCoefficients:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     gp = _stark_shift(params.M, params.omega0, params.q, params.eps)
-    B, C, D = _level_bcd(params.sym is SymmetryKind.SPIN, params.M, params.C, gp,
+    B, C, D = _level_bcd(params.kappa, params.M, params.C, gp,
                          _rhs_squared(params.M, params.omega0, n))
     return CubicCoefficients(1.0, B, C, D, sym=params.sym, n=n, params=params)
 
@@ -191,7 +170,7 @@ def cubic_coefficients(params: ModelParams, n: int) -> CubicCoefficients:
 def _depressed(B: float, C: float, D: float) -> tuple[float, float, float]:
     d = C - B * B / 3.0
     e = D + B * (2.0 * B * B - 9.0 * C) / 27.0
-    p = -((d / 3.0) ** 3)
+    p = -_power(d / 3.0, 3)
     return d, e, p
 
 
@@ -252,6 +231,10 @@ def _cubic_roots(B: float, C: float, D: float):
 
     polished = tuple(sorted((_polish(r, B, C, D) for r in roots),
                             key=lambda z: (z.real, z.imag)))
+    if not all(map(math.isfinite, (B, C, D, d, e, p))) or not all(
+            map(cmath.isfinite, polished)):
+        raise ValueError(
+            f"the level cubic is not finite in float64: B={B!r}, C={C!r}, D={D!r}")
     return polished, d, e, p, cardano_real
 
 
@@ -292,50 +275,36 @@ def cardano_complex_roots(B: float, C: float, D: float) -> tuple[complex, comple
     return tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
 
 
-def _margins(spin: bool, E, M, C, gp):
+def _margins(kappa: int, E, M, C, gp):
     """The two sign-condition margins, both > 0 for a physical root (floats or arrays)."""
-    if spin:
-        return E + M - C, E - M + gp
-    return E - M - C, -(E + M + gp)
+    return E - kappa * M - C, -kappa * (E + kappa * M + gp)
 
 
-def _residual(spin: bool, k: int, E: float, M: float, C: float, gp: float,
-              w2: float) -> float:
-    """Unsquared condition at E for level (k - 1)/2; nan outside its domain.
-
-    w2 = M w0^2.  A root of the condition is a zero of the residual.
-    """
-    if spin:
-        gamma = E + M - C
-        if gamma <= 0.0:
-            return math.nan
-        return (E - M + gp) - k * math.sqrt(w2 / (2.0 * gamma))
-    depth = E - M - C
-    if depth < 0.0:
-        return math.nan
-    return k + (E + M + gp) * math.sqrt(2.0 * depth / w2)
+def _residual(kappa: int, k: int, M: float, C: float, gp: float, w2: float):
+    """The unsquared condition of level (k - 1)/2 as a function of E, nan
+    outside its domain (w2 = M w0^2).  The oracle's bisection calls it once
+    per evaluation, so it writes the margins out and precomputes kappa M."""
+    kM, sign = kappa * M, float(-kappa)
+    if kappa < 0:
+        def f(E):
+            m1 = E - kM - C
+            if m1 <= 0.0:
+                return math.nan
+            return sign * (E + kM + gp) - k * math.sqrt(w2 / (2.0 * m1))
+    else:
+        def f(E):
+            m1 = E - kM - C
+            if m1 < 0.0:
+                return math.nan
+            return k - sign * (E + kM + gp) * math.sqrt(2.0 * m1 / w2)
+    return f
 
 
 def _relho_residual(M: float, omega: float, n: int, E: float) -> float:
     return math.sqrt((E + M) / (2.0 * M)) * (E - M) - (n + 0.5) * omega
 
 
-def _channel_scalars(params: ModelParams, E: float) -> ChannelScalars:
-    w2 = params.M * params.omega0 ** 2
-    if params.sym is SymmetryKind.SPIN:
-        gamma = E + params.M - params.C
-    else:
-        gamma = params.M - E + params.C
-    return ChannelScalars(
-        gamma=complex(gamma),
-        alpha=complex(gamma * (params.M - E if params.sym is SymmetryKind.SPIN
-                               else params.M + E)),
-        v=cmath.sqrt(complex(0.5 * w2 * gamma)),
-        beta=complex(params.q * params.eps * gamma),
-    )
-
-
-def _refine_near_boundary(params: ModelParams, n: int, E: float):
+def _refine_near_boundary(params: ModelParams, kappa: int, n: int, E: float):
     """Re-solve the unsquared condition in the binding-margin variable.
 
     At strong fields or deep symmetry constants the bound energy sits a
@@ -350,7 +319,7 @@ def _refine_near_boundary(params: ModelParams, n: int, E: float):
     w2 = params.M * params.omega0 ** 2
     k = 2 * n + 1
 
-    if params.sym is SymmetryKind.SPIN:
+    if kappa < 0:
         candidates = [
             # t = E + M - C (gamma margin)
             (C - M, +1.0,
@@ -407,14 +376,14 @@ def _reason_table(first: str, second: str) -> tuple[str, ...]:
 
 
 _REASONS = {
-    True: _reason_table("E + M - C_s > 0", "E - M + g' > 0"),
-    False: _reason_table("E - M - C_ps > 0", "E + M + g' < 0"),
+    -1: _reason_table("E + M - C_s > 0", "E - M + g' > 0"),
+    +1: _reason_table("E - M - C_ps > 0", "E + M + g' < 0"),
 }
 _LOWER_ROOT = ("sign conditions hold; lower root of the bound pair "
                "(tabulated branch takes the upper)")
 
 
-def _assemble(params: ModelParams, n: int, gp: float, roots, codes,
+def _assemble(params: ModelParams, kappa: int, n: int, gp: float, roots, codes,
               cardano_real: bool, selected: float | None,
               residual: float | None) -> EnergyLevel:
     """Build the level from classified roots; shared by both solver routes.
@@ -424,30 +393,35 @@ def _assemble(params: ModelParams, n: int, gp: float, roots, codes,
     residual the magnitude of the unsquared condition there.  A residual
     above 1e-9 triggers the margin-form refinement.
     """
-    spin = params.sym is SymmetryKind.SPIN
-    reasons = _REASONS[spin]
+    reasons = _REASONS[kappa]
     rejected = [RejectedRoot(r, reasons[c]) for r, c in zip(roots, codes) if c]
     if selected is None:
-        return EnergyLevel(n, params.kappa, Status.NO_PHYSICAL_ROOT, None, None,
+        return EnergyLevel(n, kappa, Status.NO_PHYSICAL_ROOT, None, None,
                            tuple(rejected), not cardano_real)
     rejected += [RejectedRoot(complex(r.real), _LOWER_ROOT)
                  for r, c in zip(roots, codes) if not c and r.real != selected]
     if residual > 1e-9:
-        refined = _refine_near_boundary(params, n, selected)
+        refined = _refine_near_boundary(params, kappa, n, selected)
         if refined is not None and refined[1] < residual:
             selected, residual = refined
     tol = _BOUNDARY_TOL * max(1.0, abs(selected))
-    margins = _margins(spin, selected, params.M, params.C, gp)
-    return EnergyLevel(n, params.kappa, Status.BOUND, selected, residual,
+    m1, m2 = _margins(kappa, selected, params.M, params.C, gp)
+    gamma = -kappa * m1
+    scalars = ChannelScalars(
+        gamma=complex(gamma),
+        alpha=complex(gamma * (params.M + kappa * selected)),
+        v=cmath.sqrt(complex(0.5 * (params.M * params.omega0 ** 2) * gamma)),
+        beta=complex(params.q * params.eps * gamma),
+    )
+    return EnergyLevel(n, kappa, Status.BOUND, selected, residual,
                        tuple(rejected), not cardano_real,
-                       boundary=any(abs(m) <= tol for m in margins),
-                       diagnostics=_channel_scalars(params, selected))
+                       boundary=abs(m1) <= tol or abs(m2) <= tol,
+                       diagnostics=scalars)
 
 
-def _select(params: ModelParams, n: int, gp: float, roots,
+def _select(params: ModelParams, kappa: int, n: int, gp: float, roots,
             cardano_real: bool) -> EnergyLevel:
     """Classify the roots against the sign conditions, then assemble the level."""
-    spin = params.sym is SymmetryKind.SPIN
     M, C = params.M, params.C
     codes = []
     selected = None
@@ -457,14 +431,15 @@ def _select(params: ModelParams, n: int, gp: float, roots,
             continue
         E = r.real
         tol = _BOUNDARY_TOL * max(1.0, abs(E))
-        m1, m2 = _margins(spin, E, M, C, gp)
+        m1, m2 = _margins(kappa, E, M, C, gp)
         code = (m1 < -tol) + 2 * (m2 < -tol)
         codes.append(code)
         if not code and (selected is None or E > selected):
             selected = E
     residual = None if selected is None else abs(
-        _residual(spin, 2 * n + 1, selected, M, C, gp, M * params.omega0 ** 2))
-    return _assemble(params, n, gp, roots, codes, cardano_real, selected, residual)
+        _residual(kappa, 2 * n + 1, M, C, gp, M * params.omega0 ** 2)(selected))
+    return _assemble(params, kappa, n, gp, roots, codes, cardano_real, selected,
+                     residual)
 
 
 def select_physical_root(sol: CubicSolution, params: ModelParams, n: int) -> EnergyLevel:
@@ -477,22 +452,19 @@ def select_physical_root(sol: CubicSolution, params: ModelParams, n: int) -> Ene
     set the boundary flag.
     """
     gp = _stark_shift(params.M, params.omega0, params.q, params.eps)
-    return _select(params, n, gp, sol.roots, sol.cardano_real)
+    return _select(params, params.kappa, n, gp, sol.roots, sol.cardano_real)
 
 
 def _solve(params: ModelParams, n: int) -> EnergyLevel:
     """One level through the scalar root stage, on plain floats."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    spin = params.sym is SymmetryKind.SPIN
+    kappa = params.kappa
     M, C = params.M, params.C
     gp = _stark_shift(M, params.omega0, params.q, params.eps)
-    R = _rhs_squared(M, params.omega0, n)
-    bcd = _level_bcd(spin, M, C, gp, R)
-    if not spin:
-        _check_mapping(bcd, _mapped_bcd(M, C, gp, R))
-    roots, _, _, _, cardano_real = _cubic_roots(*bcd)
-    return _select(params, n, gp, roots, cardano_real)
+    roots, _, _, _, cardano_real = _cubic_roots(
+        *_level_bcd(kappa, M, C, gp, _rhs_squared(M, params.omega0, n)))
+    return _select(params, kappa, n, gp, roots, cardano_real)
 
 
 def solve_spin_level(params: ModelParams, n: int) -> EnergyLevel:
@@ -503,22 +475,15 @@ def solve_spin_level(params: ModelParams, n: int) -> EnergyLevel:
 
 
 def solve_pseudospin_level(params: ModelParams, n: int) -> EnergyLevel:
-    """Level-n energy in the pseudospin-symmetry limit (kappa = +1).
-
-    Also cross-checks that the pseudospin cubic equals the transformed spin
-    cubic (energy-reflection mapping); a mismatch indicates a coefficient
-    bug and raises.
-    """
+    """Level-n energy in the pseudospin-symmetry limit (kappa = +1)."""
     if params.sym is not SymmetryKind.PSEUDOSPIN:
         raise ValueError("solve_pseudospin_level requires pseudospin parameters")
     return _solve(params, n)
 
 
 def solve_level(params: ModelParams, n: int) -> EnergyLevel:
-    """Dispatch on the symmetry kind of the parameters."""
-    if params.sym is SymmetryKind.SPIN:
-        return solve_spin_level(params, n)
-    return solve_pseudospin_level(params, n)
+    """Level-n energy in the symmetry limit of the parameters."""
+    return _solve(params, n)
 
 
 # ---------------------------------------------------------------- batch route
@@ -580,12 +545,13 @@ def _newton_batch(zr, zi, B, C, D, is_real):
 def _cubic_roots_batch(B, C, D):
     """_cubic_roots over 1-d arrays of cubics.
 
-    Returns (re, im, cardano_real): re and im have shape (cells, 3) and hold
-    the polished roots sorted by (real, imag).
+    Returns (re, im, cardano_real, finite): re and im have shape (cells, 3)
+    and hold the polished roots sorted by (real, imag); finite marks the
+    cells that _cubic_roots does not reject.
     """
     d = C - B * B / 3.0
     e = D + B * (2.0 * B * B - 9.0 * C) / 27.0
-    p = -_map(lambda x: x ** 3, d / 3.0)
+    p = -_map(lambda x: _power(x, 3), d / 3.0)
     cardano_real = e * e >= 4.0 * p
     re = np.empty((len(B), 3))
     im = np.zeros((len(B), 3))
@@ -624,20 +590,11 @@ def _cubic_roots_batch(B, C, D):
         swap = (re[:, a] > re[:, b]) | ((re[:, a] == re[:, b]) & (im[:, a] > im[:, b]))
         re[swap, a], re[swap, b] = re[swap, b], re[swap, a]
         im[swap, a], im[swap, b] = im[swap, b], im[swap, a]
-    return re, im, cardano_real
+    finite = np.isfinite(np.column_stack((B, C, D, d, e, p, re, im))).all(axis=1)
+    return re, im, cardano_real, finite
 
 
-def _check_mapping_batch(direct, mapped) -> None:
-    """_check_mapping over arrays; raises for the first mismatching cell."""
-    bad = np.zeros(direct[0].shape, dtype=bool)
-    for a, b in zip(direct, mapped):
-        bad |= np.abs(a - b) > 1e-12 * np.maximum(1.0, np.abs(a))
-    if bad.any():
-        i = int(np.argmax(bad))
-        _check_mapping([float(a[i]) for a in direct], [float(b[i]) for b in mapped])
-
-
-def _select_batch(spin: bool, re, im, M: float, C: float, gp, k, w2: float):
+def _select_batch(kappa: int, re, im, M: float, C: float, gp, k, w2: float):
     """_select's classification and residual over cells of three roots.
 
     Returns (codes, bound, selected, residual); selected is the first of the
@@ -646,7 +603,7 @@ def _select_batch(spin: bool, re, im, M: float, C: float, gp, k, w2: float):
     complex_ = np.abs(im) > 1e-9 * (1.0 + np.hypot(re, im))
     abs_E = np.abs(re)
     tol = _BOUNDARY_TOL * np.where(abs_E > 1.0, abs_E, 1.0)
-    m1, m2 = _margins(spin, re, M, C, gp[:, None])
+    m1, m2 = _margins(kappa, re, M, C, gp[:, None])
     codes = np.where(complex_, _COMPLEX, (m1 < -tol) + 2 * (m2 < -tol))
     selected = np.full(gp.shape, np.nan)
     bound = np.zeros(gp.shape, dtype=bool)
@@ -654,24 +611,23 @@ def _select_batch(spin: bool, re, im, M: float, C: float, gp, k, w2: float):
         take = (codes[:, col] == 0) & (~bound | (re[:, col] > selected))
         selected = np.where(take, re[:, col], selected)
         bound |= take
-    m1, m2 = _margins(spin, selected, M, C, gp)
-    if spin:
+    m1, m2 = _margins(kappa, selected, M, C, gp)
+    if kappa < 0:
         residual = np.where(m1 > 0.0, m2 - k * np.sqrt(w2 / (2.0 * m1)), np.nan)
     else:
-        residual = np.where(m1 < 0.0, np.nan,
-                            k + (selected + M + gp) * np.sqrt(2.0 * m1 / w2))
+        residual = np.where(m1 >= 0.0, k - m2 * np.sqrt(2.0 * m1 / w2), np.nan)
     return codes, bound, selected, np.abs(residual)
 
 
 def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
     """Levels of the cells (n, grid[j]), n outer, as one NumPy batch.
 
-    The parameters differ only in eps.  Cells with a non-finite coefficient
-    or root go through the scalar stage instead, which also raises wherever
-    solve_level would.
+    The parameters differ only in eps.  Cells whose cubic is not finite go
+    through the scalar stage instead, which raises for them as solve_level
+    does.
     """
     p0 = grid[0]
-    spin = p0.sym is SymmetryKind.SPIN
+    kappa = p0.kappa
     M, omega0, C = p0.M, p0.omega0, p0.C
     cells = [(n, j, p) for n in range(n_max + 1) for j, p in enumerate(grid)]
     gp_eps = [_stark_shift(M, omega0, p0.q, p.eps) for p in grid]
@@ -679,15 +635,11 @@ def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
     R = np.repeat([_rhs_squared(M, omega0, n) for n in range(n_max + 1)], len(grid))
 
     with np.errstate(all="ignore"):
-        bcd = _level_bcd(spin, M, C, gp, R)
-        if not spin:
-            _check_mapping_batch(bcd, _mapped_bcd(M, C, gp, R))
-        re, im, cardano_real = _cubic_roots_batch(*bcd)
-
+        re, im, cardano_real, finite = _cubic_roots_batch(
+            *_level_bcd(kappa, M, C, gp, R))
         k = 2.0 * np.repeat(np.arange(n_max + 1), len(grid)) + 1.0
         codes, bound, selected, residual = _select_batch(
-            spin, re, im, M, C, gp, k, M * omega0 ** 2)
-        finite = np.isfinite(np.column_stack(bcd + (re, im))).all(axis=1)
+            kappa, re, im, M, C, gp, k, M * _power(omega0, 2))
 
     levels = []
     for (n, j, p), ok, r, i, code, real, has, sel, res in zip(
@@ -698,7 +650,7 @@ def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
             levels.append(_solve(p, n))
             continue
         roots = (complex(r[0], i[0]), complex(r[1], i[1]), complex(r[2], i[2]))
-        levels.append(_assemble(p, n, gp_eps[j], roots, code, real,
+        levels.append(_assemble(p, kappa, n, gp_eps[j], roots, code, real,
                                 sel if has else None, res if has else None))
     return levels
 
@@ -726,17 +678,17 @@ def _bisect(f, a: float, b: float, tol: float = _BISECT_TOL,
     return 0.5 * (a + b)
 
 
-def _scan_bracket(f, start: float, direction: float, max_off: float) -> tuple[float, float]:
-    """Geometric scan from a sign-condition boundary until the residual flips."""
+def _scan_bracket(f, start: float, max_off: float) -> tuple[float, float]:
+    """Geometric scan upward from a sign-condition boundary until the residual flips."""
     prev_x = prev_v = None
     off = 0.0
     k = 0
     while True:
-        x = start + direction * off
+        x = start + off
         v = f(x)
         if not math.isnan(v):
             if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
-                return (min(prev_x, x), max(prev_x, x))
+                return (prev_x, x)
             prev_x, prev_v = x, v
         if off >= max_off:
             raise NoSignChange("no sign change within the scan window")
@@ -749,19 +701,21 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int,
     """Root of the chosen unsquared condition, independent of the cubic path.
 
     With an explicit bracket the residual must change sign across it.
-    Without one, the bracket is found by a geometric scan from the relevant
-    sign-condition boundary: upward from max(C_s - M, M - g') for the spin
-    condition, downward from -(M + g') for the pseudospin one (so the scan
-    meets the tabulated upper root first).  Roots are located to 1e-12.
+    Without one, the spin bracket is found by a geometric scan upward from
+    the sign-condition boundary max(C_s - M, M - g').  The pseudospin
+    residual equals 2n+1 at both ends of its window lo = M + C_ps,
+    hi = -(M + g') and is smallest at lo + (hi - lo)/3, so the bracket
+    (lo + (hi - lo)/3, hi) holds the tabulated upper root.  Roots are
+    located to 1e-12.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     gp = derived_constants(params).g_shift
-    k, w2 = 2 * n + 1, params.M * params.omega0 ** 2
+    M, C = params.M, params.C
+    k, w2 = 2 * n + 1, M * params.omega0 ** 2
 
     if equation in (Equation.SPIN_EQ, Equation.PSEUDOSPIN_EQ):
-        spin = equation is Equation.SPIN_EQ
-        f = lambda E: _residual(spin, k, E, params.M, params.C, gp, w2)
+        f = _residual(-1 if equation is Equation.SPIN_EQ else +1, k, M, C, gp, w2)
     else:
         f = lambda E: _relho_residual(params.M, params.omega0, n, E)
         if bracket is None:
@@ -770,14 +724,12 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int,
     if bracket is None:
         if equation is Equation.SPIN_EQ:
             start = max(params.C - params.M, params.M - gp)
-            bracket = _scan_bracket(f, start, +1.0, 1e3)
+            bracket = _scan_bracket(f, start, 1e3)
         else:
-            start = -(params.M + gp)
-            floor = params.M + params.C
-            max_off = min(1e3, start - floor - 1e-9)
-            if max_off <= 0.0:
+            lo, hi = params.M + params.C, -(params.M + gp)
+            if lo >= hi:
                 raise NoSignChange("pseudospin sign conditions define an empty window")
-            bracket = _scan_bracket(f, start, -1.0, max_off)
+            bracket = (lo + (hi - lo) / 3.0, hi)
 
     return _bisect(f, bracket[0], bracket[1])
 

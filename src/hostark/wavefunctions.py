@@ -100,8 +100,8 @@ def shape_constants(params: ModelParams, energy: float) -> ShapeConstants:
     """Constants entering the closed forms, evaluated at a level energy."""
     lam = math.sqrt(params.M * params.omega0)
     b = params.q * params.eps / params.omega0
-    if params.sym is SymmetryKind.SPIN:
-        gamma = energy + params.M - params.C
+    gamma = -params.kappa * (energy - params.kappa * params.M - params.C)
+    if params.kappa < 0:
         if gamma <= 0.0:
             raise ConstantsUndefined(f"gamma = {gamma} <= 0 at E = {energy}")
         v = math.sqrt(0.5 * params.M * params.omega0 ** 2 * gamma)
@@ -112,7 +112,7 @@ def shape_constants(params: ModelParams, energy: float) -> ShapeConstants:
             eps2=gamma / (2.0 * params.M * v),
             d0=1.0 / gamma,
         )
-    gamma_t = complex(params.M - energy + params.C)
+    gamma_t = complex(gamma)
     v_t = cmath.sqrt(0.5 * params.M * params.omega0 ** 2 * gamma_t)
     if abs(v_t) == 0.0:
         raise ConstantsUndefined(f"gamma_tilde vanishes at E = {energy}")

@@ -26,7 +26,6 @@ from hostark.spectra import (
     solve_cubic_cardano,
     solve_level,
     solve_spin_level,
-    _mapped_spin_coefficients,
 )
 from hostark.wavefunctions import RadialKind, count_nodes, nr_radial_R, sample_radial
 
@@ -150,7 +149,7 @@ def _check_mapping_identity(rng):
         )
         n = int(rng.integers(0, 8))
         c = cubic_coefficients(params, n)
-        mapped = _mapped_spin_coefficients(params, n)
+        mapped = conftest.mapped_spin_coefficients(params, n)
         for got, want in zip((c.B, c.C, c.D), mapped):
             worst = max(worst, abs(got - want) / max(1.0, abs(got)))
     return worst

@@ -218,6 +218,16 @@ class TestErrors:
         assert out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("sym", ["spin", "pseudospin"])
+    @pytest.mark.parametrize("eps", ["1e75", "1e80", "1e160"])
+    def test_overflowing_cubic_exits_two(self, capsys, sym, eps):
+        code, out, err = run_cli(capsys, "spectrum", "--symmetry", sym, "--M", "1.5",
+                                 "--omega0", "0.4", "--C=-10.3", "--eps", f"0.5,{eps}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite in float64" in err
+
     def test_omega0_and_inverse_conflict(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--symmetry", "spin",
                                "--M", "1", "--omega0", "1",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hostark import nu
+from hostark.model import ModelParams, SymmetryKind
 from hostark.nu import (
     NoAdmissibleBranch,
     NonPolynomialRoot,
@@ -11,6 +13,7 @@ from hostark.nu import (
     oscillator_instance,
     quantize,
 )
+from hostark.spectra import Status, solve_level
 
 
 def first_admissible(branches):
@@ -134,6 +137,37 @@ class TestStructuralInvariants:
                 condition, rel=1e-12, abs=1e-12 * max(1.0, abs(condition))
             )
             checked += 1
+
+
+class TestSolverCertificate:
+    """Every Bound level's diagnostics (v, beta, alpha) satisfy the NU
+    quantization condition lambda = lambda_n of its channel's instance."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=st.floats(0.1, 10.0), omega0=st.floats(0.05, 5.0),
+           eps=st.floats(0.0, 5.0), C=st.floats(-40.0, 20.0),
+           sym=st.sampled_from(list(SymmetryKind)), n=st.integers(0, 29))
+    # gamma ~ 5e-14: every coefficient of the instance is far below 1
+    @example(M=0.1, omega0=0.05, eps=5.0, C=20.0, sym=SymmetryKind.SPIN, n=0)
+    # lambda ~ 0 is the difference of terms ~ 350: alpha sets the scale
+    @example(M=0.1, omega0=0.06055054591543548, eps=0.1163864612738047,
+             C=-37.28737395629715, sym=SymmetryKind.SPIN, n=0)
+    def test_bound_levels_satisfy_quantization(self, M, omega0, eps, C, sym, n):
+        level = solve_level(ModelParams(M=M, omega0=omega0, eps=eps, sym=sym, C=C), n)
+        if level.status is not Status.BOUND:
+            return
+        d = level.diagnostics
+        if sym is SymmetryKind.SPIN:
+            branch = first_admissible(
+                nu.reduce(*oscillator_instance(d.v, d.beta, d.alpha)))
+        else:
+            # gamma < 0 makes v imaginary; the level solves the one branch
+            # the engine flags as not admissible (real tau' > 0)
+            [branch] = [b for b in nu.reduce(
+                *inverted_oscillator_instance(d.v, d.beta, d.alpha)) if not b.admissible]
+        lam, lam_n = branch.lambda_, branch.lambda_n(n)
+        scale = max(1.0, abs(lam), abs(lam_n), abs(d.alpha))
+        assert abs(lam - lam_n) <= 1e-10 * scale
 
 
 class TestErrors:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import mapped_spin_coefficients
 from hostark.model import ModelParams, SymmetryKind, derived_constants
 from hostark.spectra import (
     Equation,
@@ -85,8 +86,6 @@ class TestCubicCoefficients:
 
     def test_mapping_identity_fuzz(self):
         # pseudospin coefficients == reflected spin coefficients, 200 draws
-        from hostark.spectra import _mapped_spin_coefficients
-
         rng = np.random.default_rng(8)
         for _ in range(200):
             p = pseudo(C=rng.uniform(-12, 5), eps=rng.uniform(0, 2))
@@ -94,7 +93,7 @@ class TestCubicCoefficients:
                                     omega0=rng.uniform(0.2, 1.5))
             n = int(rng.integers(0, 8))
             c = cubic_coefficients(p, n)
-            mapped = _mapped_spin_coefficients(p, n)
+            mapped = mapped_spin_coefficients(p, n)
             for got, want in zip((c.B, c.C, c.D), mapped):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(got))
 
@@ -311,6 +310,17 @@ class TestBisectionOracle:
             lvl = solve_level(p, 2)
             assert lvl.status is Status.BOUND
             assert bisection_oracle(eq, p, 2) == pytest.approx(lvl.E, abs=1e-9)
+
+    def test_pseudospin_bound_pair_between_scan_steps(self):
+        # both roots of the bound pair lie between two steps of a geometric
+        # scan down from -(M + g'); the bracket from the residual's minimum
+        # to -(M + g') still holds the upper root
+        p = ModelParams(M=7.156, omega0=2.601, eps=2.45,
+                        sym=SymmetryKind.PSEUDOSPIN, C=-30.58)
+        lvl = solve_level(p, 2)
+        assert lvl.E == pytest.approx(-16.716117407932, abs=1e-9)
+        assert bisection_oracle(Equation.PSEUDOSPIN_EQ, p, 2) == pytest.approx(
+            lvl.E, abs=1e-9)
 
     def test_empty_pseudospin_window(self):
         # C_ps so shallow that E - M - C_ps > 0 and E + M + g' < 0 cannot hold
