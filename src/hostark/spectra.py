@@ -45,8 +45,6 @@ import numpy as np
 from .model import ModelParams, SymmetryKind, _stark_shift, derived_constants
 
 _BOUNDARY_TOL = 1e-12
-_BISECT_TOL = 1e-12
-_BISECT_MAXITER = 200
 
 
 class DegenerateCubic(Exception):
@@ -280,16 +278,23 @@ def _margins(kappa: int, E, M, C, gp):
     return E - kappa * M - C, -kappa * (E + kappa * M + gp)
 
 
-def _residual(kappa: int, k: int, M: float, C: float, gp: float, w2: float):
+def _edges(kappa: int, M: float, C: float, gp: float) -> tuple[float, float]:
+    """The energies (kappa M + C, -kappa M - g') where the two margins vanish."""
+    return kappa * M + C, -kappa * M - gp
+
+
+def _residual(kappa: int, k: int, M: float, C: float, gp: float, w2: float,
+              below: float = math.nan):
     """The unsquared condition of level (k - 1)/2 as a function of E, nan
-    outside its domain (w2 = M w0^2).  The oracle's bisection calls it once
+    outside its domain (w2 = M w0^2); the spin residual reads below on and
+    under its gamma = 0 edge instead.  The oracle's bisection calls it once
     per evaluation, so it writes the margins out and precomputes kappa M."""
     kM, sign = kappa * M, float(-kappa)
     if kappa < 0:
         def f(E):
             m1 = E - kM - C
             if m1 <= 0.0:
-                return math.nan
+                return below
             return sign * (E + kM + gp) - k * math.sqrt(w2 / (2.0 * m1))
     else:
         def f(E):
@@ -304,7 +309,34 @@ def _relho_residual(M: float, omega: float, n: int, E: float) -> float:
     return math.sqrt((E + M) / (2.0 * M)) * (E - M) - (n + 0.5) * omega
 
 
-def _refine_near_boundary(params: ModelParams, kappa: int, n: int, E: float):
+def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
+    """Root of f between a and b, where f must change sign, to within tol or
+    until the midpoint equals an end of the bracket (at most 200 halvings)."""
+    fa, fb = f(a), f(b)
+    if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
+        raise NoSignChange(f"no sign change over [{a}, {b}]")
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    for _ in range(200):
+        if b - a <= tol:
+            break
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return 0.5 * (a + b)
+
+
+def _refine_near_boundary(params: ModelParams, kappa: int, n: int, gp: float,
+                          E: float):
     """Re-solve the unsquared condition in the binding-margin variable.
 
     At strong fields or deep symmetry constants the bound energy sits a
@@ -314,30 +346,28 @@ def _refine_near_boundary(params: ModelParams, kappa: int, n: int, E: float):
     t > 0 keeps it well conditioned.  Returns (refined E, margin-form
     residual magnitude), or None when no bracket is found.
     """
-    gp = derived_constants(params).g_shift
     M, C = params.M, params.C
     w2 = params.M * params.omega0 ** 2
     k = 2 * n + 1
+    e1, e2 = _edges(kappa, M, C, gp)
 
     if kappa < 0:
         candidates = [
             # t = E + M - C (gamma margin)
-            (C - M, +1.0,
+            (e1, +1.0,
              lambda t: (t + C - 2.0 * M + gp) - k * math.sqrt(w2 / (2.0 * t))),
             # t = E - M + g' (shift margin)
-            (M - gp, +1.0,
+            (e2, +1.0,
              lambda t: t - k * math.sqrt(w2 / (2.0 * (t + 2.0 * M - gp - C)))),
         ]
     else:
-        lo_edge = M + C
-        hi_edge = -(M + gp)
         candidates = [
-            # t = E - M - C_ps (depth margin, growing upward from lo_edge)
-            (lo_edge, +1.0,
-             lambda t: k + (t + lo_edge + M + gp) * math.sqrt(2.0 * t / w2)),
-            # t = -(E + M + g') (margin below hi_edge)
-            (hi_edge, -1.0,
-             lambda t: k - t * math.sqrt(2.0 * max(hi_edge - t - M - C, 0.0) / w2)),
+            # t = E - M - C_ps (depth margin, growing upward from e1)
+            (e1, +1.0,
+             lambda t: k + (t + e1 + M + gp) * math.sqrt(2.0 * t / w2)),
+            # t = -(E + M + g') (margin below e2)
+            (e2, -1.0,
+             lambda t: k - t * math.sqrt(2.0 * max(e2 - t - M - C, 0.0) / w2)),
         ]
 
     # refine against the boundary the root is closest to
@@ -345,23 +375,10 @@ def _refine_near_boundary(params: ModelParams, kappa: int, n: int, E: float):
     t0 = direction * (E - boundary)
     if not 0.0 < t0 < math.inf:
         return None
-    lo, hi = t0 / 16.0, t0 * 16.0
-    flo, fhi = f(lo), f(hi)
-    if math.isnan(flo) or math.isnan(fhi) or (flo < 0.0) == (fhi < 0.0):
+    try:
+        t = _bisect(f, t0 / 16.0, t0 * 16.0, tol=0.0)
+    except NoSignChange:
         return None
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if hi - lo <= 1e-16 * hi:
-            break
-    t = 0.5 * (lo + hi)
     return boundary + direction * t, abs(f(t))
 
 
@@ -401,7 +418,7 @@ def _assemble(params: ModelParams, kappa: int, n: int, gp: float, roots, codes,
     rejected += [RejectedRoot(complex(r.real), _LOWER_ROOT)
                  for r, c in zip(roots, codes) if not c and r.real != selected]
     if residual > 1e-9:
-        refined = _refine_near_boundary(params, kappa, n, selected)
+        refined = _refine_near_boundary(params, kappa, n, gp, selected)
         if refined is not None and refined[1] < residual:
             selected, residual = refined
     tol = _BOUNDARY_TOL * max(1.0, abs(selected))
@@ -655,83 +672,47 @@ def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
     return levels
 
 
-def _bisect(f, a: float, b: float, tol: float = _BISECT_TOL,
-            maxiter: int = _BISECT_MAXITER) -> float:
-    fa, fb = f(a), f(b)
-    if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
-        raise NoSignChange(f"no sign change over [{a}, {b}]")
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    for _ in range(maxiter):
-        if b - a <= tol:
-            break
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
-
-
-def _scan_bracket(f, start: float, max_off: float) -> tuple[float, float]:
-    """Geometric scan upward from a sign-condition boundary until the residual flips."""
-    prev_x = prev_v = None
-    off = 0.0
-    k = 0
-    while True:
-        x = start + off
-        v = f(x)
-        if not math.isnan(v):
-            if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
-                return (prev_x, x)
-            prev_x, prev_v = x, v
-        if off >= max_off:
-            raise NoSignChange("no sign change within the scan window")
-        off = min(1e-9 * 2.0 ** k, max_off)
-        k += 1
-
-
 def bisection_oracle(equation: Equation, params: ModelParams, n: int,
                      bracket: tuple[float, float] | None = None) -> float:
     """Root of the chosen unsquared condition, independent of the cubic path.
 
     With an explicit bracket the residual must change sign across it.
-    Without one, the spin bracket is found by a geometric scan upward from
-    the sign-condition boundary max(C_s - M, M - g').  The pseudospin
-    residual equals 2n+1 at both ends of its window lo = M + C_ps,
-    hi = -(M + g') and is smallest at lo + (hi - lo)/3, so the bracket
-    (lo + (hi - lo)/3, hi) holds the tabulated upper root.  Roots are
-    located to 1e-12.
+    Without one, the bracket is closed form in the sign-condition edges
+    e1 = kappa M + C and e2 = -kappa M - g', where the margins vanish.  The
+    spin residual rises on its domain, and with lo = max(e1, e2) both margins
+    are at least E - lo, so it is positive above lo + (k^2 M w0^2 / 2)^(1/3),
+    k = 2n+1; the bracket is (lo, lo + 2 (k^2 M w0^2 / 2)^(1/3)).  The spin
+    residual reads -inf on and below the gamma = 0 edge e1, its limit there,
+    and at lo itself, where margins recomputed from lo can round positive
+    when the root is within an ulp of lo.  The pseudospin residual equals
+    2n+1 at both ends of its window lo = e1, hi = e2 and is smallest at
+    lo + (hi - lo)/3, so the bracket (lo + (hi - lo)/3, hi) holds the
+    tabulated upper root.  Rel-HO without a bracket is relativistic_ho_level.
+    Roots are located to 1e-12.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    gp = derived_constants(params).g_shift
-    M, C = params.M, params.C
-    k, w2 = 2 * n + 1, M * params.omega0 ** 2
-
-    if equation in (Equation.SPIN_EQ, Equation.PSEUDOSPIN_EQ):
-        f = _residual(-1 if equation is Equation.SPIN_EQ else +1, k, M, C, gp, w2)
-    else:
-        f = lambda E: _relho_residual(params.M, params.omega0, n, E)
+    M, C, omega0 = params.M, params.C, params.omega0
+    if equation is Equation.REL_HO:
         if bracket is None:
-            bracket = (params.M, params.M + 10.0 * (n + 1) * params.omega0 + 10.0)
+            return relativistic_ho_level(M, omega0, n)
+        return _bisect(lambda E: _relho_residual(M, omega0, n, E), *bracket)
 
+    kappa = -1 if equation is Equation.SPIN_EQ else +1
+    gp = _stark_shift(M, omega0, params.q, params.eps)
+    k, w2 = 2 * n + 1, M * omega0 ** 2
+    f = _residual(kappa, k, M, C, gp, w2, below=-math.inf)
     if bracket is None:
-        if equation is Equation.SPIN_EQ:
-            start = max(params.C - params.M, params.M - gp)
-            bracket = _scan_bracket(f, start, 1e3)
+        e1, e2 = _edges(kappa, M, C, gp)
+        if kappa < 0:
+            lo, residual = max(e1, e2), f
+            bracket = (lo, lo + 2.0 * (k * k * w2 / 2.0) ** (1.0 / 3.0))
+            f = lambda E: -math.inf if E <= lo else residual(E)
+        elif e1 >= e2:
+            raise NoSignChange("pseudospin sign conditions define an empty window")
         else:
-            lo, hi = params.M + params.C, -(params.M + gp)
-            if lo >= hi:
-                raise NoSignChange("pseudospin sign conditions define an empty window")
-            bracket = (lo + (hi - lo) / 3.0, hi)
-
-    return _bisect(f, bracket[0], bracket[1])
+            bracket = (e1 + (e2 - e1) / 3.0, e2)
+    return _bisect(f, *bracket)
 
 
 def relativistic_ho_level(M: float, omega: float, n: int) -> float:
@@ -812,31 +793,19 @@ def pseudospin_breakdown_threshold(params: ModelParams, n: int,
     if params.sym is not SymmetryKind.PSEUDOSPIN:
         raise ValueError("breakdown scan requires pseudospin parameters")
 
-    def in_complex_regime(eps: float) -> bool:
-        p = dataclasses.replace(params, eps=eps)
-        return not solve_cubic_cardano(cubic_coefficients(p, n)).cardano_real
-
-    def has_bound_root(eps: float) -> bool:
-        p = dataclasses.replace(params, eps=eps)
-        return solve_level(p, n).status is Status.BOUND
-
     def flip(indicator) -> float:
-        lo, hi = eps_lo, eps_hi
-        if not indicator(lo) or indicator(hi):
-            raise NoSignChange(
-                f"indicator does not flip on [{eps_lo}, {eps_hi}]"
-            )
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if indicator(mid):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        # bisect -1 where the indicator holds and +1 where it does not; an end
+        # with the wrong value reads nan, so only a True -> False window brackets
+        def f(eps: float) -> float:
+            holds = indicator(solve_level(dataclasses.replace(params, eps=eps), n))
+            if (eps == eps_lo and not holds) or (eps == eps_hi and holds):
+                return math.nan
+            return -1.0 if holds else 1.0
+        return _bisect(f, eps_lo, eps_hi, tol=tol)
 
     return BreakdownScan(
-        eps_discriminant=flip(in_complex_regime),
-        eps_physical=flip(has_bound_root),
+        eps_discriminant=flip(lambda level: level.cardano_complex_regime),
+        eps_physical=flip(lambda level: level.status is Status.BOUND),
         eps_lo=eps_lo,
         eps_hi=eps_hi,
     )

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import mapped_spin_coefficients
 from hostark.model import ModelParams, SymmetryKind, derived_constants
@@ -327,6 +329,80 @@ class TestBisectionOracle:
         with pytest.raises(NoSignChange):
             bisection_oracle(Equation.PSEUDOSPIN_EQ, pseudo(C=5.0), 0)
 
+    @pytest.mark.parametrize("p, n", [
+        # the root is 9.7e-10 above the boundary max(C_s - M, M - g'), below
+        # the first step of a geometric scan up from it
+        (ModelParams(M=74.77567318887942, omega0=0.013043113823708468,
+                     eps=52.82410533379526, C=641.6889984585166), 21),
+        (ModelParams(M=0.183988489163116, omega0=0.05051693745206321,
+                     eps=4.077874328872469, C=12.976251141514247), 11),
+    ])
+    def test_spin_root_next_to_its_boundary(self, p, n):
+        lvl = solve_level(p, n)
+        assert lvl.status is Status.BOUND and lvl.residual <= 1e-9
+        assert bisection_oracle(Equation.SPIN_EQ, p, n) == pytest.approx(
+            lvl.E, abs=1e-9)
+
+    def test_spin_root_within_an_ulp_of_the_gamma_edge(self):
+        # the root lies within an ulp of C_s - M, where E + M - C_s rounds
+        # to a tiny positive margin and the residual reads positive
+        p = ModelParams(M=29.818343657747878, omega0=0.007269196263227651, q=-1.0,
+                        eps=48.6370152283438, C=-12.548444060355564)
+        E = bisection_oracle(Equation.SPIN_EQ, p, 0)
+        assert E == pytest.approx(p.C - p.M, abs=1e-12)
+
+    def test_spin_oracle_finds_the_root_the_cubic_route_misses(self):
+        p = ModelParams(M=0.1, omega0=0.05, eps=4.301528887635381,
+                        C=-25.287487731237853)
+        assert bisection_oracle(Equation.SPIN_EQ, p, 0) == pytest.approx(
+            -25.38748773123749, abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="the cubic route deflates a nearly "
+                       "double real pair, Newton polish jumps far off and "
+                       "solve_level returns E = 21527.744 with residual 58534")
+    def test_spin_level_nearly_double_pair(self):
+        p = ModelParams(M=0.1, omega0=0.05, eps=4.301528887635381,
+                        C=-25.287487731237853)
+        assert solve_level(p, 0).E == pytest.approx(
+            bisection_oracle(Equation.SPIN_EQ, p, 0), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(M=st.floats(0.1, 100.0), omega0=st.floats(0.005, 50.0),
+           q=st.sampled_from([1.0, -1.0, 0.5, 2.0]), eps=st.floats(0.0, 60.0),
+           C=st.floats(-1000.0, 1000.0), sym=st.sampled_from(list(SymmetryKind)),
+           n=st.integers(0, 30))
+    # the spin level sits on the gamma = 0 edge and has residual nan
+    @example(M=2.1611926340449954, omega0=0.005491207480256318, q=2.0,
+             eps=45.04372438439045, C=-281.6172466686213, sym=SymmetryKind.SPIN,
+             n=27)
+    def test_extreme_range_roots_change_sign(self, M, omega0, q, eps, C, sym, n):
+        p = ModelParams(M=M, omega0=omega0, q=q, eps=eps, sym=sym, C=C)
+        lvl = solve_level(p, n)
+        gp, w2, k = derived_constants(p).g_shift, M * omega0 ** 2, 2 * n + 1
+        if sym is SymmetryKind.SPIN:
+            def f(E):  # rising; read as -inf on and below the gamma = 0 edge
+                m1 = E + M - C
+                if m1 <= 0:
+                    return -math.inf
+                return (E - M + gp) - k * math.sqrt(w2 / (2 * m1))
+            eq = Equation.SPIN_EQ
+        else:
+            def f(E):  # rising through the tabulated upper root
+                return k + (E + M + gp) * math.sqrt(2 * (E - M - C) / w2)
+            eq = Equation.PSEUDOSPIN_EQ
+        try:
+            x = bisection_oracle(eq, p, n)
+        except NoSignChange:
+            # only the pseudospin window can hold no root, and then no
+            # level solves the unsquared condition
+            assert sym is SymmetryKind.PSEUDOSPIN
+            assert lvl.status is not Status.BOUND or not lvl.residual <= 1e-9
+            return
+        delta = 1e-9 * max(1.0, abs(x))
+        assert f(x - delta) < 0.0 < f(x + delta)
+        if lvl.status is Status.BOUND and lvl.residual <= 1e-9:
+            assert x == pytest.approx(lvl.E, abs=1e-9)
+
 
 class TestUnsquaredConsistency:
     def test_bound_levels_have_tiny_residuals(self):
@@ -359,6 +435,17 @@ class TestBreakdownThreshold:
     def test_requires_pseudospin(self):
         with pytest.raises(ValueError):
             pseudospin_breakdown_threshold(spin(), 0)
+
+    def test_window_without_a_flip_raises(self):
+        # the bound pair survives up to eps ~ 1.82, so neither indicator flips
+        with pytest.raises(NoSignChange):
+            pseudospin_breakdown_threshold(pseudo(), 0, eps_lo=0.0, eps_hi=1.5)
+
+    def test_reversed_window_raises(self):
+        # both indicators turn from True to False as eps grows, so a window
+        # given from high to low eps does not bracket the flip
+        with pytest.raises(NoSignChange):
+            pseudospin_breakdown_threshold(pseudo(), 0, eps_lo=2.5, eps_hi=1.5)
 
 
 class TestFieldFreeClosedFormVariant:
