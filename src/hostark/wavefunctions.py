@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .model import ModelParams, SymmetryKind, derived_constants
 from .spectra import EnergyLevel, Status, solve_level
@@ -238,6 +237,41 @@ def pseudo_lower_G(params: ModelParams, n: int, r, energy: float | None = None):
     arg = -1j * sc.eps2p * (lam2 * r - sc.b) ** 2
     out = np.exp(1j * sc.eps1p * (-sc.b * r + 0.5 * lam2 * r * r)) * hermite(n, arg)
     return complex(out) if out.ndim == 0 else out
+
+
+def _guarded_div(num, den):
+    """num / den, and 0 where den is 0."""
+    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def simpson(y, x):
+    """Composite Simpson integral of samples y on the grid x (N >= 3 points).
+
+    Repeats scipy.integrate.simpson(y, x=x) of SciPy 1.17 on 1-D input
+    operation for operation, so the result is the same bit for bit: the
+    nonuniform three-point rule over pairs of intervals, and for even N
+    Cartwright's correction for the last interval.
+    """
+    y = np.asarray(y)
+    h = np.diff(x)
+    odd = len(y) % 2 == 1
+    stop = len(y) - 2 if odd else len(y) - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _guarded_div(h0, h1)
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - _guarded_div(1.0, h0divh1))
+                                  + y[1:stop + 1:2] * (hsum * _guarded_div(hsum, hprod))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if odd:
+        return result
+    # 0-d arrays, as in SciPy, so that ** takes the same NumPy loop
+    h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
+    alpha = _guarded_div(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _guarded_div(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _guarded_div(1 * h1 ** 3, 6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result + 0.0  # SciPy adds 0.0 here too, which turns -0.0 into 0.0
 
 
 def mean_radius(rf: "RadialFunction") -> float:

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,3 +270,49 @@ def test_spectrum_output_matches_golden_bytes(capsys, name, fmt):
     code, out, _ = run_cli(capsys, "spectrum", *GOLDEN_SPECTRA[name], "--format", fmt)
     assert code == 0
     assert out.encode("ascii") == (DATA / f"{name}.{fmt}").read_bytes()
+
+
+GOLDEN_WAVEFUNCTIONS = {
+    # |F|^2 overflows, so sample_radial normalizes the peak-scaled samples;
+    # 400 samples: the last interval takes the even-N correction
+    "F": ("--n", "3", "--M", "4.0638", "--omega0", "0.08247", "--eps", "1.2905",
+          "--C", "-36.985", "--samples", "400"),
+    # the LOWER_G grid starts at r = 1e-8
+    "G": ("--M", "1.5", "--omega0-inv", "2.4", "--eps", "0.5", "--C", "2.0",
+          "--n", "1", "--samples", "301"),
+    "R": ("--M", "1.5", "--omega0-inv", "2.4", "--eps", "1.0", "--n", "3",
+          "--samples", "250"),
+    "Gps": ("--M", "1.5", "--omega0-inv", "2.4", "--C", "-10.3", "--eps", "0.5",
+            "--n", "1", "--samples", "301"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_WAVEFUNCTIONS))
+def test_wavefunction_output_matches_golden_bytes(capsys, kind):
+    """tests/data holds the output captured while SciPy's simpson normalized."""
+    code, out, _ = run_cli(capsys, "wavefunction", "--kind", kind,
+                           *GOLDEN_WAVEFUNCTIONS[kind])
+    assert code == 0
+    assert out.encode("ascii") == (DATA / f"wavefunction_{kind}.csv").read_bytes()
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import hostark, hostark.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+sys.modules["scipy"] = None  # any later `import scipy...` raises ImportError
+for argv in (["verify"], ["wavefunction", "--kind", "G", "--M", "1.5",
+                          "--omega0-inv", "2.4", "--eps", "0.5", "--n", "1"]):
+    code = hostark.cli.main(argv)
+    assert code == 0, (argv, code)
+"""
+
+
+def test_runtime_needs_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

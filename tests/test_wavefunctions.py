@@ -24,6 +24,7 @@ from hostark.wavefunctions import (
     realness_defect,
     sample_radial,
     shape_constants,
+    simpson as hostark_simpson,
     upper_spinor_F,
 )
 
@@ -345,6 +346,54 @@ class TestSampling:
         rf = sample_radial(RadialKind.LOWER_G, spin(eps=0.3), 0, samples=501)
         assert rf.r[0] == pytest.approx(1e-8)
         assert np.all(np.isfinite(rf.values))
+
+
+def same_float(a, b) -> bool:
+    """Equal as floats, sign of zero included; NaN matches NaN."""
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestSimpson:
+    """hostark's Simpson rule against SciPy's, which stays the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(3, 5000),
+           grid=st.sampled_from(["linspace", "lower_g", "nonuniform", "repeated"]),
+           width=st.floats(1e-3, 1e3),
+           exponents=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+           zero_frac=st.sampled_from([0.0, 0.1, 0.9]),
+           signed=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_scipy(self, n, grid, width, exponents, zero_frac,
+                                    signed, seed):
+        rng = np.random.default_rng(seed)
+        if grid in ("linspace", "lower_g"):
+            x = np.linspace(0.0, width, n)
+            if grid == "lower_g":
+                x[0] = 1e-8  # the LOWER_G sampling grid
+        else:
+            x = np.sort(rng.uniform(-width, width, n))
+            if grid == "repeated":
+                # zero spacings exercise the guarded divisions
+                x[rng.integers(1, n, size=max(1, n // 10))] = x[0]
+                x = np.sort(x)
+        lo, hi = sorted(exponents)
+        y = 10.0 ** rng.uniform(lo, hi, n)
+        if signed:
+            y *= rng.choice([-1.0, 1.0], n)
+        y[rng.random(n) < zero_frac] = 0.0
+        with np.errstate(all="ignore"):
+            ours, ref = hostark_simpson(y, x), simpson(y, x=x)
+        assert same_float(ours, ref), (ours, ref)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_smallest_grids(self, n):
+        x = np.array([0.0, 0.5, 1.5, 1.75, 3.0, 3.1])[:n]
+        y = np.array([1.0, -2.0, 0.0, 3.5, 1e-300, 1e300])[:n]
+        assert same_float(hostark_simpson(y, x), simpson(y, x=x))
 
 
 class TestMeanRadius:
