@@ -383,62 +383,50 @@ def _refine_near_boundary(params: ModelParams, kappa: int, n: int, gp: float,
 
 
 # Each root gets a code: 0 survives the sign conditions, 1..3 fails the first
-# and/or second one (bit 0 / bit 1), _COMPLEX is a complex pair member.
-_COMPLEX = 4
+# and/or second one (bit 0 / bit 1), _COMPLEX is a complex pair member.  As an
+# alternate, a surviving root other than the selected one takes _LOWER.
+_COMPLEX, _LOWER = 4, 5
 
 
 def _reason_table(first: str, second: str) -> tuple[str, ...]:
     return ("", f"fails {first}", f"fails {second}", f"fails {first} and {second}",
-            "complex conjugate pair member")
+            "complex conjugate pair member",
+            "sign conditions hold; lower root of the bound pair "
+            "(tabulated branch takes the upper)")
 
 
 _REASONS = {
     -1: _reason_table("E + M - C_s > 0", "E - M + g' > 0"),
     +1: _reason_table("E - M - C_ps > 0", "E + M + g' < 0"),
 }
-_LOWER_ROOT = ("sign conditions hold; lower root of the bound pair "
-               "(tabulated branch takes the upper)")
 
 
-def _assemble(params: ModelParams, kappa: int, n: int, gp: float, roots, codes,
-              cardano_real: bool, selected: float | None,
-              residual: float | None) -> EnergyLevel:
-    """Build the level from classified roots; shared by both solver routes.
+def _alternate_code(code, E, selected):
+    """A root's reason code as an alternate, 0 for the selected root (floats
+    or arrays; selected is None or nan without survivors)."""
+    return code + _LOWER * ((code == 0) & (E != selected))
 
-    roots are sorted by (real, imag) and codes holds each root's sign-code;
-    selected is the largest surviving energy (None without survivors) and
-    residual the magnitude of the unsquared condition there.  A residual
-    above 1e-9 triggers the margin-form refinement.
-    """
-    reasons = _REASONS[kappa]
-    rejected = [RejectedRoot(r, reasons[c]) for r, c in zip(roots, codes) if c]
-    if selected is None:
-        return EnergyLevel(n, kappa, Status.NO_PHYSICAL_ROOT, None, None,
-                           tuple(rejected), not cardano_real)
-    rejected += [RejectedRoot(complex(r.real), _LOWER_ROOT)
-                 for r, c in zip(roots, codes) if not c and r.real != selected]
-    if residual > 1e-9:
-        refined = _refine_near_boundary(params, kappa, n, gp, selected)
-        if refined is not None and refined[1] < residual:
-            selected, residual = refined
-    tol = _BOUNDARY_TOL * max(1.0, abs(selected))
-    m1, m2 = _margins(kappa, selected, params.M, params.C, gp)
+
+def _level_scalars(kappa: int, E, M: float, C: float, gp, w2: float, qeps):
+    """The boundary flag and gamma, alpha, v^2 = w2 gamma / 2 and beta at the
+    level energy E (floats or arrays).  The flag says a margin is within
+    1e-12 max(1, |E|) of 0, written without max so that arrays take it."""
+    m1, m2 = _margins(kappa, E, M, C, gp)
+    tol, a1, a2 = _BOUNDARY_TOL * abs(E), abs(m1), abs(m2)
+    boundary = ((a1 <= _BOUNDARY_TOL) | (a1 <= tol)
+                | (a2 <= _BOUNDARY_TOL) | (a2 <= tol))
     gamma = -kappa * m1
-    scalars = ChannelScalars(
-        gamma=complex(gamma),
-        alpha=complex(gamma * (params.M + kappa * selected)),
-        v=cmath.sqrt(complex(0.5 * (params.M * params.omega0 ** 2) * gamma)),
-        beta=complex(params.q * params.eps * gamma),
-    )
-    return EnergyLevel(n, kappa, Status.BOUND, selected, residual,
-                       tuple(rejected), not cardano_real,
-                       boundary=abs(m1) <= tol or abs(m2) <= tol,
-                       diagnostics=scalars)
+    return boundary, gamma, gamma * (M + kappa * E), 0.5 * w2 * gamma, qeps * gamma
 
 
 def _select(params: ModelParams, kappa: int, n: int, gp: float, roots,
             cardano_real: bool) -> EnergyLevel:
-    """Classify the roots against the sign conditions, then assemble the level."""
+    """Classify the roots against the sign conditions and build the level.
+
+    roots are sorted by (real, imag).  The largest surviving energy is
+    selected, and a residual above 1e-9 there triggers the margin-form
+    refinement.  The alternates are the coded roots, then the lower roots.
+    """
     M, C = params.M, params.C
     codes = []
     selected = None
@@ -453,10 +441,26 @@ def _select(params: ModelParams, kappa: int, n: int, gp: float, roots,
         codes.append(code)
         if not code and (selected is None or E > selected):
             selected = E
-    residual = None if selected is None else abs(
-        _residual(kappa, 2 * n + 1, M, C, gp, M * params.omega0 ** 2)(selected))
-    return _assemble(params, kappa, n, gp, roots, codes, cardano_real, selected,
-                     residual)
+    reasons = _REASONS[kappa]
+    rejected = [RejectedRoot(r, reasons[c]) for r, c in zip(roots, codes) if c]
+    if selected is None:
+        return EnergyLevel(n, kappa, Status.NO_PHYSICAL_ROOT, None, None,
+                           tuple(rejected), not cardano_real)
+    rejected += [RejectedRoot(complex(r.real), reasons[_LOWER])
+                 for r, c in zip(roots, codes)
+                 if _alternate_code(c, r.real, selected) == _LOWER]
+    w2 = M * params.omega0 ** 2
+    residual = abs(_residual(kappa, 2 * n + 1, M, C, gp, w2)(selected))
+    if residual > 1e-9:
+        refined = _refine_near_boundary(params, kappa, n, gp, selected)
+        if refined is not None and refined[1] < residual:
+            selected, residual = refined
+    boundary, gamma, alpha, v2, beta = _level_scalars(
+        kappa, selected, M, C, gp, w2, params.q * params.eps)
+    scalars = ChannelScalars(complex(gamma), complex(alpha),
+                             cmath.sqrt(complex(v2)), complex(beta))
+    return EnergyLevel(n, kappa, Status.BOUND, selected, residual, tuple(rejected),
+                       not cardano_real, boundary, scalars)
 
 
 def select_physical_root(sol: CubicSolution, params: ModelParams, n: int) -> EnergyLevel:
@@ -506,16 +510,19 @@ def solve_level(params: ModelParams, n: int) -> EnergyLevel:
 # ---------------------------------------------------------------- batch route
 #
 # _solve_grid repeats the scalar stage (_level_bcd, _cubic_roots, _select)
-# over arrays of cells, operation for operation, so each level it assembles
-# equals solve_level's bit for bit.  Two kinds of operation are not
-# vectorised, because NumPy's versions can differ from CPython's in the last
-# bit: powers, cube roots, arccos and cos run through Python's math per
-# element (_map), and complex Newton steps repeat CPython's complex product
-# and quotient in real arithmetic (_cmul, _cdiv).
+# over arrays of cells, operation for operation, so each level it builds
+# equals solve_level's bit for bit.  Every field of a level is a column over
+# all cells, from the formulas the scalar stage uses (_margins, _level_scalars,
+# _alternate_code, _REASONS); only cells whose cubic is not finite or that
+# need the margin-form refinement take the scalar stage.  Two kinds of
+# operation are not vectorised, because NumPy's versions can differ from
+# CPython's in the last bit: powers, cube roots, arccos and cos run through
+# Python's math per element (_map), and complex Newton steps repeat CPython's
+# complex product and quotient in real arithmetic (_cmul, _cdiv).
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
-    return np.array([fn(v) for v in x.tolist()], dtype=float)
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
 def _cmul(ar, ai, br, bi):
@@ -639,36 +646,59 @@ def _select_batch(kappa: int, re, im, M: float, C: float, gp, k, w2: float):
 def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
     """Levels of the cells (n, grid[j]), n outer, as one NumPy batch.
 
-    The parameters differ only in eps.  Cells whose cubic is not finite go
-    through the scalar stage instead, which raises for them as solve_level
-    does.
+    The parameters differ only in eps.  Roots, selection, residual, boundary
+    flag, gamma/alpha/v/beta and the alternates' values and reasons are
+    columns; the loop only builds the result objects from them.  Cells whose
+    cubic is not finite (the scalar stage raises for them as solve_level
+    does) or whose residual calls for refinement take the scalar stage.
     """
     p0 = grid[0]
     kappa = p0.kappa
     M, omega0, C = p0.M, p0.omega0, p0.C
-    cells = [(n, j, p) for n in range(n_max + 1) for j, p in enumerate(grid)]
-    gp_eps = [_stark_shift(M, omega0, p0.q, p.eps) for p in grid]
-    gp = np.array(gp_eps * (n_max + 1))
+    w2 = M * _power(omega0, 2)
+    rows = grid * (n_max + 1)
+    ns = [n for n in range(n_max + 1) for _ in grid]
+    gp = np.array([_stark_shift(M, omega0, p0.q, p.eps) for p in grid] * (n_max + 1))
+    qeps = np.array([p0.q * p.eps for p in grid] * (n_max + 1))
     R = np.repeat([_rhs_squared(M, omega0, n) for n in range(n_max + 1)], len(grid))
 
     with np.errstate(all="ignore"):
         re, im, cardano_real, finite = _cubic_roots_batch(
             *_level_bcd(kappa, M, C, gp, R))
-        k = 2.0 * np.repeat(np.arange(n_max + 1), len(grid)) + 1.0
         codes, bound, selected, residual = _select_batch(
-            kappa, re, im, M, C, gp, k, M * _power(omega0, 2))
+            kappa, re, im, M, C, gp, 2.0 * np.array(ns) + 1.0, w2)
+        scalar = ~finite | (bound & (residual > 1e-9))
+        flag, gamma, alpha, v2, beta = _level_scalars(kappa, selected, M, C, gp, w2, qeps)
+        # cmath.sqrt(complex(x)) is (0+0j) for x = -0.0, np.sqrt(-0.0) is -0.0
+        v = np.where(v2 > 0.0, np.sqrt(v2), 0.0).astype(complex)
+        v.imag = np.where(v2 < 0.0, np.sqrt(-v2), 0.0)
+        alt = _alternate_code(codes, re, selected[:, None])
+
+    # alternates in row order, the coded roots of a cell before its lower ones
+    order = np.argsort(alt == _LOWER, axis=1, kind="stable")
+    alt, re, im = (np.take_along_axis(a, order, axis=1) for a in (alt, re, im))
+    im = np.where(alt == _LOWER, 0.0, im)
+    keep = alt != 0
+    reasons = _REASONS[kappa]
+    rejected = [RejectedRoot(complex(r, i), reasons[a]) for r, i, a in zip(
+        re[keep].tolist(), im[keep].tolist(), alt[keep].tolist())]
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
 
     levels = []
-    for (n, j, p), ok, r, i, code, real, has, sel, res in zip(
-            cells, finite.tolist(), re.tolist(), im.tolist(), codes.tolist(),
-            cardano_real.tolist(), bound.tolist(), selected.tolist(),
-            residual.tolist()):
-        if not ok:
+    start = 0
+    for p, n, end, go_scalar, has, E, res, ccr, boundary, g, a, vv, b in zip(
+            rows, ns, ends, scalar.tolist(), bound.tolist(), selected.tolist(),
+            residual.tolist(), (~cardano_real).tolist(), flag.tolist(),
+            *(x.astype(complex).tolist() for x in (gamma, alpha, v, beta))):
+        alternates, start = tuple(rejected[start:end]), end
+        if go_scalar:
             levels.append(_solve(p, n))
-            continue
-        roots = (complex(r[0], i[0]), complex(r[1], i[1]), complex(r[2], i[2]))
-        levels.append(_assemble(p, kappa, n, gp_eps[j], roots, code, real,
-                                sel if has else None, res if has else None))
+        elif has:
+            levels.append(EnergyLevel(n, kappa, Status.BOUND, E, res, alternates, ccr,
+                                      boundary, ChannelScalars(g, a, vv, b)))
+        else:
+            levels.append(EnergyLevel(n, kappa, Status.NO_PHYSICAL_ROOT, None, None,
+                                      alternates, ccr))
     return levels
 
 

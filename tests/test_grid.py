@@ -1,8 +1,9 @@
 """spectrum_grid solves the whole grid as one batch; every row must equal the
 scalar route, solve_level, field for field (alternates and diagnostics
-included)."""
+included).  Rows are compared by repr, which unlike == tells 0.0 from -0.0."""
 
 import dataclasses
+import math
 import re
 
 import pytest
@@ -28,12 +29,18 @@ def scalar_rows(params, n_max, eps_list):
     return rows
 
 
+def same_rows(params, n_max, eps_list):
+    rows = spectrum_grid(params, n_max, eps_list)
+    assert repr(rows) == repr(scalar_rows(params, n_max, eps_list))
+    return rows
+
+
 def pseudo(M=1.5, omega0=1 / 2.4, C=-10.3):
     return ModelParams(M=M, omega0=omega0, sym=SymmetryKind.PSEUDOSPIN, C=C)
 
 
-def spin(M=1.5, omega0=1 / 2.4, C=0.0):
-    return ModelParams(M=M, omega0=omega0, C=C)
+def spin(M=1.5, omega0=1 / 2.4, C=0.0, q=1.0):
+    return ModelParams(M=M, omega0=omega0, C=C, q=q)
 
 
 wide_params = st.builds(
@@ -49,7 +56,23 @@ wide_params = st.builds(
 @given(params=wide_params, n_max=st.integers(0, 12),
        eps_list=st.lists(st.floats(0.0, 5.0), max_size=12))
 def test_batch_equals_scalar_route_wide(params, n_max, eps_list):
-    assert spectrum_grid(params, n_max, eps_list) == scalar_rows(params, n_max, eps_list)
+    same_rows(params, n_max, eps_list)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.builds(ModelParams, M=log_uniform(0.1, 100.0),
+                        omega0=log_uniform(0.005, 50.0),
+                        q=st.sampled_from([1.0, -1.0, 0.5, 2.0]),
+                        sym=st.sampled_from(list(SymmetryKind)),
+                        C=st.floats(-1000.0, 1000.0)),
+       n_max=st.integers(0, 30),
+       eps_list=st.lists(st.floats(0.0, 60.0), max_size=12))
+def test_batch_equals_scalar_route_extreme(params, n_max, eps_list):
+    same_rows(params, n_max, eps_list)
 
 
 @settings(max_examples=40, deadline=None)
@@ -57,7 +80,7 @@ def test_batch_equals_scalar_route_wide(params, n_max, eps_list):
 def test_public_wrappers_compose_to_solve_level(params, n, eps):
     p = dataclasses.replace(params, eps=eps)
     sol = solve_cubic_cardano(cubic_coefficients(p, n))
-    assert select_physical_root(sol, p, n) == solve_level(p, n)
+    assert repr(select_physical_root(sol, p, n)) == repr(solve_level(p, n))
 
 
 @pytest.mark.parametrize("params, n_max, eps_list", [
@@ -72,9 +95,38 @@ def test_public_wrappers_compose_to_solve_level(params, n, eps):
     (pseudo(M=0.92, omega0=0.13, C=-39.1), 10, [0.5 * j for j in range(11)]),
 ])
 def test_batch_equals_scalar_route_edge_cases(params, n_max, eps_list):
-    rows = spectrum_grid(params, n_max, eps_list)
-    assert rows == scalar_rows(params, n_max, eps_list)
+    rows = same_rows(params, n_max, eps_list)
     assert len(rows) == (n_max + 1) * len(eps_list)
+
+
+@pytest.mark.parametrize("params, eps, n, beta", [
+    # spin levels on their gamma = 0 edge: the residual is nan, every channel
+    # scalar is a zero, and beta's zero takes the sign of q
+    (spin(M=2.1611926340449954, omega0=0.005491207480256318, C=-281.6172466686213,
+          q=2.0), 45.04372438439045, 27, "0j"),
+    (spin(M=1.3152032801015137, omega0=0.00859117324828494, C=-158.70835937838376,
+          q=-1.0), 27.18929480999857, 19, "(-0+0j)"),
+])
+def test_gamma_zero_edge_cells(params, eps, n, beta):
+    _, level = same_rows(params, n, [eps])[-1]
+    assert math.isnan(level.residual) and level.boundary
+    scalars = level.diagnostics
+    assert [repr(x) for x in (scalars.gamma, scalars.v, scalars.beta)] == ["0j", "0j", beta]
+
+
+def test_lower_pseudospin_root_follows_the_coded_ones():
+    # roots ascending: the lower survivor, the selected one, one failing m2;
+    # the alternates list the coded root first
+    for _, level in same_rows(pseudo(), 3, [0.0, 0.5, 1.0]):
+        assert [a.reason.split(";")[0] for a in level.alternates] == [
+            "fails E + M + g' < 0", "sign conditions hold"]
+        assert level.alternates[1].value.real < level.E
+
+
+def test_negative_charge_flips_beta():
+    plus, minus = (same_rows(spin(q=q), 4, [0.5, 2.0]) for q in (1.0, -1.0))
+    for (_, a), (_, b) in zip(plus, minus):
+        assert a.E == b.E and b.diagnostics.beta == -a.diagnostics.beta != 0
 
 
 def test_rows_of_one_eps_share_params():
