@@ -335,43 +335,41 @@ def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def _refine_near_boundary(params: ModelParams, kappa: int, n: int, gp: float,
-                          E: float):
+def _margin_forms(kappa: int, k, M: float, C: float, gp, w2: float,
+                  sqrt=math.sqrt, clip=lambda x: max(x, 0.0)):
+    """The unsquared condition in the margin t from each edge, as (edge,
+    direction, f) with E = edge + direction t: on floats by default, on
+    arrays of cells with NumPy's sqrt and an array clip at 0."""
+    e1, e2 = _edges(kappa, M, C, gp)
+    if kappa < 0:
+        return (
+            # t = E + M - C (gamma margin)
+            (e1, +1.0, lambda t: (t + C - 2.0 * M + gp) - k * sqrt(w2 / (2.0 * t))),
+            # t = E - M + g' (shift margin)
+            (e2, +1.0, lambda t: t - k * sqrt(w2 / (2.0 * (t + 2.0 * M - gp - C)))),
+        )
+    return (
+        # t = E - M - C_ps (depth margin, growing upward from e1)
+        (e1, +1.0, lambda t: k + (t + e1 + M + gp) * sqrt(2.0 * t / w2)),
+        # t = -(E + M + g') (margin below e2)
+        (e2, -1.0, lambda t: k - t * sqrt(2.0 * clip(e2 - t - M - C) / w2)),
+    )
+
+
+def _refine_near_boundary(kappa: int, k: int, M: float, C: float, gp: float,
+                          w2: float, E: float):
     """Re-solve the unsquared condition in the binding-margin variable.
 
     At strong fields or deep symmetry constants the bound energy sits a
     hair above a sign boundary; recomputing the margin from the stored E
     cancels catastrophically, so the residual evaluated through E loses
     all precision.  Bisecting the condition written directly in the margin
-    t > 0 keeps it well conditioned.  Returns (refined E, margin-form
-    residual magnitude), or None when no bracket is found.
+    t > 0 (_margin_forms), from the boundary the root is closest to, keeps
+    it well conditioned.  Returns (refined E, margin-form residual
+    magnitude), or None when no bracket is found.
     """
-    M, C = params.M, params.C
-    w2 = params.M * params.omega0 ** 2
-    k = 2 * n + 1
-    e1, e2 = _edges(kappa, M, C, gp)
-
-    if kappa < 0:
-        candidates = [
-            # t = E + M - C (gamma margin)
-            (e1, +1.0,
-             lambda t: (t + C - 2.0 * M + gp) - k * math.sqrt(w2 / (2.0 * t))),
-            # t = E - M + g' (shift margin)
-            (e2, +1.0,
-             lambda t: t - k * math.sqrt(w2 / (2.0 * (t + 2.0 * M - gp - C)))),
-        ]
-    else:
-        candidates = [
-            # t = E - M - C_ps (depth margin, growing upward from e1)
-            (e1, +1.0,
-             lambda t: k + (t + e1 + M + gp) * math.sqrt(2.0 * t / w2)),
-            # t = -(E + M + g') (margin below e2)
-            (e2, -1.0,
-             lambda t: k - t * math.sqrt(2.0 * max(e2 - t - M - C, 0.0) / w2)),
-        ]
-
-    # refine against the boundary the root is closest to
-    boundary, direction, f = min(candidates, key=lambda c: abs(E - c[0]))
+    boundary, direction, f = min(_margin_forms(kappa, k, M, C, gp, w2),
+                                 key=lambda c: abs(E - c[0]))
     t0 = direction * (E - boundary)
     if not 0.0 < t0 < math.inf:
         return None
@@ -452,7 +450,7 @@ def _select(params: ModelParams, kappa: int, n: int, gp: float, roots,
     w2 = M * params.omega0 ** 2
     residual = abs(_residual(kappa, 2 * n + 1, M, C, gp, w2)(selected))
     if residual > 1e-9:
-        refined = _refine_near_boundary(params, kappa, n, gp, selected)
+        refined = _refine_near_boundary(kappa, 2 * n + 1, M, C, gp, w2, selected)
         if refined is not None and refined[1] < residual:
             selected, residual = refined
     boundary, gamma, alpha, v2, beta = _level_scalars(
@@ -513,12 +511,15 @@ def solve_level(params: ModelParams, n: int) -> EnergyLevel:
 # over arrays of cells, operation for operation, so each level it builds
 # equals solve_level's bit for bit.  Every field of a level is a column over
 # all cells, from the formulas the scalar stage uses (_margins, _level_scalars,
-# _alternate_code, _REASONS); only cells whose cubic is not finite or that
-# need the margin-form refinement take the scalar stage.  Two kinds of
-# operation are not vectorised, because NumPy's versions can differ from
-# CPython's in the last bit: powers, cube roots, arccos and cos run through
-# Python's math per element (_map), and complex Newton steps repeat CPython's
-# complex product and quotient in real arithmetic (_cmul, _cdiv).
+# _alternate_code, _REASONS, _margin_forms); the margin-form refinement
+# bisects all its cells at once (_bisect_batch stops each where _bisect
+# would), and only cells whose cubic is not finite take the scalar stage,
+# which raises for them.  So a grid costs about the same whatever share of
+# its cells needs refinement.  Two kinds of operation are not vectorised,
+# because NumPy's versions can differ from CPython's in the last bit: powers,
+# cube roots, arccos and cos run through Python's math per element (_map),
+# and complex Newton steps repeat CPython's complex product and quotient in
+# real arithmetic (_cmul, _cdiv).
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
@@ -643,14 +644,52 @@ def _select_batch(kappa: int, re, im, M: float, C: float, gp, k, w2: float):
     return codes, bound, selected, np.abs(residual)
 
 
+def _bisect_batch(f, a, b):
+    """_bisect with tol=0 over arrays of brackets, each cell stopping where
+    _bisect stops.  Returns (roots, found): found is False where _bisect
+    raises NoSignChange."""
+    fa, fb = f(a), f(b)
+    found = ~(np.isnan(fa) | np.isnan(fb) | ((fa < 0.0) == (fb < 0.0)))
+    exact, x = (fa == 0.0) | (fb == 0.0), np.where(fa == 0.0, a, b)
+    live = found & ~exact
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        live &= ~(b - a <= 0.0) & (m != a) & (m != b)
+        if not live.any():
+            break
+        fm = f(m)
+        hit = live & (fm == 0.0)
+        exact, x, live = exact | hit, np.where(hit, m, x), live & ~hit
+        lo = live & ((fm < 0.0) == (fa < 0.0))
+        hi = live & ~lo
+        a, fa = np.where(lo, m, a), np.where(lo, fm, fa)
+        b, fb = np.where(hi, m, b), np.where(hi, fm, fb)
+    return np.where(exact, x, 0.5 * (a + b)), found
+
+
+def _refine_batch(kappa: int, k, M: float, C: float, gp, w2: float, E, residual):
+    """_refine_near_boundary over arrays of cells, kept where it lowers the
+    residual as _select keeps it.  Returns the new (E, residual)."""
+    (b1, d1, f1), (b2, d2, f2) = _margin_forms(
+        kappa, k, M, C, gp, w2, np.sqrt, lambda x: np.where(0.0 > x, 0.0, x))
+    first = ~(np.abs(E - b2) < np.abs(E - b1))  # min() keeps the first on ties
+    boundary, direction = np.where(first, b1, b2), np.where(first, d1, d2)
+    f = lambda t: np.where(first, f1(t), f2(t))
+    t0 = direction * (E - boundary)
+    t, found = _bisect_batch(f, t0 / 16.0, t0 * 16.0)
+    r = np.abs(f(t))
+    keep = (0.0 < t0) & (t0 < math.inf) & found & (r < residual)
+    return np.where(keep, boundary + direction * t, E), np.where(keep, r, residual)
+
+
 def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
     """Levels of the cells (n, grid[j]), n outer, as one NumPy batch.
 
     The parameters differ only in eps.  Roots, selection, residual, boundary
-    flag, gamma/alpha/v/beta and the alternates' values and reasons are
-    columns; the loop only builds the result objects from them.  Cells whose
-    cubic is not finite (the scalar stage raises for them as solve_level
-    does) or whose residual calls for refinement take the scalar stage.
+    flag, gamma/alpha/v/beta, the margin-form refinement and the alternates'
+    values and reasons are columns; the loop only builds the result objects
+    from them.  Cells whose cubic is not finite take the scalar stage, which
+    raises for them as solve_level does.
     """
     p0 = grid[0]
     kappa = p0.kappa
@@ -665,14 +704,17 @@ def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
     with np.errstate(all="ignore"):
         re, im, cardano_real, finite = _cubic_roots_batch(
             *_level_bcd(kappa, M, C, gp, R))
-        codes, bound, selected, residual = _select_batch(
-            kappa, re, im, M, C, gp, 2.0 * np.array(ns) + 1.0, w2)
-        scalar = ~finite | (bound & (residual > 1e-9))
+        k = 2.0 * np.array(ns) + 1.0
+        codes, bound, selected, residual = _select_batch(kappa, re, im, M, C, gp, k, w2)
+        alt = _alternate_code(codes, re, selected[:, None])
+        refine = finite & bound & (residual > 1e-9)
+        if refine.any():
+            selected[refine], residual[refine] = _refine_batch(
+                kappa, k[refine], M, C, gp[refine], w2, selected[refine], residual[refine])
         flag, gamma, alpha, v2, beta = _level_scalars(kappa, selected, M, C, gp, w2, qeps)
         # cmath.sqrt(complex(x)) is (0+0j) for x = -0.0, np.sqrt(-0.0) is -0.0
         v = np.where(v2 > 0.0, np.sqrt(v2), 0.0).astype(complex)
         v.imag = np.where(v2 < 0.0, np.sqrt(-v2), 0.0)
-        alt = _alternate_code(codes, re, selected[:, None])
 
     # alternates in row order, the coded roots of a cell before its lower ones
     order = np.argsort(alt == _LOWER, axis=1, kind="stable")
@@ -687,7 +729,7 @@ def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
     levels = []
     start = 0
     for p, n, end, go_scalar, has, E, res, ccr, boundary, g, a, vv, b in zip(
-            rows, ns, ends, scalar.tolist(), bound.tolist(), selected.tolist(),
+            rows, ns, ends, (~finite).tolist(), bound.tolist(), selected.tolist(),
             residual.tolist(), (~cardano_real).tolist(), flag.tolist(),
             *(x.astype(complex).tolist() for x in (gamma, alpha, v, beta))):
         alternates, start = tuple(rejected[start:end]), end

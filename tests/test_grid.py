@@ -9,8 +9,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from hostark.model import ModelParams, SymmetryKind
 from hostark.spectra import (
+    NoSignChange,
+    _bisect,
+    _bisect_batch,
     cubic_coefficients,
     select_physical_root,
     solve_cubic_cardano,
@@ -93,6 +98,8 @@ def test_public_wrappers_compose_to_solve_level(params, n, eps):
     (spin(M=7.6, omega0=0.06, C=-13.3), 10,     # margin refinement fires
      [0.5 * j for j in range(11)]),
     (pseudo(M=0.92, omega0=0.13, C=-39.1), 10, [0.5 * j for j in range(11)]),
+    (spin(M=0.1009544406678142, omega0=0.3911409727953298,  # 72 of 121 refine
+          C=8.506271269402738), 10, [0.5 * j for j in range(11)]),
 ])
 def test_batch_equals_scalar_route_edge_cases(params, n_max, eps_list):
     rows = same_rows(params, n_max, eps_list)
@@ -160,3 +167,22 @@ def test_negative_eps_mid_list_raises_like_scalar_route():
 def test_negative_n_max_rejected():
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         spectrum_grid(pseudo(), -1, [0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-10.0, 10.0),
+                                st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300])),
+                      min_size=1, max_size=20))
+def test_batch_bisection_stops_where_scalar_bisection_stops(cells):
+    # f(t) = s (t^3 - c) over [a, a + 4]: brackets with a root, without one,
+    # with the root at an end (a = c = 0), and steep ones whose halvings run
+    # down to adjacent floats
+    a, c, s = (np.array(x) for x in zip(*cells))
+    roots, found = _bisect_batch(lambda t: s * (t * t * t - c), a, a + 4.0)
+    for i, (ai, ci, si) in enumerate(cells):
+        try:
+            root = _bisect(lambda t: si * (t * t * t - ci), ai, ai + 4.0, tol=0.0)
+        except NoSignChange:
+            assert not found[i]
+        else:
+            assert found[i] and repr(roots[i].item()) == repr(root)
