@@ -16,14 +16,14 @@ from hostark import (
     bisection_oracle,
     nr_spin_level,
     relativistic_ho_level,
-    solve_spin_level,
+    solve_level,
 )
 
 print("M = 1, w = 1: the first four levels by three routes")
 params = ModelParams(M=1.0, omega0=1.0)
 print(f"{'n':>2} {'cubic path':>14} {'bisection':>14} {'closed bracket':>15}")
 for n in range(4):
-    via_cubic = solve_spin_level(params, n).E
+    via_cubic = solve_level(params, n).E
     via_scan = bisection_oracle(Equation.SPIN_EQ, params, n)
     via_relho = relativistic_ho_level(1.0, 1.0, n)
     print(f"{n:>2} {via_cubic:>14.7f} {via_scan:>14.7f} {via_relho:>15.7f}")

@@ -17,7 +17,7 @@ from hostark import (
     TableId,
     compare,
     pseudospin_breakdown_threshold,
-    solve_pseudospin_level,
+    solve_level,
 )
 
 W0 = 1 / 2.4
@@ -27,7 +27,7 @@ def grid_column(C, eps):
     out = []
     for n in range(11):
         p = ModelParams(M=1.5, omega0=W0, eps=eps, sym=SymmetryKind.PSEUDOSPIN, C=C)
-        lvl = solve_pseudospin_level(p, n)
+        lvl = solve_level(p, n)
         out.append(lvl.E if lvl.status is Status.BOUND else None)
     return out
 
@@ -53,7 +53,7 @@ print(f"  physical root lost:     eps = {scan.eps_physical:.9f}")
 print("  (the two coincide: the bound pair merges exactly where it turns complex)")
 
 print("\nroot bookkeeping at the first grid cell (eps = 0, n = 0):")
-lvl = solve_pseudospin_level(params, 0)
+lvl = solve_level(params, 0)
 print(f"  selected E = {lvl.E:.6f}, unsquared residual {lvl.residual:.1e}")
 for alt in lvl.alternates:
     print(f"  alternate {alt.value.real:+.6f}: {alt.reason}")

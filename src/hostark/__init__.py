@@ -48,7 +48,6 @@ from .spectra import (
     NoSignChange,
     Status,
     bisection_oracle,
-    cardano_complex_roots,
     cubic_coefficients,
     nr_pseudospin_level,
     nr_spin_level,
@@ -57,8 +56,6 @@ from .spectra import (
     select_physical_root,
     solve_cubic_cardano,
     solve_level,
-    solve_pseudospin_level,
-    solve_spin_level,
     spectrum_grid,
 )
 from .wavefunctions import (

@@ -29,6 +29,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _cell(value) -> str:
+    """One CSV cell: None is empty, str is as is, int is str, float is _fmt."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
 def _fmt_root(z: complex) -> str:
     if z.imag == 0.0:
         return _fmt(z.real)
@@ -112,17 +121,7 @@ def _cmd_spectrum(args) -> int:
     if args.format == "json":
         _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.output)
         return 0
-    lines = [_SPECTRUM_HEADER]
-    for row in rows:
-        lines.append(",".join([
-            row["symmetry"], str(row["n"]), str(row["kappa"]),
-            _fmt(row["M"]), _fmt(row["omega0"]), _fmt(row["q"]),
-            _fmt(row["eps"]), _fmt(row["C"]),
-            "" if row["E"] is None else _fmt(row["E"]),
-            "" if row["residual"] is None else _fmt(row["residual"]),
-            row["status"], row["root_alt1"], row["root_alt2"],
-            row["discriminant_flag"],
-        ]))
+    lines = [_SPECTRUM_HEADER] + [",".join(map(_cell, row.values())) for row in rows]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -136,6 +135,8 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_figure2(args) -> int:
+    if args.n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {args.n_max}")
     lines = ["n,eps,E"]
     for n in range(args.n_max + 1):
         for eps in _eps_list(args.eps):
@@ -353,8 +354,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-run = main
 
 if __name__ == "__main__":
     sys.exit(main())

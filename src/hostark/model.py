@@ -141,10 +141,14 @@ def derived_constants(params: ModelParams) -> DerivedConstants:
     )
 
 
+def _check_r_max(r_max: float) -> None:
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"r_max must be finite and > 0, got {r_max}")
+
+
 def potential_curve(params: ModelParams, r_max: float, samples: int) -> np.ndarray:
     """Uniformly sampled (r, V(r)) curve on [0, r_max], shape (samples, 2)."""
-    if r_max <= 0:
-        raise ValueError(f"r_max must be > 0, got {r_max}")
+    _check_r_max(r_max)
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     r = np.linspace(0.0, r_max, samples)

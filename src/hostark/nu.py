@@ -53,14 +53,6 @@ class Poly2:
     c1: complex = 0.0
     c2: complex = 0.0
 
-    def degree(self, tol: float = _EPS) -> int:
-        scale = max(1.0, abs(self.c0), abs(self.c1), abs(self.c2))
-        if abs(self.c2) > tol * scale:
-            return 2
-        if abs(self.c1) > tol * scale:
-            return 1
-        return 0
-
     def __call__(self, r):
         return (self.c2 * r + self.c1) * r + self.c0
 
@@ -70,10 +62,6 @@ class Poly2:
     @property
     def coeffs(self) -> tuple[complex, complex, complex]:
         return (self.c0, self.c1, self.c2)
-
-    def is_real(self, tol: float = _EPS) -> bool:
-        scale = max(1.0, abs(self.c0), abs(self.c1), abs(self.c2))
-        return all(abs(c.imag) <= tol * scale for c in map(complex, self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,7 @@ def reduce(sigma: Poly2, sigma_tilde: Poly2, tau_tilde: Poly2) -> list[NuReducti
     Raises NonPolynomialRoot if no k collapses the square root, and
     NoAdmissibleBranch if every branch has a real, nonnegative tau'.
     """
-    if sigma.degree() == 0 and abs(sigma.c0) <= _EPS:
+    if all(abs(c) <= _EPS for c in sigma.coeffs):
         raise NuError("sigma must not vanish identically")
     sp = sigma.derivative()
     u = Poly2((sp.c0 - tau_tilde.c0) / 2.0, (sp.c1 - tau_tilde.c1) / 2.0, 0.0)

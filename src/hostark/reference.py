@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -130,21 +131,10 @@ def _col_params(table_id: TableId, col: str) -> ModelParams:
     if table_id is TableId.GEV_SEQUENCE:
         return GEV_PARAMS
     pairs = dict(kv.split("=") for kv in col.split(";"))
-    if table_id is TableId.TABLE2:
-        return ModelParams(
-            M=TABLE_PARAMS_M,
-            omega0=TABLE_PARAMS_OMEGA0,
-            eps=float(pairs["eps"]),
-            sym=SymmetryKind.PSEUDOSPIN,
-            C=float(pairs["Cps"]),
-        )
-    return ModelParams(
-        M=TABLE_PARAMS_M,
-        omega0=TABLE_PARAMS_OMEGA0,
-        eps=float(pairs["eps"]),
-        sym=SymmetryKind.SPIN,
-        C=float(pairs["Cs"]),
-    )
+    sym, key = ((SymmetryKind.PSEUDOSPIN, "Cps") if table_id is TableId.TABLE2
+                else (SymmetryKind.SPIN, "Cs"))
+    return ModelParams(M=TABLE_PARAMS_M, omega0=TABLE_PARAMS_OMEGA0,
+                       eps=float(pairs["eps"]), sym=sym, C=float(pairs[key]))
 
 
 @dataclass(frozen=True)
@@ -266,6 +256,8 @@ def compare(table_id: TableId, tolerance: float | None = None) -> ComparisonRepo
     table2 and gev_sequence gate pass/fail; table1 is always Unreconciled
     and informational.
     """
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     table = load_reference(table_id)
     tol = DEFAULT_TOLERANCES[table_id] if tolerance is None else tolerance
     cells = tuple(_compare_cell(table_id, c, tol) for c in table.cells)

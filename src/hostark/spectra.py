@@ -250,29 +250,6 @@ def solve_cubic_cardano(c: CubicCoefficients) -> CubicSolution:
     return CubicSolution(roots, (d, e), p, cardano_real, method)
 
 
-def cardano_complex_roots(B: float, C: float, D: float) -> tuple[complex, complex, complex]:
-    """Alternative all-complex Cardano path, valid in both discriminant regimes.
-
-    Used as an independent cross-check of solve_cubic_cardano.
-    """
-    d, e, p = _depressed(B, C, D)
-    if d == 0.0 and e == 0.0:
-        y = (0j, 0j, 0j)
-    else:
-        z3 = (-e + cmath.sqrt(complex(e * e - 4.0 * p))) / 2.0
-        if abs(z3) < 1e-300:
-            z3 = (-e - cmath.sqrt(complex(e * e - 4.0 * p))) / 2.0
-        z0 = z3 ** (1.0 / 3.0)
-        w = cmath.exp(2j * cmath.pi / 3.0)
-        zs = (z0, z0 * w, z0 * w * w)
-        if d == 0.0:
-            y = zs
-        else:
-            y = tuple(z - d / (3.0 * z) for z in zs)
-    roots = tuple(_polish(yk - B / 3.0, B, C, D) for yk in y)
-    return tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
-
-
 def _margins(kappa: int, E, M, C, gp):
     """The two sign-condition margins, both > 0 for a physical root (floats or arrays)."""
     return E - kappa * M - C, -kappa * (E + kappa * M + gp)
@@ -484,20 +461,6 @@ def _solve(params: ModelParams, n: int) -> EnergyLevel:
     roots, _, _, _, cardano_real = _cubic_roots(
         *_level_bcd(kappa, M, C, gp, _rhs_squared(M, params.omega0, n)))
     return _select(params, kappa, n, gp, roots, cardano_real)
-
-
-def solve_spin_level(params: ModelParams, n: int) -> EnergyLevel:
-    """Level-n energy in the spin-symmetry limit (kappa = -1)."""
-    if params.sym is not SymmetryKind.SPIN:
-        raise ValueError("solve_spin_level requires spin-symmetry parameters")
-    return _solve(params, n)
-
-
-def solve_pseudospin_level(params: ModelParams, n: int) -> EnergyLevel:
-    """Level-n energy in the pseudospin-symmetry limit (kappa = +1)."""
-    if params.sym is not SymmetryKind.PSEUDOSPIN:
-        raise ValueError("solve_pseudospin_level requires pseudospin parameters")
-    return _solve(params, n)
 
 
 def solve_level(params: ModelParams, n: int) -> EnergyLevel:
@@ -853,8 +816,7 @@ class BreakdownScan:
 
 
 def pseudospin_breakdown_threshold(params: ModelParams, n: int,
-                                   eps_lo: float = 0.0, eps_hi: float = 3.0,
-                                   tol: float = 1e-9) -> BreakdownScan:
+                                   eps_lo: float = 0.0, eps_hi: float = 3.0) -> BreakdownScan:
     """Locate the field strength where the bound pseudospin pair disappears.
 
     Two indicators are scanned: the depressed-cubic discriminant sign
@@ -873,7 +835,7 @@ def pseudospin_breakdown_threshold(params: ModelParams, n: int,
             if (eps == eps_lo and not holds) or (eps == eps_hi and holds):
                 return math.nan
             return -1.0 if holds else 1.0
-        return _bisect(f, eps_lo, eps_hi, tol=tol)
+        return _bisect(f, eps_lo, eps_hi, tol=1e-9)
 
     return BreakdownScan(
         eps_discriminant=flip(lambda level: level.cardano_complex_regime),
@@ -883,8 +845,7 @@ def pseudospin_breakdown_threshold(params: ModelParams, n: int,
     )
 
 
-def field_free_closed_form_variant(M: float, C_s: float, omega0: float, n: int,
-                   sign: int = +1) -> complex:
+def field_free_closed_form_variant(M: float, C_s: float, omega0: float, n: int) -> complex:
     """Field-free closed form built on u = 3 M_s^3/27 - 2 M w0^2 (n+1/2)^2.
 
     Reproduced verbatim for the verification report.  It is NOT consistent
@@ -895,6 +856,6 @@ def field_free_closed_form_variant(M: float, C_s: float, omega0: float, n: int,
     M_s = M - C_s
     u = 3.0 * M_s ** 3 / 27.0 - 2.0 * M * omega0 ** 2 * (n + 0.5) ** 2
     s = cmath.sqrt(complex(u * u - 4.0 * (M_s / 3.0) ** 6))
-    z3 = -u / 2.0 + sign * s / 2.0
+    z3 = -u / 2.0 + s / 2.0
     z = z3 ** (1.0 / 3.0)
     return z + (M_s ** 2 / 9.0) / z - M_s / 3.0

@@ -47,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ModelParams, SymmetryKind, derived_constants
+from .model import ModelParams, SymmetryKind, _check_r_max, derived_constants
 from .spectra import EnergyLevel, Status, solve_level
 
 
@@ -83,6 +83,17 @@ class ShapeConstants:
     eps2p: complex | None = None
     d0: float | None = None
 
+    def _spin_factors(self, r):
+        """lambda^2, the envelope exp[-eps1 (lambda^2 r^2/2 - b r)] and the
+        Laguerre argument eps2 (lambda^2 r - b)^2 of the spin components."""
+        lam2 = self.lambda_scale ** 2
+        return (lam2, np.exp(-self.eps1 * (0.5 * lam2 * r * r - self.b * r)),
+                self.eps2 * (lam2 * r - self.b) ** 2)
+
+    def _lower_g(self, dF, F, r):
+        """The spin derivative relation d0 (dF/dr + kappa/r F)."""
+        return self.d0 * (dF + SymmetryKind.SPIN.kappa / r * F)
+
 
 def _level_energy(params: ModelParams, n: int, energy: float | None) -> float:
     if energy is not None:
@@ -93,6 +104,16 @@ def _level_energy(params: ModelParams, n: int, energy: float | None) -> float:
             f"no bound level at n={n} for these parameters ({level.status.value})"
         )
     return level.E
+
+
+def _evaluation(fn: str, sym: SymmetryKind, params: ModelParams, n: int, r,
+                energy: float | None):
+    """(E, shape constants, r as a float array) for the evaluator fn of channel sym."""
+    if params.sym is not sym:
+        what = "spin-symmetry" if sym is SymmetryKind.SPIN else "pseudospin"
+        raise ValueError(f"{fn} requires {what} parameters")
+    E = _level_energy(params, n, energy)
+    return E, shape_constants(params, E), np.asarray(r, dtype=float)
 
 
 def shape_constants(params: ModelParams, energy: float) -> ShapeConstants:
@@ -155,14 +176,9 @@ def assoc_laguerre(n: int, alpha: float, x):
 
 def upper_spinor_F(params: ModelParams, n: int, r, energy: float | None = None):
     """Unnormalized upper spinor component at the solved spin level."""
-    if params.sym is not SymmetryKind.SPIN:
-        raise ValueError("upper_spinor_F requires spin-symmetry parameters")
-    E = _level_energy(params, n, energy)
-    sc = shape_constants(params, E)
-    r = np.asarray(r, dtype=float)
-    lam2 = sc.lambda_scale ** 2
-    xi = sc.eps2 * (lam2 * r - sc.b) ** 2
-    out = np.exp(-sc.eps1 * (0.5 * lam2 * r * r - sc.b * r)) * assoc_laguerre(n, 0.0, xi)
+    _, sc, r = _evaluation("upper_spinor_F", SymmetryKind.SPIN, params, n, r, energy)
+    _, envelope, xi = sc._spin_factors(r)
+    out = envelope * assoc_laguerre(n, 0.0, xi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -179,23 +195,22 @@ def nr_radial_R(params: ModelParams, n: int, r):
     return float(out) if out.ndim == 0 else out
 
 
+def _central_dF(params: ModelParams, n: int, r, h, E: float):
+    """dF/dr of the upper spin component by the central difference of step h."""
+    return (upper_spinor_F(params, n, r + h, E) - upper_spinor_F(params, n, r - h, E)) / (2.0 * h)
+
+
 def lower_spinor_G(params: ModelParams, n: int, r, energy: float | None = None):
     """Lower spinor component from the derivative relation (authoritative).
 
     Central differences with step h = 1e-6 max(1, r); r must stay >= 1e-8
     because of the kappa/r term.
     """
-    if params.sym is not SymmetryKind.SPIN:
-        raise ValueError("lower_spinor_G requires spin-symmetry parameters")
-    E = _level_energy(params, n, energy)
-    sc = shape_constants(params, E)
-    r = np.asarray(r, dtype=float)
+    E, sc, r = _evaluation("lower_spinor_G", SymmetryKind.SPIN, params, n, r, energy)
     if np.any(r < 1e-8):
         raise SingularAtOrigin("lower component needs r >= 1e-8")
-    h = 1e-6 * np.maximum(1.0, r)
-    dF = (upper_spinor_F(params, n, r + h, E) - upper_spinor_F(params, n, r - h, E)) / (2.0 * h)
-    kappa = SymmetryKind.SPIN.kappa
-    out = sc.d0 * (dF + kappa / r * upper_spinor_F(params, n, r, E))
+    dF = _central_dF(params, n, r, 1e-6 * np.maximum(1.0, r), E)
+    out = sc._lower_g(dF, upper_spinor_F(params, n, r, E), r)
     return float(out) if out.ndim == 0 else out
 
 
@@ -206,19 +221,15 @@ def lower_spinor_G_closed_form(params: ModelParams, n: int, r,
     Carries the polynomial-derivative term as + L_n^(1) of the squared
     argument; compare against lower_spinor_G, do not substitute for it.
     """
-    if params.sym is not SymmetryKind.SPIN:
-        raise ValueError("lower_spinor_G_closed_form requires spin-symmetry parameters")
-    E = _level_energy(params, n, energy)
-    sc = shape_constants(params, E)
-    r = np.asarray(r, dtype=float)
+    _, sc, r = _evaluation("lower_spinor_G_closed_form", SymmetryKind.SPIN,
+                           params, n, r, energy)
     if np.any(r < 1e-8):
         raise SingularAtOrigin("lower component needs r >= 1e-8")
-    lam2 = sc.lambda_scale ** 2
-    kappa = SymmetryKind.SPIN.kappa
-    xi = sc.eps2 * (lam2 * r - sc.b) ** 2
-    bracket = (sc.eps1 * (sc.b - lam2 * r) + kappa / r) * assoc_laguerre(n, 0.0, xi) \
+    lam2, envelope, xi = sc._spin_factors(r)
+    bracket = (sc.eps1 * (sc.b - lam2 * r) + SymmetryKind.SPIN.kappa / r) \
+        * assoc_laguerre(n, 0.0, xi) \
         + 2.0 * lam2 * sc.eps2 * (lam2 * r - sc.b) * assoc_laguerre(n, 1.0, xi)
-    out = sc.d0 * np.exp(-sc.eps1 * (0.5 * lam2 * r * r - sc.b * r)) * bracket
+    out = sc.d0 * envelope * bracket
     return float(out) if out.ndim == 0 else out
 
 
@@ -228,11 +239,7 @@ def pseudo_lower_G(params: ModelParams, n: int, r, energy: float | None = None):
     For bound levels the result is real up to floating-point noise; use
     realness_defect to quantify the residual imaginary part.
     """
-    if params.sym is not SymmetryKind.PSEUDOSPIN:
-        raise ValueError("pseudo_lower_G requires pseudospin parameters")
-    E = _level_energy(params, n, energy)
-    sc = shape_constants(params, E)
-    r = np.asarray(r, dtype=float)
+    _, sc, r = _evaluation("pseudo_lower_G", SymmetryKind.PSEUDOSPIN, params, n, r, energy)
     lam2 = sc.lambda_scale ** 2
     arg = -1j * sc.eps2p * (lam2 * r - sc.b) ** 2
     out = np.exp(1j * sc.eps1p * (-sc.b * r + 0.5 * lam2 * r * r)) * hermite(n, arg)
@@ -295,8 +302,8 @@ def realness_defect(values) -> float:
     return float(np.max(np.abs(aligned.imag)) / peak)
 
 
-def count_nodes(values, rel_floor: float = 1e-9) -> int:
-    """Interior sign changes, ignoring samples below rel_floor of the peak."""
+def count_nodes(values) -> int:
+    """Interior sign changes, ignoring samples below 1e-9 of the peak."""
     v = np.asarray(values)
     if np.iscomplexobj(v):
         ref = v[np.argmax(np.abs(v))]
@@ -304,7 +311,7 @@ def count_nodes(values, rel_floor: float = 1e-9) -> int:
     peak = np.max(np.abs(v))
     if peak == 0.0:
         return 0
-    keep = v[np.abs(v) > rel_floor * peak]
+    keep = v[np.abs(v) > 1e-9 * peak]
     signs = np.sign(keep)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
@@ -349,8 +356,7 @@ _EVALUATORS = {
 
 def sample_radial(kind: RadialKind, params: ModelParams, n: int,
                   r_max: float | None = None, samples: int = 2001,
-                  normalize: bool = True,
-                  energy: float | None = None) -> RadialFunction:
+                  normalize: bool = True) -> RadialFunction:
     """Sample a radial component on [0, r_max] and optionally L2-normalize.
 
     The lower spin component is sampled from r = 1e-8 instead of 0 (its
@@ -360,17 +366,12 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
         raise ValueError(f"samples must be >= 3, got {samples}")
     if r_max is None:
         r_max = default_r_max(params)
+    else:
+        _check_r_max(r_max)
     r = np.linspace(0.0, r_max, samples)
     if kind is RadialKind.LOWER_G:
-        r = r.copy()
         r[0] = 1e-8
-
-    fn = _EVALUATORS[kind]
-    if kind is RadialKind.NONREL_R:
-        values = fn(params, n, r)
-    else:
-        values = fn(params, n, r, energy)
-    values = np.asarray(values)
+    values = np.asarray(_EVALUATORS[kind](params, n, r))
 
     with np.errstate(over="ignore"):
         raw_norm_sq = float(simpson(np.abs(values) ** 2, x=r))
@@ -417,33 +418,24 @@ class GDeviationReport:
     richardson_defect: float
 
 
-def g_deviation_report(params: ModelParams, n: int, r_lo: float = 0.1,
-                       r_hi: float = 20.0, samples: int = 200,
-                       energy: float | None = None) -> GDeviationReport:
-    """Compare the two lower-component paths on a uniform grid."""
-    E = _level_energy(params, n, energy)
+def g_deviation_report(params: ModelParams, n: int) -> GDeviationReport:
+    """Compare the two lower-component paths on 200 points of [0.1, 20]."""
+    E = _level_energy(params, n, None)
     sc = shape_constants(params, E)
-    r = np.linspace(r_lo, r_hi, samples)
-    numeric = lower_spinor_G(params, n, r, E)
+    r = np.linspace(0.1, 20.0, 200)
     closed = lower_spinor_G_closed_form(params, n, r, E)
+    # lower_spinor_G's central difference, kept for the h-refinement below
+    h = 1e-6 * np.maximum(1.0, r)
+    d_h = _central_dF(params, n, r, h, E)
+    f0 = upper_spinor_F(params, n, r, E)
+    numeric = sc._lower_g(d_h, f0, r)
     scale = np.maximum(np.maximum(np.abs(numeric), np.abs(closed)), 1e-300)
     rel = np.abs(numeric - closed) / scale
 
     # h-refinement consistency of the derivative path
-    h = 1e-6 * np.maximum(1.0, r)
-    kappa = SymmetryKind.SPIN.kappa
-
-    def central(step):
-        return (upper_spinor_F(params, n, r + step, E)
-                - upper_spinor_F(params, n, r - step, E)) / (2.0 * step)
-
-    d_h = central(h)
-    d_h2 = central(h / 2.0)
-    extrap = (4.0 * d_h2 - d_h) / 3.0
-    f0 = upper_spinor_F(params, n, r, E)
-    g_h2 = sc.d0 * (d_h2 + kappa / r * f0)
-    g_ex = sc.d0 * (extrap + kappa / r * f0)
-    rich = np.max(np.abs(g_h2 - g_ex)) / max(1.0, float(np.max(np.abs(g_ex))))
+    d_h2 = _central_dF(params, n, r, h / 2.0, E)
+    g_ex = sc._lower_g((4.0 * d_h2 - d_h) / 3.0, f0, r)
+    rich = np.max(np.abs(sc._lower_g(d_h2, f0, r) - g_ex)) / max(1.0, float(np.max(np.abs(g_ex))))
 
     return GDeviationReport(
         r=r,

@@ -18,14 +18,12 @@ from hostark.spectra import (
     Equation,
     Status,
     bisection_oracle,
-    cardano_complex_roots,
     cubic_coefficients,
     nr_spin_level,
     pseudospin_breakdown_threshold,
     relativistic_ho_level,
     solve_cubic_cardano,
     solve_level,
-    solve_spin_level,
 )
 from hostark.wavefunctions import RadialKind, count_nodes, nr_radial_R, sample_radial
 
@@ -43,7 +41,7 @@ def test_criterion_1_gev_sequence():
     params = ModelParams(M=1.0, omega0=1.0)
     worst = 0.0
     for n, expect in enumerate(GEV_LEVELS):
-        worst = max(worst, abs(solve_spin_level(params, n).E - expect))
+        worst = max(worst, abs(solve_level(params, n).E - expect))
         worst = max(worst, abs(relativistic_ho_level(1.0, 1.0, n) - expect))
     elapsed = time.perf_counter() - t0
     report(
@@ -70,7 +68,7 @@ def test_criterion_2_table2_reproduction():
 def test_criterion_3_table1_unreconciled_with_certified_root():
     rep = compare(TableId.TABLE1)
     params = ModelParams(M=1.5, omega0=1 / 2.4)
-    cubic_E = solve_spin_level(params, 0).E
+    cubic_E = solve_level(params, 0).E
     oracle_E = bisection_oracle(Equation.SPIN_EQ, params, 0)
     agree = abs(cubic_E - oracle_E)
     ok = (
@@ -129,7 +127,7 @@ def _check_method_agreement(rng):
     worst = 0.0
     for B, C, D in rng.uniform(-10, 10, size=(1000, 3)):
         mine = solve_cubic_cardano(CubicCoefficients(1, B, C, D)).roots
-        alt = list(cardano_complex_roots(B, C, D))
+        alt = list(conftest.cardano_complex_roots(B, C, D))
         for z in mine:
             best = min(alt, key=lambda w: abs(z - w))
             worst = max(worst, abs(z - best) / max(1.0, abs(best)))

@@ -231,6 +231,32 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not finite in float64" in err
 
+    @pytest.mark.parametrize("r_max", ["nan", "inf", "-5", "0"])
+    @pytest.mark.parametrize("command", [
+        ("potential", "--M", "1", "--omega0", "1"),
+        ("wavefunction", "--kind", "F", "--M", "1", "--omega0", "1", "--n", "0"),
+    ], ids=["potential", "wavefunction"])
+    def test_bad_r_max_exits_two(self, capsys, command, r_max):
+        code, out, err = run_cli(capsys, *command, f"--r-max={r_max}")
+        assert code == 2
+        assert out == ""
+        assert "r_max must be finite and > 0" in err
+
+    def test_figure2_negative_n_max_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "figure2", "--M", "1", "--omega0", "1",
+                                 "--n-max", "-1")
+        assert code == 2
+        assert out == ""
+        assert "n_max must be >= 0" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1e-6", "inf"])
+    def test_bad_verify_tolerance_exits_two(self, capsys, tolerance):
+        code, out, err = run_cli(capsys, "verify", "--table", "gev",
+                                 f"--tolerance={tolerance}")
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be finite and >= 0" in err
+
     def test_omega0_and_inverse_conflict(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--symmetry", "spin",
                                "--M", "1", "--omega0", "1",

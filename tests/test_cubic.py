@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import cardano_complex_roots
 from hostark.spectra import (
     CubicCoefficients,
     CubicMethod,
     DegenerateCubic,
-    cardano_complex_roots,
     solve_cubic_cardano,
 )
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -150,7 +152,9 @@ class TestPotentialCurve:
 
     @pytest.mark.parametrize("bad", [dict(r_max=0.0, samples=10),
                                      dict(r_max=-1.0, samples=10),
-                                     dict(r_max=1.0, samples=1)])
+                                     dict(r_max=1.0, samples=1),
+                                     dict(r_max=math.nan, samples=10),
+                                     dict(r_max=math.inf, samples=10)])
     def test_rejects_bad_grid(self, bad):
         with pytest.raises(ValueError):
             potential_curve(params(), **bad)

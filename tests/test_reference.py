@@ -65,6 +65,11 @@ class TestCompare:
         assert report.passed is False
         assert report.reconciliation_status is ReconciliationStatus.FAILED
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1e-6, float("inf")])
+    def test_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            compare(TableId.GEV_SEQUENCE, tolerance)
+
     def test_table2_reproduces(self):
         report = compare(TableId.TABLE2)
         assert report.tolerance == 5e-3

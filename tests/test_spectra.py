@@ -21,8 +21,6 @@ from hostark.spectra import (
     select_physical_root,
     solve_cubic_cardano,
     solve_level,
-    solve_pseudospin_level,
-    solve_spin_level,
     spectrum_grid,
 )
 
@@ -123,13 +121,13 @@ class TestSelectPhysicalRoot:
 
     def test_no_physical_root_at_strong_field(self):
         p = pseudo(eps=2.0)
-        lvl = solve_pseudospin_level(p, 0)
+        lvl = solve_level(p, 0)
         assert lvl.status is Status.NO_PHYSICAL_ROOT
         assert lvl.E is None and lvl.residual is None
         assert len(lvl.alternates) == 3
 
     def test_diagnostics_scalars(self):
-        lvl = solve_pseudospin_level(pseudo(), 0)
+        lvl = solve_level(pseudo(), 0)
         d = lvl.diagnostics
         gamma = 1.5 - lvl.E + (-10.3)
         assert d.gamma == pytest.approx(gamma)
@@ -142,34 +140,28 @@ class TestSelectPhysicalRoot:
 class TestSolveSpinLevel:
     def test_gev_sequence(self):
         for n, expect in enumerate(GEV_LEVELS):
-            lvl = solve_spin_level(GEV, n)
+            lvl = solve_level(GEV, n)
             assert lvl.status is Status.BOUND
             assert lvl.E == pytest.approx(expect, abs=1e-6)
             assert lvl.residual <= 1e-9
 
     def test_table_parameters_ground_state(self):
-        lvl = solve_spin_level(SPIN_TBL, 0)
+        lvl = solve_level(SPIN_TBL, 0)
         oracle = bisection_oracle(Equation.SPIN_EQ, SPIN_TBL, 0)
         assert lvl.E == pytest.approx(oracle, abs=1e-9)
         assert lvl.E == pytest.approx(SPIN_N0_ROOT, abs=1e-9)
 
     def test_field_shift_is_bounded_by_g_shift(self):
         p0, p5 = spin(eps=0.0), spin(eps=0.5)
-        e0 = solve_spin_level(p0, 0).E
-        e5 = solve_spin_level(p5, 0).E
+        e0 = solve_level(p0, 0).E
+        e5 = solve_level(p5, 0).E
         assert e5 == pytest.approx(1.23807057607988, abs=1e-9)  # frozen oracle
         g_shift = derived_constants(p5).g_shift
         assert 0.0 < e0 - e5 < g_shift
 
-    def test_wrong_symmetry_rejected(self):
-        with pytest.raises(ValueError):
-            solve_spin_level(pseudo(), 0)
-        with pytest.raises(ValueError):
-            solve_pseudospin_level(spin(), 0)
-
     def test_monotone_in_n(self):
         for p in (GEV, SPIN_TBL, spin(eps=0.5)):
-            levels = [solve_spin_level(p, n).E for n in range(8)]
+            levels = [solve_level(p, n).E for n in range(8)]
             assert all(a < b for a, b in zip(levels, levels[1:]))
 
 
@@ -180,7 +172,7 @@ class TestSolvePseudospinLevel:
         (-10.3, 1.5, 0, -6.037),
     ])
     def test_reference_cells(self, C, eps, n, expect):
-        lvl = solve_pseudospin_level(pseudo(C=C, eps=eps), n)
+        lvl = solve_level(pseudo(C=C, eps=eps), n)
         assert lvl.status is Status.BOUND
         assert lvl.E == pytest.approx(expect, abs=5e-3)
         assert lvl.residual <= 1e-9
@@ -188,7 +180,7 @@ class TestSolvePseudospinLevel:
     def test_monotone_decreasing_in_n(self):
         for C in (-10.3, -11.5):
             for eps in (0.0, 0.1, 0.5, 1.0, 1.5):
-                levels = [solve_pseudospin_level(pseudo(C=C, eps=eps), n)
+                levels = [solve_level(pseudo(C=C, eps=eps), n)
                           for n in range(11)]
                 bound = [l.E for l in levels if l.status is Status.BOUND]
                 assert all(a > b for a, b in zip(bound, bound[1:]))
@@ -208,7 +200,7 @@ class TestRelativisticHoLevel:
     def test_agrees_with_cubic_path(self):
         for n in range(4):
             assert relativistic_ho_level(1.0, 1.0, n) == pytest.approx(
-                solve_spin_level(GEV, n).E, abs=1e-9
+                solve_level(GEV, n).E, abs=1e-9
             )
 
     def test_rejects_bad_inputs(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from hostark.model import ModelParams, SymmetryKind, derived_constants
-from hostark.spectra import solve_spin_level
+from hostark.spectra import solve_level
 from hostark.wavefunctions import (
     ConstantsUndefined,
     RadialKind,
@@ -113,7 +113,7 @@ class TestPolynomials:
 class TestShapeConstants:
     def test_spin_constants(self):
         p = spin(eps=0.5)
-        E = solve_spin_level(p, 0).E
+        E = solve_level(p, 0).E
         sc = shape_constants(p, E)
         gamma = E + 1.5
         assert sc.lambda_scale == pytest.approx(math.sqrt(1.5 / 2.4))
@@ -133,9 +133,8 @@ class TestShapeConstants:
 
     def test_pseudospin_constants_are_complex(self):
         p = pseudo()
-        from hostark.spectra import solve_pseudospin_level
 
-        E = solve_pseudospin_level(p, 0).E
+        E = solve_level(p, 0).E
         sc = shape_constants(p, E)
         assert sc.eps1 is None and sc.eps2 is None
         gamma_t = 1.5 - E - 10.3
@@ -146,7 +145,7 @@ class TestShapeConstants:
 class TestUpperSpinorF:
     def test_zero_field_is_centered_gaussian(self):
         p = spin()
-        E = solve_spin_level(p, 0).E
+        E = solve_level(p, 0).E
         sc = shape_constants(p, E)
         r = np.linspace(0, 10, 50)
         expect = np.exp(-0.5 * sc.eps1 * sc.lambda_scale**2 * r**2)
@@ -154,7 +153,7 @@ class TestUpperSpinorF:
 
     def test_polynomial_argument_minimized_at_well_bottom(self):
         p = spin(eps=1.0)
-        sc = shape_constants(p, solve_spin_level(p, 0).E)
+        sc = shape_constants(p, solve_level(p, 0).E)
         r0 = derived_constants(p).r0
         assert sc.b / sc.lambda_scale**2 == pytest.approx(r0, rel=1e-12)
         r = np.linspace(0, 3 * r0, 4001)
@@ -237,7 +236,7 @@ class TestLowerSpinorG:
     def test_ground_state_zero_field_reduction(self):
         # (d/dr + kappa/r) F0 = (-eps1 lam^2 r + kappa/r) F0 when eps = 0
         p = spin()
-        E = solve_spin_level(p, 0).E
+        E = solve_level(p, 0).E
         sc = shape_constants(p, E)
         r = np.linspace(0.2, 8, 40)
         f0 = upper_spinor_F(p, 0, r, E)
@@ -256,7 +255,7 @@ class TestLowerSpinorG:
     def test_closed_form_matches_its_printed_expression(self):
         # the printed form keeps a +L_n^(1) term that does not vanish at n=0
         p = spin()
-        E = solve_spin_level(p, 0).E
+        E = solve_level(p, 0).E
         sc = shape_constants(p, E)
         r = np.linspace(0.2, 6, 30)
         lam2 = sc.lambda_scale**2
@@ -279,9 +278,8 @@ class TestLowerSpinorG:
 class TestPseudoLowerG:
     def test_ground_state_modulus_is_pure_exponential(self):
         p = pseudo()
-        from hostark.spectra import solve_pseudospin_level
 
-        E = solve_pseudospin_level(p, 0).E
+        E = solve_level(p, 0).E
         sc = shape_constants(p, E)
         r = np.linspace(0, 6, 30)
         vals = pseudo_lower_G(p, 0, r, E)
@@ -290,9 +288,8 @@ class TestPseudoLowerG:
 
     def test_zero_field_gaussian_envelope(self):
         p = pseudo()
-        from hostark.spectra import solve_pseudospin_level
 
-        E = solve_pseudospin_level(p, 0).E
+        E = solve_level(p, 0).E
         gamma_t = 1.5 - E - 10.3
         r = np.linspace(0, 6, 30)
         vals = pseudo_lower_G(p, 0, r, E)
@@ -346,6 +343,11 @@ class TestSampling:
         rf = sample_radial(RadialKind.LOWER_G, spin(eps=0.3), 0, samples=501)
         assert rf.r[0] == pytest.approx(1e-8)
         assert np.all(np.isfinite(rf.values))
+
+    @pytest.mark.parametrize("r_max", [math.nan, math.inf, -math.inf, -5.0, 0.0])
+    def test_rejects_bad_r_max(self, r_max):
+        with pytest.raises(ValueError, match="r_max must be finite and > 0"):
+            sample_radial(RadialKind.UPPER_F, spin(), 0, r_max=r_max)
 
 
 def same_float(a, b) -> bool:
