@@ -12,6 +12,10 @@ verify        compare solver output against the bundled reference tables
 Exit codes: 0 success, 1 gating verification failure, 2 flag/parameter
 errors.  Identical argv produces byte-identical output (fixed 17
 significant-digit formatting, deterministic ordering).
+
+Only spectrum, potential and wavefunction load NumPy, when they run.  The
+pure-math modules spectra and reference load with this one (perfbench's
+traced run binds their functions after importing it); nu loads in nu-check.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import nu, reference, spectra, wavefunctions
-from .model import ModelParams, SymmetryKind, potential_curve
+from . import reference, spectra
+from .model import ConstantsUndefined, ModelParams, SymmetryKind, potential_curve
 
 
 def _fmt(x: float) -> str:
@@ -146,16 +150,20 @@ def _cmd_figure2(args) -> int:
     return 0
 
 
+# each --kind: the RadialKind member name and the symmetry limit
 _KINDS = {
-    "F": (wavefunctions.RadialKind.UPPER_F, SymmetryKind.SPIN),
-    "G": (wavefunctions.RadialKind.LOWER_G, SymmetryKind.SPIN),
-    "R": (wavefunctions.RadialKind.NONREL_R, SymmetryKind.SPIN),
-    "Gps": (wavefunctions.RadialKind.PSEUDO_LOWER_G, SymmetryKind.PSEUDOSPIN),
+    "F": ("UPPER_F", SymmetryKind.SPIN),
+    "G": ("LOWER_G", SymmetryKind.SPIN),
+    "R": ("NONREL_R", SymmetryKind.SPIN),
+    "Gps": ("PSEUDO_LOWER_G", SymmetryKind.PSEUDOSPIN),
 }
 
 
 def _cmd_wavefunction(args) -> int:
-    kind, sym = _KINDS[args.kind]
+    from . import wavefunctions
+
+    name, sym = _KINDS[args.kind]
+    kind = wavefunctions.RadialKind[name]
     params = _params(args, sym, args.eps)
     rf = wavefunctions.sample_radial(
         kind, params, args.n, r_max=args.r_max, samples=args.samples,
@@ -178,6 +186,8 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _reduction_dump(sigma, sigma_tilde, tau_tilde, n_levels: int = 6) -> dict:
+    from . import nu
+
     branches = []
     for b in nu.reduce(sigma, sigma_tilde, tau_tilde):
         branches.append({
@@ -199,6 +209,8 @@ def _reduction_dump(sigma, sigma_tilde, tau_tilde, n_levels: int = 6) -> dict:
 
 
 def _cmd_nu_check(args) -> int:
+    from . import nu
+
     payload = {
         "spin": _reduction_dump(*nu.oscillator_instance(2.0, 4.0, 1.0)),
         "pseudospin": _reduction_dump(*nu.inverted_oscillator_instance(1.0, 2.0, 0.5)),
@@ -350,7 +362,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, reference.UnknownTable, spectra.NoSignChange,
-            wavefunctions.ConstantsUndefined) as exc:
+            ConstantsUndefined) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,10 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import math
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+
+# Raised by wavefunctions, which re-exports it; defined here so that the CLI
+# can map it to exit code 2 without importing wavefunctions (and NumPy).
+class ConstantsUndefined(Exception):
+    """Shape constants are not defined at this energy (e.g. gamma <= 0)."""
 
 
 class SymmetryKind(Enum):
@@ -100,6 +108,8 @@ def combined_potential(M, omega0, q, eps, r):
     Depends on q and eps only through the product q*eps, so it is invariant
     under the joint flip (q, eps) -> (-q, -eps).
     """
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     v = 0.5 * M * omega0 * omega0 * r * r - q * eps * r
     return float(v) if v.ndim == 0 else v
@@ -141,13 +151,15 @@ def derived_constants(params: ModelParams) -> DerivedConstants:
     )
 
 
-def _check_r_max(r_max: float) -> None:
+def _check_r_max(r_max: float, note: str = "") -> None:
     if not (math.isfinite(r_max) and r_max > 0):
-        raise ValueError(f"r_max must be finite and > 0, got {r_max}")
+        raise ValueError(f"r_max must be finite and > 0, got {r_max}{note}")
 
 
 def potential_curve(params: ModelParams, r_max: float, samples: int) -> np.ndarray:
     """Uniformly sampled (r, V(r)) curve on [0, r_max], shape (samples, 2)."""
+    import numpy as np
+
     _check_r_max(r_max)
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")

@@ -47,12 +47,9 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ModelParams, SymmetryKind, _check_r_max, derived_constants
+from .model import (ConstantsUndefined, ModelParams, SymmetryKind, _check_r_max,
+                    derived_constants)
 from .spectra import EnergyLevel, Status, solve_level
-
-
-class ConstantsUndefined(Exception):
-    """Shape constants are not defined at this energy (e.g. gamma <= 0)."""
 
 
 class SingularAtOrigin(Exception):
@@ -341,7 +338,8 @@ class RadialFunction:
 
 
 def default_r_max(params: ModelParams) -> float:
-    """Envelope-based sampling window: r0 + 20 / lambda."""
+    """Envelope-based sampling window: r0 + 20 / lambda (<= 0 when q eps < 0
+    moves the well far enough, which sample_radial rejects)."""
     lam = math.sqrt(params.M * params.omega0)
     return derived_constants(params).r0 + 20.0 / lam
 
@@ -366,6 +364,7 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
         raise ValueError(f"samples must be >= 3, got {samples}")
     if r_max is None:
         r_max = default_r_max(params)
+        _check_r_max(r_max, " (the default r0 + 20/lambda); pass r_max (--r-max)")
     else:
         _check_r_max(r_max)
     r = np.linspace(0.0, r_max, samples)

@@ -6,6 +6,8 @@ deleted target.
 """
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +30,22 @@ def test_every_traced_target_resolves(worker):
     assert targets
     for module, name, *_ in targets:
         assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+LOADED_SCRIPT = """
+import sys
+import worker
+for module, name, *_ in worker.targets(None):
+    getattr(sys.modules[module], name)  # spans.bind looks modules up here
+"""
+
+
+def test_worker_imports_load_every_traced_module():
+    """The traced run binds each target through sys.modules, without importing
+    it, so the imports of worker.py must load every target module."""
+    src = str(PERFBENCH.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PERFBENCH), src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -242,6 +242,18 @@ class TestErrors:
         assert out == ""
         assert "r_max must be finite and > 0" in err
 
+    @pytest.mark.parametrize("flags", [("--kind", "G"), ("--kind", "F"),
+                                       ("--kind", "F", "--no-normalize")])
+    def test_non_positive_default_r_max_exits_two(self, capsys, flags):
+        # q eps < 0 moves the well to r0 = -41.7, so r0 + 20/lambda = -15.8
+        code, out, err = run_cli(capsys, "wavefunction", *flags, "--M", "1.5",
+                                 "--omega0", "0.4", "--q", "-2", "--eps", "5", "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: r_max must be finite and > 0")
+        assert err.count("\n") == 1
+        assert "--r-max" in err
+
     def test_figure2_negative_n_max_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "figure2", "--M", "1", "--omega0", "1",
                                  "--n-max", "-1")
@@ -298,6 +310,24 @@ def test_spectrum_output_matches_golden_bytes(capsys, name, fmt):
     assert out.encode("ascii") == (DATA / f"{name}.{fmt}").read_bytes()
 
 
+GOLDEN_COMMANDS = {
+    "verify.txt": ("verify",),
+    "verify.json": ("verify", "--format", "json"),
+    "figure2.csv": ("figure2", "--M", "1.5", "--omega0-inv", "2.4"),
+    "nu_check.json": ("nu-check",),
+    "potential.csv": ("potential", "--M", "1.5", "--omega0", "0.4", "--eps", "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_command_output_matches_golden_bytes(capsys, name):
+    """tests/data holds the output captured while every command imported
+    NumPy and all of hostark up front."""
+    code, out, _ = run_cli(capsys, *GOLDEN_COMMANDS[name])
+    assert code == 0
+    assert out.encode("ascii") == (DATA / name).read_bytes()
+
+
 GOLDEN_WAVEFUNCTIONS = {
     # |F|^2 overflows, so sample_radial normalizes the peak-scaled samples;
     # 400 samples: the last interval takes the even-N correction
@@ -335,10 +365,59 @@ for argv in (["verify"], ["wavefunction", "--kind", "G", "--M", "1.5",
 """
 
 
-def test_runtime_needs_no_scipy():
+def run_fresh(script):
+    """Run script in a new interpreter that imports hostark from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_needs_no_scipy():
+    run_fresh(NO_SCIPY_SCRIPT)
+
+
+# the names `hostark` exported when its __init__ imported every submodule
+EXPORTS = {
+    "model": "DerivedConstants ModelParams SymmetryKind combined_potential "
+             "derived_constants eval_potential potential_curve",
+    "nu": "NoAdmissibleBranch NonPolynomialRoot NuError NuReduction Poly2 "
+          "inverted_oscillator_instance oscillator_instance quantize reduce",
+    "reference": "ComparisonReport ReferenceTable TableId UnknownTable compare "
+                 "load_reference",
+    "spectra": "BreakdownScan ChannelScalars CubicCoefficients CubicMethod CubicSolution "
+               "DegenerateCubic EnergyLevel Equation NoSignChange Status bisection_oracle "
+               "cubic_coefficients nr_pseudospin_level nr_spin_level "
+               "pseudospin_breakdown_threshold relativistic_ho_level "
+               "select_physical_root solve_cubic_cardano solve_level spectrum_grid",
+    "wavefunctions": "ConstantsUndefined RadialFunction RadialKind ShapeConstants "
+                     "SingularAtOrigin assoc_laguerre count_nodes g_deviation_report "
+                     "hermite lower_spinor_G lower_spinor_G_closed_form mean_radius "
+                     "nr_radial_R pseudo_lower_G realness_defect sample_radial "
+                     "shape_constants upper_spinor_F",
+}
+
+IMPORT_FOOTPRINT_SCRIPT = """
+import sys
+import hostark, hostark.cli
+loaded = [m for m in ("numpy", "hostark._grid", "hostark.wavefunctions") if m in sys.modules]
+assert not loaded, loaded
+sys.modules["numpy"] = None  # any `import numpy` raises ImportError
+for argv in (["verify"], ["figure2", "--M", "1.5", "--omega0", "0.4"], ["nu-check"]):
+    code = hostark.cli.main(argv)
+    assert code == 0, (argv, code)
+del sys.modules["numpy"]
+for module, names in EXPORTS.items():
+    assert module in dir(hostark), module
+    for name in names.split():
+        assert name in dir(hostark), name
+        assert getattr(hostark, name) is getattr(getattr(hostark, module), name), name
+"""
+
+
+def test_cli_imports_numpy_only_where_used():
+    """import hostark, hostark.cli loads no NumPy, the array-free commands run
+    without it, and every exported name resolves lazily to its submodule's."""
+    run_fresh(f"EXPORTS = {EXPORTS!r}\n" + IMPORT_FOOTPRINT_SCRIPT)

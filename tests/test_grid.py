@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from hostark.model import ModelParams, SymmetryKind
+from hostark._grid import _bisect_batch
 from hostark.spectra import (
     NoSignChange,
     _bisect,
-    _bisect_batch,
     cubic_coefficients,
     select_physical_root,
     solve_cubic_cardano,

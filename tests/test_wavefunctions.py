@@ -349,6 +349,16 @@ class TestSampling:
         with pytest.raises(ValueError, match="r_max must be finite and > 0"):
             sample_radial(RadialKind.UPPER_F, spin(), 0, r_max=r_max)
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("kind", list(RadialKind))
+    def test_rejects_non_positive_default_window(self, kind, normalize):
+        # q eps < 0 moves the well to r0 = -41.7, so r0 + 20/lambda = -15.8
+        sym = (SymmetryKind.PSEUDOSPIN if kind is RadialKind.PSEUDO_LOWER_G
+               else SymmetryKind.SPIN)
+        p = ModelParams(M=1.5, omega0=0.4, q=-2.0, eps=5.0, sym=sym)
+        with pytest.raises(ValueError, match=r"got -15\.8.*; pass r_max \(--r-max\)"):
+            sample_radial(kind, p, 0, normalize=normalize)
+
 
 def same_float(a, b) -> bool:
     """Equal as floats, sign of zero included; NaN matches NaN."""
