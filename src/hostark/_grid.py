@@ -9,25 +9,28 @@ import numpy as np
 from .model import ModelParams, _stark_shift
 from .spectra import (
     _BOUNDARY_TOL, _COMPLEX, _LOWER, _REASONS, ChannelScalars, EnergyLevel, RejectedRoot,
-    Status, _alternate_code, _cbrt, _level_bcd, _level_scalars, _margin_forms, _margins,
-    _power, _rhs_squared, _solve,
+    Status, _alternate_code, _cbrt, _condition, _deflate, _depressed, _level_bcd,
+    _level_scalars, _margin_forms, _margins, _power, _rhs_squared, _solve,
 )
 
 # ---------------------------------------------------------------- batch route
 #
 # _solve_grid repeats the scalar stage (_level_bcd, _cubic_roots, _select)
 # over arrays of cells, operation for operation, so each level it builds
-# equals solve_level's bit for bit.  Every field of a level is a column over
-# all cells, from the formulas the scalar stage uses (_margins, _level_scalars,
-# _alternate_code, _REASONS, _margin_forms); the margin-form refinement
-# bisects all its cells at once (_bisect_batch stops each where _bisect
-# would), and only cells whose cubic is not finite take the scalar stage,
-# which raises for them.  So a grid costs about the same whatever share of
-# its cells needs refinement.  Two kinds of operation are not vectorised,
-# because NumPy's versions can differ from CPython's in the last bit: powers,
-# cube roots, arccos and cos run through Python's math per element (_map),
-# and complex Newton steps repeat CPython's complex product and quotient in
-# real arithmetic (_cmul, _cdiv).
+# equals solve_level's bit for bit.  Every formula comes from spectra
+# (_level_bcd, _depressed, _deflate, _condition, _margins, _margin_forms,
+# _level_scalars, _alternate_code, _REASONS); this module keeps only the
+# array control flow and the emulation of CPython arithmetic.  Every field
+# of a level is a column over all cells; the margin-form refinement bisects
+# all its cells at once (_bisect_batch stops each where _bisect would), and
+# only cells whose cubic is not finite take the scalar stage, which raises
+# for them.  So a grid costs about the same whatever share of its cells
+# needs refinement.  Two kinds of operation are not vectorised, because
+# NumPy's versions can differ from CPython's in the last bit: powers, cube
+# roots, arccos and cos run through Python's math per element (_map), and
+# Newton steps repeat CPython's complex product and quotient in real
+# arithmetic (_cmul, _cdiv), which at a zero imaginary part reduce to
+# _polish's real steps.
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
@@ -48,12 +51,11 @@ def _cdiv(ar, ai, br, bi):
     return re, im
 
 
-def _newton_batch(zr, zi, B, C, D, is_real):
-    """_polish over arrays: real roots in real arithmetic, complex ones in
-    CPython's complex arithmetic (a float operand enters as x + 0j)."""
+def _newton_batch(zr, zi, B, C, D):
+    """_polish over arrays, in CPython's complex arithmetic (a float operand
+    enters as x + 0j): f = ((z + B) z + C) z + D, fp = (3z + 2B) z + C."""
     active = np.ones(zr.shape, dtype=bool)
     for _ in range(4):
-        # complex iterate: f = ((z + B) z + C) z + D, fp = (3z + 2B) z + C
         fr, fi = _cmul(zr + B, zi + 0.0, zr, zi)
         fr, fi = _cmul(fr + C, fi + 0.0, zr, zi)
         fr, fi = fr + D, fi + 0.0
@@ -61,17 +63,11 @@ def _newton_batch(zr, zi, B, C, D, is_real):
         pr, pi = _cmul(pr + 2.0 * B, pi + 0.0, zr, zi)
         pr, pi = pr + C, pi + 0.0
         sr, si = _cdiv(fr, fi, pr, pi)
-        # real iterate, same formulas
-        f = ((zr + B) * zr + C) * zr + D
-        fp = (3.0 * zr + 2.0 * B) * zr + C
-        sr = np.where(is_real, f / fp, sr)
-        abs_fp = np.where(is_real, np.abs(fp), np.hypot(pr, pi))
-        abs_step = np.where(is_real, np.abs(sr), np.hypot(sr, si))
-        abs_z = np.where(is_real, np.abs(zr), np.hypot(zr, zi))
-        active &= ~(abs_fp < 1e-300)
-        active &= ~(abs_step < 1e-18 * np.where(abs_z > 1.0, abs_z, 1.0))
+        abs_z = np.hypot(zr, zi)
+        active &= ~(np.hypot(pr, pi) < 1e-300)
+        active &= ~(np.hypot(sr, si) < 1e-18 * np.where(abs_z > 1.0, abs_z, 1.0))
         zr = np.where(active, zr - sr, zr)
-        zi = np.where(active & ~is_real, zi - si, zi)
+        zi = np.where(active, zi - si, zi)
     return zr, zi
 
 
@@ -82,8 +78,7 @@ def _cubic_roots_batch(B, C, D):
     and hold the polished roots sorted by (real, imag); finite marks the
     cells that _cubic_roots does not reject.
     """
-    d = C - B * B / 3.0
-    e = D + B * (2.0 * B * B - 9.0 * C) / 27.0
+    d, e = _depressed(B, C, D)
     p = -_map(lambda x: _power(x, 3), d / 3.0)
     cardano_real = e * e >= 4.0 * p
     re = np.empty((len(B), 3))
@@ -96,10 +91,7 @@ def _cubic_roots_batch(B, C, D):
     z3 = np.where(ec > 0.0, -ec / 2.0 - s / 2.0, -ec / 2.0 + s / 2.0)
     z = _map(_cbrt, np.where(dc == 0.0, -ec, z3))
     y1 = np.where(dc == 0.0, z, z - dc / (3.0 * z))
-    e1 = y1 - Bc / 3.0
-    b1 = Bc + e1
-    b2 = Cc + b1 * e1
-    disc = b1 * b1 - 4.0 * b2
+    e1, b1, disc = _deflate(y1, Bc, Cc)
     real_pair = disc >= 0.0
     sq = np.sqrt(np.where(real_pair, disc, -disc))
     re[c, 0] = e1
@@ -118,7 +110,7 @@ def _cubic_roots_batch(B, C, D):
         re[t, k] = (2.0 * u * _map(math.cos, theta - 2.0 * math.pi * k / 3.0)
                     - B[t] / 3.0)
 
-    re, im = _newton_batch(re, im, B[:, None], C[:, None], D[:, None], im == 0.0)
+    re, im = _newton_batch(re, im, B[:, None], C[:, None], D[:, None])
     for a, b in ((0, 1), (1, 2), (0, 1)):  # stable sort by (real, imag)
         swap = (re[:, a] > re[:, b]) | ((re[:, a] == re[:, b]) & (im[:, a] > im[:, b]))
         re[swap, a], re[swap, b] = re[swap, b], re[swap, a]
@@ -145,10 +137,8 @@ def _select_batch(kappa: int, re, im, M: float, C: float, gp, k, w2: float):
         selected = np.where(take, re[:, col], selected)
         bound |= take
     m1, m2 = _margins(kappa, selected, M, C, gp)
-    if kappa < 0:
-        residual = np.where(m1 > 0.0, m2 - k * np.sqrt(w2 / (2.0 * m1)), np.nan)
-    else:
-        residual = np.where(m1 >= 0.0, k - m2 * np.sqrt(2.0 * m1 / w2), np.nan)
+    domain = m1 > 0.0 if kappa < 0 else m1 >= 0.0
+    residual = np.where(domain, _condition(kappa, k, m1, m2, w2, np.sqrt), np.nan)
     return codes, bound, selected, np.abs(residual)
 
 
@@ -178,11 +168,12 @@ def _bisect_batch(f, a, b):
 def _refine_batch(kappa: int, k, M: float, C: float, gp, w2: float, E, residual):
     """_refine_near_boundary over arrays of cells, kept where it lowers the
     residual as _select keeps it.  Returns the new (E, residual)."""
-    (b1, d1, f1), (b2, d2, f2) = _margin_forms(
-        kappa, k, M, C, gp, w2, np.sqrt, lambda x: np.where(0.0 > x, 0.0, x))
+    (b1, d1, m1), (b2, d2, m2) = _margin_forms(
+        kappa, M, C, gp, lambda x: np.where(0.0 > x, 0.0, x))
     first = ~(np.abs(E - b2) < np.abs(E - b1))  # min() keeps the first on ties
     boundary, direction = np.where(first, b1, b2), np.where(first, d1, d2)
-    f = lambda t: np.where(first, f1(t), f2(t))
+    cond = lambda margins, t: _condition(kappa, k, *margins(t), w2, np.sqrt)
+    f = lambda t: np.where(first, cond(m1, t), cond(m2, t))
     t0 = direction * (E - boundary)
     t, found = _bisect_batch(f, t0 / 16.0, t0 * 16.0)
     r = np.abs(f(t))

@@ -26,7 +26,8 @@ import sys
 from pathlib import Path
 
 from . import reference, spectra
-from .model import ConstantsUndefined, ModelParams, SymmetryKind, potential_curve
+from .model import (ConstantsUndefined, ModelParams, SymmetryKind, _check_n,
+                    potential_curve)
 
 
 def _fmt(x: float) -> str:
@@ -139,8 +140,7 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_figure2(args) -> int:
-    if args.n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {args.n_max}")
+    _check_n(args.n_max, "n_max")
     lines = ["n,eps,E"]
     for n in range(args.n_max + 1):
         for eps in _eps_list(args.eps):

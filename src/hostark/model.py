@@ -22,6 +22,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 import math
+import operator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -154,6 +155,17 @@ def derived_constants(params: ModelParams) -> DerivedConstants:
 def _check_r_max(r_max: float, note: str = "") -> None:
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be finite and > 0, got {r_max}{note}")
+
+
+def _check_n(value, name: str = "n") -> int:
+    """A level index (or n_max) as an int: any integer type, >= 0."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+    return n
 
 
 def potential_curve(params: ModelParams, r_max: float, samples: int) -> np.ndarray:

@@ -30,6 +30,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+from .model import _check_n
+
 _EPS = 1e-12
 
 
@@ -83,8 +85,7 @@ class NuReduction:
 
     def lambda_n(self, n: int) -> complex:
         """Level-n eigenvalue of the quantization sequence."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        n = _check_n(n)
         return -n * self.tau_slope - 0.5 * n * (n - 1) * (2.0 * self.sigma.c2)
 
 

@@ -26,10 +26,9 @@ The CSV files are hash-pinned; any edit fails the integrity check.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from importlib import resources
 
@@ -61,26 +60,10 @@ class ReconciliationStatus(Enum):
     UNRECONCILED = "Unreconciled"
 
 
-_FILES = {
-    TableId.TABLE1: "table1.csv",
-    TableId.TABLE2: "table2.csv",
-    TableId.GEV_SEQUENCE: "gev_sequence.csv",
-}
-
 _SHA256 = {
     "table1.csv": "129a20749b95b62f32254bfad21b4a1041002762dbf9d2cbcb0b871be8616a49",
     "table2.csv": "a69fd647bda0ed7bde343604bcad84940d039d7221a417e31dda0ea78906095d",
     "gev_sequence.csv": "a04bbca56a1320e2e9fbbb8a07492fff0b6d58955186c3af93c4dfc0005c5a7b",
-}
-
-_NOTES = {
-    TableId.TABLE1: (
-        "spin-symmetry reference levels; generating convention unknown, "
-        "not reproducible from this solver's quantization condition; "
-        "informational only"
-    ),
-    TableId.TABLE2: "pseudospin reference levels; regression target at 5e-3",
-    TableId.GEV_SEQUENCE: "field-free relativistic oscillator levels; regression target at 1e-6",
 }
 
 DEFAULT_TOLERANCES = {
@@ -102,10 +85,12 @@ class RefCell:
 class ReferenceTable:
     id: TableId
     cells: tuple[RefCell, ...]
-    note: str
 
 
 def _read_csv_text(name: str) -> str:
+    # imported here: every CLI command imports this module, only verify loads a table
+    import hashlib
+
     text = resources.files("hostark.data").joinpath(name).read_text(encoding="ascii")
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     if digest != _SHA256[name]:
@@ -117,14 +102,14 @@ def load_reference(table_id: TableId) -> ReferenceTable:
     """Load a bundled table, verifying its pinned hash."""
     if not isinstance(table_id, TableId):
         raise UnknownTable(f"unknown reference table: {table_id!r}")
-    text = _read_csv_text(_FILES[table_id])
+    text = _read_csv_text(f"{table_id.value}.csv")
     cells = []
     lines = text.splitlines()
     assert lines[0] == "row,col,value,flag"
     for line in lines[1:]:
         row, col, value, flag = line.split(",")
         cells.append(RefCell(int(row), col, float(value) if value else None, flag))
-    return ReferenceTable(table_id, tuple(cells), _NOTES[table_id])
+    return ReferenceTable(table_id, tuple(cells))
 
 
 def _col_params(table_id: TableId, col: str) -> ModelParams:
@@ -180,19 +165,7 @@ class ComparisonReport:
             "n_informational": self.n_informational,
             "max_abs_delta": self.max_abs_delta,
             "passed": self.passed,
-            "cells": [
-                {
-                    "row": c.row,
-                    "col": c.col,
-                    "reference": c.reference,
-                    "computed": c.computed,
-                    "status": c.status,
-                    "delta": c.delta,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.cells
-            ],
+            "cells": [asdict(c) for c in self.cells],
         }
 
     def to_json(self) -> str:

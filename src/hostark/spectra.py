@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import ModelParams, SymmetryKind, _stark_shift, derived_constants
+from .model import ModelParams, SymmetryKind, _check_n, _stark_shift, derived_constants
 
 _BOUNDARY_TOL = 1e-12
 
@@ -155,19 +155,26 @@ def _level_bcd(kappa: int, M, C, gp, R):
 
 def cubic_coefficients(params: ModelParams, n: int) -> CubicCoefficients:
     """Monic cubic whose roots contain the level-n energy."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_n(n)
     gp = _stark_shift(params.M, params.omega0, params.q, params.eps)
     B, C, D = _level_bcd(params.kappa, params.M, params.C, gp,
                          _rhs_squared(params.M, params.omega0, n))
     return CubicCoefficients(1.0, B, C, D, sym=params.sym, n=n, params=params)
 
 
-def _depressed(B: float, C: float, D: float) -> tuple[float, float, float]:
-    d = C - B * B / 3.0
-    e = D + B * (2.0 * B * B - 9.0 * C) / 27.0
-    p = -_power(d / 3.0, 3)
-    return d, e, p
+def _depressed(B, C, D):
+    """(d, e) of the depressed cubic y^3 + d y + e, E = y - B/3, of the monic
+    cubic (floats or arrays)."""
+    return C - B * B / 3.0, D + B * (2.0 * B * B - 9.0 * C) / 27.0
+
+
+def _deflate(y1, B, C):
+    """The root e1 = y1 - B/3 and the quadratic E^2 + b1 E + b2 it leaves of
+    the monic cubic, as (e1, b1, b1^2 - 4 b2) (floats or arrays)."""
+    e1 = y1 - B / 3.0
+    b1 = B + e1
+    b2 = C + b1 * e1
+    return e1, b1, b1 * b1 - 4.0 * b2
 
 
 def _cbrt(x: float) -> float:
@@ -192,7 +199,8 @@ def _polish(root: complex, B: float, C: float, D: float) -> complex:
 
 def _cubic_roots(B: float, C: float, D: float):
     """solve_cubic_cardano on plain floats: (sorted roots, d, e, p, cardano_real)."""
-    d, e, p = _depressed(B, C, D)
+    d, e = _depressed(B, C, D)
+    p = -_power(d / 3.0, 3)
     cardano_real = e * e >= 4.0 * p
 
     if cardano_real:
@@ -204,10 +212,7 @@ def _cubic_roots(B: float, C: float, D: float):
             z3 = -e / 2.0 - s / 2.0 if e > 0.0 else -e / 2.0 + s / 2.0
             z = _cbrt(z3)
             y1 = z - d / (3.0 * z)
-        e1 = y1 - B / 3.0
-        b1 = B + e1
-        b2 = C + b1 * e1
-        disc = b1 * b1 - 4.0 * b2
+        e1, b1, disc = _deflate(y1, B, C)
         if disc >= 0.0:
             sq = math.sqrt(disc)
             pair = (complex((-b1 + sq) / 2.0), complex((-b1 - sq) / 2.0))
@@ -258,25 +263,34 @@ def _edges(kappa: int, M: float, C: float, gp: float) -> tuple[float, float]:
     return kappa * M + C, -kappa * M - gp
 
 
+def _condition(kappa: int, k, m1, m2, w2: float, sqrt=math.sqrt):
+    """The unsquared condition of level (k - 1)/2 in the sign-condition
+    margins m1, m2 (w2 = M w0^2), zero at a level: on floats by default, on
+    arrays with NumPy's sqrt."""
+    if kappa < 0:
+        return m2 - k * sqrt(w2 / (2.0 * m1))
+    return k - m2 * sqrt(2.0 * m1 / w2)
+
+
 def _residual(kappa: int, k: int, M: float, C: float, gp: float, w2: float,
-              below: float = math.nan):
-    """The unsquared condition of level (k - 1)/2 as a function of E, nan
-    outside its domain (w2 = M w0^2); the spin residual reads below on and
-    under its gamma = 0 edge instead.  The oracle's bisection calls it once
-    per evaluation, so it writes the margins out and precomputes kappa M."""
-    kM, sign = kappa * M, float(-kappa)
+              below: float = math.nan, lo: float = -math.inf):
+    """_condition as a function of E, nan outside its domain; the spin
+    residual reads below on and under its gamma = 0 edge, and on and under
+    lo, instead.  The oracle's bisection calls it once per evaluation, so it
+    writes the margins out and precomputes kappa M."""
+    kM = kappa * M
     if kappa < 0:
         def f(E):
             m1 = E - kM - C
-            if m1 <= 0.0:
+            if E <= lo or m1 <= 0.0:
                 return below
-            return sign * (E + kM + gp) - k * math.sqrt(w2 / (2.0 * m1))
+            return _condition(kappa, k, m1, E + kM + gp, w2)
     else:
         def f(E):
             m1 = E - kM - C
             if m1 < 0.0:
                 return math.nan
-            return k - sign * (E + kM + gp) * math.sqrt(2.0 * m1 / w2)
+            return _condition(kappa, k, m1, -(E + kM + gp), w2)
     return f
 
 
@@ -310,24 +324,23 @@ def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def _margin_forms(kappa: int, k, M: float, C: float, gp, w2: float,
-                  sqrt=math.sqrt, clip=lambda x: max(x, 0.0)):
-    """The unsquared condition in the margin t from each edge, as (edge,
-    direction, f) with E = edge + direction t: on floats by default, on
-    arrays of cells with NumPy's sqrt and an array clip at 0."""
+def _margin_forms(kappa: int, M: float, C: float, gp, clip=lambda x: max(x, 0.0)):
+    """The margins (m1, m2) written in the margin t from each edge, as (edge,
+    direction, margins) with E = edge + direction t: on floats by default, on
+    arrays of cells with an array clip at 0."""
     e1, e2 = _edges(kappa, M, C, gp)
     if kappa < 0:
         return (
             # t = E + M - C (gamma margin)
-            (e1, +1.0, lambda t: (t + C - 2.0 * M + gp) - k * sqrt(w2 / (2.0 * t))),
+            (e1, +1.0, lambda t: (t, t + C - 2.0 * M + gp)),
             # t = E - M + g' (shift margin)
-            (e2, +1.0, lambda t: t - k * sqrt(w2 / (2.0 * (t + 2.0 * M - gp - C)))),
+            (e2, +1.0, lambda t: (t + 2.0 * M - gp - C, t)),
         )
     return (
         # t = E - M - C_ps (depth margin, growing upward from e1)
-        (e1, +1.0, lambda t: k + (t + e1 + M + gp) * sqrt(2.0 * t / w2)),
+        (e1, +1.0, lambda t: (t, -(t + e1 + M + gp))),
         # t = -(E + M + g') (margin below e2)
-        (e2, -1.0, lambda t: k - t * sqrt(2.0 * clip(e2 - t - M - C) / w2)),
+        (e2, -1.0, lambda t: (clip(e2 - t - M - C), t)),
     )
 
 
@@ -343,8 +356,9 @@ def _refine_near_boundary(kappa: int, k: int, M: float, C: float, gp: float,
     it well conditioned.  Returns (refined E, margin-form residual
     magnitude), or None when no bracket is found.
     """
-    boundary, direction, f = min(_margin_forms(kappa, k, M, C, gp, w2),
-                                 key=lambda c: abs(E - c[0]))
+    boundary, direction, margins = min(_margin_forms(kappa, M, C, gp),
+                                       key=lambda c: abs(E - c[0]))
+    f = lambda t: _condition(kappa, k, *margins(t), w2)
     t0 = direction * (E - boundary)
     if not 0.0 < t0 < math.inf:
         return None
@@ -451,8 +465,7 @@ def select_physical_root(sol: CubicSolution, params: ModelParams, n: int) -> Ene
 
 def _solve(params: ModelParams, n: int) -> EnergyLevel:
     """One level through the scalar root stage, on plain floats."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_n(n)
     kappa = params.kappa
     M, C = params.M, params.C
     gp = _stark_shift(M, params.omega0, params.q, params.eps)
@@ -482,31 +495,32 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int,
     2n+1 at both ends of its window lo = e1, hi = e2 and is smallest at
     lo + (hi - lo)/3, so the bracket (lo + (hi - lo)/3, hi) holds the
     tabulated upper root.  Rel-HO without a bracket is relativistic_ho_level.
-    Roots are located to 1e-12.
+    Roots are located to 1e-12.  SPIN_EQ and PSEUDOSPIN_EQ must match
+    params.sym.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_n(n)
     M, C, omega0 = params.M, params.C, params.omega0
     if equation is Equation.REL_HO:
         if bracket is None:
             return relativistic_ho_level(M, omega0, n)
         return _bisect(lambda E: _relho_residual(M, omega0, n, E), *bracket)
 
-    kappa = -1 if equation is Equation.SPIN_EQ else +1
+    kappa = params.kappa
+    if equation is not (Equation.SPIN_EQ if kappa < 0 else Equation.PSEUDOSPIN_EQ):
+        raise ValueError(f"equation {equation.value} needs {equation.value} "
+                         f"parameters, got {params.sym.value}")
     gp = _stark_shift(M, omega0, params.q, params.eps)
     k, w2 = 2 * n + 1, M * omega0 ** 2
-    f = _residual(kappa, k, M, C, gp, w2, below=-math.inf)
-    if bracket is None:
-        e1, e2 = _edges(kappa, M, C, gp)
-        if kappa < 0:
-            lo, residual = max(e1, e2), f
-            bracket = (lo, lo + 2.0 * (k * k * w2 / 2.0) ** (1.0 / 3.0))
-            f = lambda E: -math.inf if E <= lo else residual(E)
-        elif e1 >= e2:
-            raise NoSignChange("pseudospin sign conditions define an empty window")
-        else:
-            bracket = (e1 + (e2 - e1) / 3.0, e2)
-    return _bisect(f, *bracket)
+    if bracket is not None:
+        return _bisect(_residual(kappa, k, M, C, gp, w2, -math.inf), *bracket)
+    e1, e2 = _edges(kappa, M, C, gp)
+    if kappa < 0:
+        lo = max(e1, e2)
+        return _bisect(_residual(kappa, k, M, C, gp, w2, -math.inf, lo),
+                       lo, lo + 2.0 * (k * k * w2 / 2.0) ** (1.0 / 3.0))
+    if e1 >= e2:
+        raise NoSignChange("pseudospin sign conditions define an empty window")
+    return _bisect(_residual(kappa, k, M, C, gp, w2), e1 + (e2 - e1) / 3.0, e2)
 
 
 def relativistic_ho_level(M: float, omega: float, n: int) -> float:
@@ -517,8 +531,7 @@ def relativistic_ho_level(M: float, omega: float, n: int) -> float:
     """
     if M <= 0 or omega <= 0:
         raise ValueError("M and omega must be > 0")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_n(n)
     return _bisect(
         lambda E: _relho_residual(M, omega, n, E),
         M,
@@ -531,8 +544,7 @@ def nr_spin_level(params: ModelParams, n: int) -> float:
 
     The whole oscillator ladder is rigidly shifted down by g_shift.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_n(n)
     return params.omega0 * (n + 0.5) - derived_constants(params).g_shift
 
 
@@ -541,8 +553,7 @@ def nr_pseudospin_level(params: ModelParams, n: int) -> float:
 
     Implemented literally as (w0^2 / 2M)(n + 1/2)^2 [1 + (q eps / 2 M w0)^2]^-2.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_n(n)
     base = params.omega0 ** 2 / (2.0 * params.M) * (n + 0.5) ** 2
     bracket = 1.0 + (params.q * params.eps / (2.0 * params.M * params.omega0)) ** 2
     return base * bracket ** -2
@@ -558,8 +569,7 @@ def spectrum_grid(params: ModelParams, n_max: int,
     """
     from ._grid import _solve_grid
 
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = _check_n(n_max, "n_max")
     grid = [dataclasses.replace(params, eps=float(eps)) for eps in eps_list]
     if not grid:
         return []

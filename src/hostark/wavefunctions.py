@@ -47,8 +47,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (ConstantsUndefined, ModelParams, SymmetryKind, _check_r_max,
-                    derived_constants)
+from .model import (ConstantsUndefined, ModelParams, SymmetryKind, _check_n,
+                    _check_r_max, derived_constants)
 from .spectra import EnergyLevel, Status, solve_level
 
 
@@ -143,8 +143,7 @@ def shape_constants(params: ModelParams, energy: float) -> ShapeConstants:
 
 def hermite(n: int, x):
     """Physicists' Hermite polynomial via H_{k+1} = 2x H_k - 2k H_{k-1}."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_n(n)
     x = np.asarray(x)
     dtype = complex if np.iscomplexobj(x) else float
     h = np.ones_like(x, dtype=dtype)
@@ -156,8 +155,7 @@ def hermite(n: int, x):
 
 def assoc_laguerre(n: int, alpha: float, x):
     """Associated Laguerre polynomial via the three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_n(n)
     if alpha <= -1:
         raise ValueError(f"alpha must be > -1, got {alpha}")
     x = np.asarray(x)
@@ -181,8 +179,7 @@ def upper_spinor_F(params: ModelParams, n: int, r, energy: float | None = None):
 
 def nr_radial_R(params: ModelParams, n: int, r):
     """Nonrelativistic radial function: displaced Gaussian times Hermite."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _check_n(n)
     lam = math.sqrt(params.M * params.omega0)
     r0 = derived_constants(params).r0
     r = np.asarray(r, dtype=float)

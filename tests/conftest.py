@@ -4,7 +4,7 @@ import time
 import numpy as np
 
 from hostark.model import derived_constants
-from hostark.spectra import _depressed, _polish
+from hostark.spectra import _depressed, _polish, _power
 
 SESSION_START = time.perf_counter()
 
@@ -35,7 +35,8 @@ def cardano_complex_roots(B, C, D):
     Valid in both discriminant regimes; an independent cross-check of
     solve_cubic_cardano, sharing only its depressed form and Newton polish.
     """
-    d, e, p = _depressed(B, C, D)
+    d, e = _depressed(B, C, D)
+    p = -_power(d / 3.0, 3)
     if d == 0.0 and e == 0.0:
         y = (0j, 0j, 0j)
     else:

@@ -402,7 +402,8 @@ EXPORTS = {
 IMPORT_FOOTPRINT_SCRIPT = """
 import sys
 import hostark, hostark.cli
-loaded = [m for m in ("numpy", "hostark._grid", "hostark.wavefunctions") if m in sys.modules]
+loaded = [m for m in ("numpy", "hostark._grid", "hostark.wavefunctions", "hashlib")
+          if m in sys.modules]
 assert not loaded, loaded
 sys.modules["numpy"] = None  # any `import numpy` raises ImportError
 for argv in (["verify"], ["figure2", "--M", "1.5", "--omega0", "0.4"], ["nu-check"]):
@@ -418,6 +419,7 @@ for module, names in EXPORTS.items():
 
 
 def test_cli_imports_numpy_only_where_used():
-    """import hostark, hostark.cli loads no NumPy, the array-free commands run
-    without it, and every exported name resolves lazily to its submodule's."""
+    """import hostark, hostark.cli loads no NumPy and no hashlib, the
+    array-free commands run without NumPy, and every exported name resolves
+    lazily to its submodule's."""
     run_fresh(f"EXPORTS = {EXPORTS!r}\n" + IMPORT_FOOTPRINT_SCRIPT)

@@ -2,20 +2,22 @@
 scalar route, solve_level, field for field (alternates and diagnostics
 included).  Rows are compared by repr, which unlike == tells 0.0 from -0.0."""
 
+import cmath
 import dataclasses
 import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import numpy as np
 
 from hostark.model import ModelParams, SymmetryKind
-from hostark._grid import _bisect_batch
+from hostark._grid import _bisect_batch, _newton_batch
 from hostark.spectra import (
     NoSignChange,
     _bisect,
+    _polish,
     cubic_coefficients,
     select_physical_root,
     solve_cubic_cardano,
@@ -186,3 +188,49 @@ def test_batch_bisection_stops_where_scalar_bisection_stops(cells):
             assert not found[i]
         else:
             assert found[i] and repr(roots[i].item()) == repr(root)
+
+
+# a real root: 0.0, subnormals, +-1e150 or an ordinary value
+real_roots = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                     1e150, -1e150]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def cubics_at_a_real_root(draw):
+    """(z, B, C, D): a monic (E - r)(E^2 + p E + q) started a few ulps from
+    its real root r.  The quadratic holds a real pair, a complex pair, or a
+    root next to r, where f' -> 0 at the nearly double root."""
+    r = draw(real_roots)
+    kind = draw(st.sampled_from(["real", "complex", "double"]))
+    a, b = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    if kind == "double":
+        a = r + draw(st.floats(-1e-6, 1e-6)) * max(1.0, abs(r))
+    if kind == "complex":
+        p, q = -2.0 * a, a * a + b * b
+    else:
+        p, q = -(a + b), a * b
+    z = r + draw(st.integers(-4, 4)) * math.ulp(r)
+    B, C, D = p - r, q - r * p, -r * q
+    assume(all(map(math.isfinite, (z, B, C, D))))
+    return z, B, C, D
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases=st.lists(cubics_at_a_real_root(), min_size=1, max_size=8))
+def test_newton_batch_on_real_roots_equals_polish(cases):
+    # the complex iterate at zero imaginary part takes _polish's real steps;
+    # where _polish leaves float64 the cell is not finite either, and the
+    # batch route hands such cells to the scalar stage
+    z, B, C, D = (np.array(x) for x in zip(*cases))
+    with np.errstate(all="ignore"):
+        zr, zi = _newton_batch(z, np.zeros_like(z), B, C, D)
+    for i, case in enumerate(cases):
+        want = _polish(complex(case[0]), *case[1:])
+        got = complex(zr[i], zi[i])
+        if cmath.isfinite(want):
+            assert repr(got) == repr(want)
+        else:
+            assert not cmath.isfinite(got)

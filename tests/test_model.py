@@ -1,9 +1,13 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hostark import nu, spectra, wavefunctions
+from hostark.cli import build_parser
 from hostark.model import (
     ModelParams,
     SymmetryKind,
@@ -158,3 +162,46 @@ class TestPotentialCurve:
     def test_rejects_bad_grid(self, bad):
         with pytest.raises(ValueError):
             potential_curve(params(), **bad)
+
+
+def _figure2_stdout(n_max):
+    args = build_parser().parse_args(["figure2", "--M", "1.5", "--omega0", "0.4"])
+    args.n_max = n_max
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        args.func(args)
+    return out.getvalue()
+
+
+_P = params(eps=0.5)
+_PS = params(sym=SymmetryKind.PSEUDOSPIN, C=-10.3)
+_NU = nu.reduce(*nu.oscillator_instance(2.0, 4.0, 1.0))[0]
+_X = np.linspace(0.0, 2.0, 5)
+
+# every entry point that takes a level index (or n_max) from its caller
+LEVEL_INDEX_ENTRY_POINTS = {
+    "cubic_coefficients": ("n", lambda n: spectra.cubic_coefficients(_P, n)),
+    "solve_level": ("n", lambda n: spectra.solve_level(_PS, n)),
+    "bisection_oracle": ("n", lambda n: spectra.bisection_oracle(
+        spectra.Equation.SPIN_EQ, _P, n)),
+    "relativistic_ho_level": ("n", lambda n: spectra.relativistic_ho_level(1.0, 1.0, n)),
+    "nr_spin_level": ("n", lambda n: spectra.nr_spin_level(_P, n)),
+    "nr_pseudospin_level": ("n", lambda n: spectra.nr_pseudospin_level(_PS, n)),
+    "spectrum_grid": ("n_max", lambda n: spectra.spectrum_grid(_PS, n, [0.1, 0.5])),
+    "hermite": ("n", lambda n: wavefunctions.hermite(n, _X)),
+    "assoc_laguerre": ("n", lambda n: wavefunctions.assoc_laguerre(n, 0.5, _X)),
+    "nr_radial_R": ("n", lambda n: wavefunctions.nr_radial_R(_P, n, _X)),
+    "NuReduction.lambda_n": ("n", lambda n: _NU.lambda_n(n)),
+    "figure2": ("n_max", _figure2_stdout),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LEVEL_INDEX_ENTRY_POINTS))
+def test_level_index_must_be_a_nonnegative_integer(entry):
+    name, call = LEVEL_INDEX_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got 1.5$"):
+        call(1.5)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+        call(-1)
+    # a NumPy integer is an index like any other, and gives the same result
+    assert repr(call(np.int64(2))) == repr(call(2))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hostark.spectra import (
     Equation,
     NoSignChange,
     Status,
+    _margin_forms,
+    _margins,
     field_free_closed_form_variant,
     bisection_oracle,
     cubic_coefficients,
@@ -316,6 +319,15 @@ class TestBisectionOracle:
         assert bisection_oracle(Equation.PSEUDOSPIN_EQ, p, 2) == pytest.approx(
             lvl.E, abs=1e-9)
 
+    @pytest.mark.parametrize("eq, p", [(Equation.SPIN_EQ, PSEUDO_TBL),
+                                       (Equation.PSEUDOSPIN_EQ, SPIN_TBL)])
+    def test_equation_must_match_the_symmetry(self, eq, p):
+        # C_ps is not a C_s: the other channel's condition has other roots
+        with pytest.raises(ValueError, match=f"equation {eq.value} needs"):
+            bisection_oracle(eq, p, 0)
+        assert bisection_oracle(Equation.REL_HO, p, 0) == relativistic_ho_level(
+            p.M, p.omega0, 0)
+
     def test_empty_pseudospin_window(self):
         # C_ps so shallow that E - M - C_ps > 0 and E + M + g' < 0 cannot hold
         with pytest.raises(NoSignChange):
@@ -414,6 +426,29 @@ class TestUnsquaredConsistency:
                     assert "complex" in alt.reason
                 else:
                     assert alt.reason.startswith("fails") or "bound pair" in alt.reason
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.one_of(
+               st.builds(ModelParams, M=st.floats(0.1, 10.0), omega0=st.floats(0.05, 5.0),
+                         eps=st.floats(0.0, 5.0), sym=st.sampled_from(list(SymmetryKind)),
+                         C=st.floats(-40.0, 20.0)),
+               st.builds(ModelParams, M=st.floats(0.1, 100.0),
+                         omega0=st.floats(0.005, 50.0),
+                         q=st.sampled_from([1.0, -1.0, 0.5, 2.0]), eps=st.floats(0.0, 60.0),
+                         sym=st.sampled_from(list(SymmetryKind)),
+                         C=st.floats(-1000.0, 1000.0))),
+           log_t=st.floats(-40.0, 10.0))
+    def test_margin_forms_are_the_margins(self, p, log_t):
+        # each form writes (m1, m2) in the margin t from its edge; through
+        # E = edge + direction t they are the same margins up to rounding
+        gp = derived_constants(p).g_shift
+        for edge, direction, margins in _margin_forms(p.kappa, p.M, p.C, gp):
+            t = math.exp(log_t) * max(1.0, abs(edge))
+            E = edge + direction * t
+            tol = 8.0 * sys.float_info.epsilon * (abs(edge) + t + 2.0 * p.M + abs(p.C) + gp)
+            for got, want in zip(margins(t), _margins(p.kappa, E, p.M, p.C, gp)):
+                # the pseudospin form from e2 clips its depth margin at 0
+                assert abs(got - want) <= tol or got == 0.0 > want
 
 
 class TestBreakdownThreshold:
