@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 import math
 import operator
+import sys
 
 if TYPE_CHECKING:
     import numpy as np
@@ -158,13 +159,15 @@ def _check_r_max(r_max: float, note: str = "") -> None:
 
 
 def _check_n(value, name: str = "n") -> int:
-    """A level index (or n_max) as an int: any integer type, >= 0."""
+    """A level index (or n_max) as an int: any integer type, 0 <= n <= float64 max."""
     try:
         n = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
+    if n > sys.float_info.max:  # the level formulas take n + 0.5
+        raise ValueError(f"{name} must be within float64 range, got {n.bit_length()} bits")
     return n
 
 

@@ -82,10 +82,17 @@ class ShapeConstants:
 
     def _spin_factors(self, r):
         """lambda^2, the envelope exp[-eps1 (lambda^2 r^2/2 - b r)] and the
-        Laguerre argument eps2 (lambda^2 r - b)^2 of the spin components."""
+        Laguerre argument eps2 (lambda^2 r - b)^2 of the spin components, as new arrays."""
         lam2 = self.lambda_scale ** 2
-        return (lam2, np.exp(-self.eps1 * (0.5 * lam2 * r * r - self.b * r)),
-                self.eps2 * (lam2 * r - self.b) ** 2)
+        envelope = np.multiply(0.5 * lam2, r, out=np.empty_like(r))
+        envelope *= r
+        envelope -= self.b * r
+        envelope *= -self.eps1
+        xi = lam2 * r  # a scalar for 0-d r: there ** 2 is C pow, not np.square
+        xi -= self.b
+        xi **= 2
+        xi *= self.eps2
+        return lam2, np.exp(envelope, out=envelope), xi
 
     def _lower_g(self, dF, F, r):
         """The spin derivative relation d0 (dF/dr + kappa/r F)."""
@@ -148,8 +155,10 @@ def hermite(n: int, x):
     dtype = complex if np.iscomplexobj(x) else float
     h = np.ones_like(x, dtype=dtype)
     hm1 = np.zeros_like(x, dtype=dtype)
+    tmp, x2 = np.empty_like(h), 2.0 * x
     for k in range(n):
-        h, hm1 = 2.0 * x * h - 2.0 * k * hm1, h
+        np.subtract(np.multiply(x2, h, out=tmp), np.multiply(2.0 * k, hm1, out=hm1), out=hm1)
+        h, hm1 = hm1, h  # H_{k+1} in H_{k-1}'s buffer
     return h[()] if h.ndim == 0 else h
 
 
@@ -163,29 +172,38 @@ def assoc_laguerre(n: int, alpha: float, x):
     lk = np.ones_like(x, dtype=dtype)
     if n == 0:
         return lk[()] if lk.ndim == 0 else lk
-    lkp1 = 1.0 + alpha - x
+    lkp1, tmp = np.subtract(1.0 + alpha, x, out=np.empty_like(lk)), np.empty_like(lk)
     for k in range(1, n):
-        lk, lkp1 = lkp1, ((2 * k + 1 + alpha - x) * lkp1 - (k + alpha) * lk) / (k + 1)
+        np.multiply(np.subtract(2 * k + 1 + alpha, x, out=tmp), lkp1, out=tmp)
+        np.subtract(tmp, np.multiply(k + alpha, lk, out=lk), out=lk)
+        lk, lkp1 = lkp1, np.divide(lk, k + 1, out=lk)  # L_{k+1} in L_{k-1}'s buffer
     return lkp1[()] if lkp1.ndim == 0 else lkp1
 
 
 def upper_spinor_F(params: ModelParams, n: int, r, energy: float | None = None):
     """Unnormalized upper spinor component at the solved spin level."""
     _, sc, r = _evaluation("upper_spinor_F", SymmetryKind.SPIN, params, n, r, energy)
-    _, envelope, xi = sc._spin_factors(r)
-    out = envelope * assoc_laguerre(n, 0.0, xi)
+    _, out, xi = sc._spin_factors(r)
+    out *= assoc_laguerre(n, 0.0, xi)
     return float(out) if out.ndim == 0 else out
 
 
 def nr_radial_R(params: ModelParams, n: int, r):
     """Nonrelativistic radial function: displaced Gaussian times Hermite."""
     n = _check_n(n)
+    if n > 150:  # 2^n n! overflows float64 from n = 151 on
+        raise ValueError(f"n = {n} is past 150, where 2^n n! in R_n overflows float64")
     lam = math.sqrt(params.M * params.omega0)
     r0 = derived_constants(params).r0
     r = np.asarray(r, dtype=float)
     x = r - r0
     pref = (lam * lam / math.pi) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
-    out = pref * np.exp(-0.5 * lam * lam * x * x) * hermite(n, lam * x)
+    out = np.multiply(-0.5 * lam * lam, x, out=np.empty_like(r))
+    out *= x
+    np.exp(out, out=out)
+    out *= pref
+    x *= lam
+    out *= hermite(n, x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -245,34 +263,50 @@ def _guarded_div(num, den):
     return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
 
 
+def _simpson_rule(x):
+    """simpson(., x) as a function of y alone: the factors that depend on the
+    grid x only are computed once, for every integral on that grid."""
+    h = np.diff(x)
+    odd = len(x) % 2 == 1
+    stop = len(x) - 2 if odd else len(x) - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _guarded_div(h0, h1)
+    w, c = hsum / 6.0, 2.0 - h0divh1
+    a, b = 2.0 - _guarded_div(1.0, h0divh1), hsum * _guarded_div(hsum, hprod)
+    if not odd:
+        # 0-d arrays, as in SciPy, so that ** takes the same NumPy loop
+        h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
+        alpha = _guarded_div(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+        beta = _guarded_div(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+        eta = _guarded_div(1 * h1 ** 3, 6 * h0 * (h0 + h1))
+
+    def integrate(y):
+        y = np.asarray(y)
+        acc = y[0:stop:2] * a  # w * (y0 a + y1 b + y2 c), summed in one buffer
+        acc += y[1:stop + 1:2] * b
+        acc += y[2:stop + 2:2] * c
+        acc *= w
+        result = np.sum(acc)
+        if odd:
+            return result
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+        return result + 0.0  # SciPy adds 0.0 here too, which turns -0.0 into 0.0
+
+    return integrate
+
+
 def simpson(y, x):
     """Composite Simpson integral of samples y on the grid x (N >= 3 points).
 
     Repeats scipy.integrate.simpson(y, x=x) of SciPy 1.17 on 1-D input
     operation for operation, so the result is the same bit for bit: the
     nonuniform three-point rule over pairs of intervals, and for even N
-    Cartwright's correction for the last interval.
+    Cartwright's correction for the last interval.  sample_radial and
+    mean_radius compute the grid factors once for all their integrals.
     """
-    y = np.asarray(y)
-    h = np.diff(x)
-    odd = len(y) % 2 == 1
-    stop = len(y) - 2 if odd else len(y) - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = _guarded_div(h0, h1)
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - _guarded_div(1.0, h0divh1))
-                                  + y[1:stop + 1:2] * (hsum * _guarded_div(hsum, hprod))
-                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
-    if odd:
-        return result
-    # 0-d arrays, as in SciPy, so that ** takes the same NumPy loop
-    h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
-    alpha = _guarded_div(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
-    beta = _guarded_div(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
-    eta = _guarded_div(1 * h1 ** 3, 6 * h0 * (h0 + h1))
-    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result + 0.0  # SciPy adds 0.0 here too, which turns -0.0 into 0.0
+    return _simpson_rule(x)(y)
 
 
 def mean_radius(rf: "RadialFunction") -> float:
@@ -282,7 +316,8 @@ def mean_radius(rf: "RadialFunction") -> float:
     displacement (the closed forms place the density center at +r0).
     """
     w = np.abs(rf.values) ** 2
-    return float(simpson(rf.r * w, x=rf.r) / simpson(w, x=rf.r))
+    integrate = _simpson_rule(rf.r)
+    return float(integrate(rf.r * w) / integrate(w))
 
 
 def realness_defect(values) -> float:
@@ -367,22 +402,24 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
     r = np.linspace(0.0, r_max, samples)
     if kind is RadialKind.LOWER_G:
         r[0] = 1e-8
-    values = np.asarray(_EVALUATORS[kind](params, n, r))
-
-    with np.errstate(over="ignore"):
-        raw_norm_sq = float(simpson(np.abs(values) ** 2, x=r))
-    if normalize:
-        if not math.isfinite(raw_norm_sq):
-            # |values|^2 overflowed: normalize the peak-scaled samples instead
-            raw_peak = float(np.max(np.abs(values)))
-            if 0.0 < raw_peak < math.inf:
-                values = values / raw_peak
-                raw_norm_sq = float(simpson(np.abs(values) ** 2, x=r))
-        if raw_norm_sq <= 0.0:
-            raise ValueError("cannot normalize an identically zero function")
-        values = values / math.sqrt(raw_norm_sq)
-    norm = float(simpson(np.abs(values) ** 2, x=r))
-    peak = float(np.max(np.abs(values)))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples raise below
+        values = np.asarray(_EVALUATORS[kind](params, n, r))
+        integrate, modulus = _simpson_rule(r), np.abs(values)
+        norm = float(integrate(modulus ** 2))
+        if normalize:
+            if not math.isfinite(norm):
+                # |values|^2 overflowed: normalize the peak-scaled samples instead
+                raw_peak = float(np.max(modulus))
+                if 0.0 < raw_peak < math.inf:
+                    values /= raw_peak
+                    norm = float(integrate(np.abs(values, out=modulus) ** 2))
+            if norm <= 0.0:
+                raise ValueError("cannot normalize an identically zero function")
+            values /= math.sqrt(norm)
+            norm = float(integrate(np.abs(values, out=modulus) ** 2))
+    peak = float(np.max(modulus))
+    if not math.isfinite(peak):
+        raise ValueError(f"{kind.value} at n={n} has non-finite samples (float64 overflow)")
     return RadialFunction(
         kind=kind,
         n=n,

@@ -254,6 +254,24 @@ class TestErrors:
         assert err.count("\n") == 1
         assert "--r-max" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--kind", "F", "--n", "400"), "UpperF at n=400 has non-finite samples"),
+        (("--kind", "G", "--n", "400"), "LowerG at n=400 has non-finite samples"),
+        (("--kind", "F", "--n", "400", "--no-normalize"),
+         "UpperF at n=400 has non-finite samples"),
+        (("--kind", "R", "--n", "160"), "n = 160 is past 150"),
+        (("--kind", "R", "--n", "200"), "n = 200 is past 150"),
+        (("--kind", "R", "--n", "1100"), "n = 1100 is past 150"),
+        (("--kind", "F", "--n", str(10 ** 400)), "n must be within float64 range"),
+    ])
+    def test_wavefunction_past_float64_exits_two(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "wavefunction", *flags, "--M", "1.5",
+                                 "--omega0", "0.4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_figure2_negative_n_max_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "figure2", "--M", "1", "--omega0", "1",
                                  "--n-max", "-1")

@@ -205,3 +205,11 @@ def test_level_index_must_be_a_nonnegative_integer(entry):
         call(-1)
     # a NumPy integer is an index like any other, and gives the same result
     assert repr(call(np.int64(2))) == repr(call(2))
+
+
+@pytest.mark.parametrize("entry", sorted(LEVEL_INDEX_ENTRY_POINTS))
+def test_level_index_past_float64_range_is_rejected(entry):
+    # the level formulas take n + 0.5, which cannot convert such an n
+    name, call = LEVEL_INDEX_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be within float64 range, got 1329 bits$"):
+        call(10 ** 400)

@@ -210,6 +210,14 @@ class TestNrRadialR:
         for n in range(11):
             assert count_nodes(nr_radial_R(p, n, r)) == n
 
+    def test_index_past_150_is_rejected(self):
+        # 2^n n! overflows float64 from n = 151 on (and 2.0 ** n from 1024)
+        r = np.linspace(0.0, 40.0, 101)
+        assert np.all(np.isfinite(nr_radial_R(spin(), 150, r)))
+        for n in (151, 170, 171, 1100):
+            with pytest.raises(ValueError, match=f"^n = {n} is past 150"):
+                nr_radial_R(spin(), n, r)
+
     def test_translation_covariance_exact(self):
         p = spin(eps=1.3)
         p0 = spin(eps=0.0)
@@ -338,6 +346,13 @@ class TestSampling:
         assert np.all(np.isfinite(rf.values))
         assert rf.norm == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(rf.values)) > 0.0
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("kind", [RadialKind.UPPER_F, RadialKind.LOWER_G])
+    def test_nan_samples_are_rejected(self, kind, normalize):
+        # L_400 of the envelope argument overflows to inf - inf = nan
+        with pytest.raises(ValueError, match=f"^{kind.value} at n=400 has non-finite samples"):
+            sample_radial(kind, spin(M=1.5, omega0=0.4), 400, normalize=normalize)
 
     def test_lower_g_grid_avoids_origin(self):
         rf = sample_radial(RadialKind.LOWER_G, spin(eps=0.3), 0, samples=501)
