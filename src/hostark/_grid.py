@@ -8,9 +8,9 @@ import numpy as np
 
 from .model import ModelParams, _stark_shift
 from .spectra import (
-    _BOUNDARY_TOL, _COMPLEX, _LOWER, _REASONS, ChannelScalars, EnergyLevel, RejectedRoot,
-    Status, _alternate_code, _cbrt, _condition, _deflate, _depressed, _level_bcd,
-    _level_scalars, _margin_forms, _margins, _power, _rhs_squared, _solve,
+    _BOUNDARY_TOL, _COMPLEX, _LOWER, _MAX_HALVINGS, _REASONS, ChannelScalars, EnergyLevel,
+    RejectedRoot, Status, _alternate_code, _cbrt, _condition, _deflate, _depressed,
+    _level_bcd, _level_scalars, _margin_forms, _margins, _power, _rhs_squared, solve_level,
 )
 
 # ---------------------------------------------------------------- batch route
@@ -102,7 +102,7 @@ def _cubic_roots_batch(B, C, D):
 
     t = ~cardano_real
     u = np.sqrt(-d[t] / 3.0)
-    arg = -e[t] / (2.0 * _map(lambda x: x ** 3, u))
+    arg = -e[t] / (2.0 * _map(lambda x: _power(x, 3), u))
     arg = np.where(arg > -1.0, arg, -1.0)  # min(1.0, max(-1.0, arg))
     arg = np.where(arg < 1.0, arg, 1.0)
     theta = _map(math.acos, arg) / 3.0
@@ -144,13 +144,13 @@ def _select_batch(kappa: int, re, im, M: float, C: float, gp, k, w2: float):
 
 def _bisect_batch(f, a, b):
     """_bisect with tol=0 over arrays of brackets, each cell stopping where
-    _bisect stops.  Returns (roots, found): found is False where _bisect
-    raises NoSignChange."""
+    _bisect stops (after at most _MAX_HALVINGS halvings).  Returns (roots,
+    found): found is False where _bisect raises NoSignChange."""
     fa, fb = f(a), f(b)
     found = ~(np.isnan(fa) | np.isnan(fb) | ((fa < 0.0) == (fb < 0.0)))
     exact, x = (fa == 0.0) | (fb == 0.0), np.where(fa == 0.0, a, b)
     live = found & ~exact
-    for _ in range(200):
+    for _ in range(_MAX_HALVINGS):
         m = 0.5 * (a + b)
         live &= ~(b - a <= 0.0) & (m != a) & (m != b)
         if not live.any():
@@ -233,7 +233,7 @@ def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
             *(x.astype(complex).tolist() for x in (gamma, alpha, v, beta))):
         alternates, start = tuple(rejected[start:end]), end
         if go_scalar:
-            levels.append(_solve(p, n))
+            levels.append(solve_level(p, n))
         elif has:
             levels.append(EnergyLevel(n, kappa, Status.BOUND, E, res, alternates, ccr,
                                       boundary, ChannelScalars(g, a, vv, b)))

@@ -26,8 +26,7 @@ import sys
 from pathlib import Path
 
 from . import reference, spectra
-from .model import (ConstantsUndefined, ModelParams, SymmetryKind, _check_n,
-                    potential_curve)
+from .model import ModelParams, SymmetryKind, _check_n, potential_curve
 
 
 def _fmt(x: float) -> str:
@@ -73,6 +72,8 @@ def _resolve_omega0(args) -> float:
         raise ValueError("give either --omega0 or --omega0-inv, not both")
     if args.omega0 is not None:
         return args.omega0
+    if args.omega0_inv == 0.0:
+        raise ValueError(f"--omega0-inv must be nonzero, got {args.omega0_inv}")
     if args.omega0_inv is not None:
         return 1.0 / args.omega0_inv
     raise ValueError("one of --omega0 / --omega0-inv is required")
@@ -111,8 +112,7 @@ def _spectrum_row(params: ModelParams, level: spectra.EnergyLevel) -> dict:
         "status": level.status.value,
         "root_alt1": alts[0],
         "root_alt2": alts[1],
-        "discriminant_flag": (spectra.Status.CARDANO_COMPLEX_REGIME.value
-                              if level.cardano_complex_regime else ""),
+        "discriminant_flag": "CardanoComplexRegime" if level.cardano_complex_regime else "",
     }
 
 
@@ -150,21 +150,15 @@ def _cmd_figure2(args) -> int:
     return 0
 
 
-# each --kind: the RadialKind member name and the symmetry limit
-_KINDS = {
-    "F": ("UPPER_F", SymmetryKind.SPIN),
-    "G": ("LOWER_G", SymmetryKind.SPIN),
-    "R": ("NONREL_R", SymmetryKind.SPIN),
-    "Gps": ("PSEUDO_LOWER_G", SymmetryKind.PSEUDOSPIN),
-}
+# each --kind and its RadialKind member name (the member gives the channel)
+_KINDS = {"F": "UPPER_F", "G": "LOWER_G", "R": "NONREL_R", "Gps": "PSEUDO_LOWER_G"}
 
 
 def _cmd_wavefunction(args) -> int:
     from . import wavefunctions
 
-    name, sym = _KINDS[args.kind]
-    kind = wavefunctions.RadialKind[name]
-    params = _params(args, sym, args.eps)
+    kind = wavefunctions.RadialKind[_KINDS[args.kind]]
+    params = _params(args, kind.sym, args.eps)
     rf = wavefunctions.sample_radial(
         kind, params, args.n, r_max=args.r_max, samples=args.samples,
         normalize=args.normalize,
@@ -219,6 +213,7 @@ def _cmd_nu_check(args) -> int:
     return 0
 
 
+# each --table choice but all, and its table, in the order all reports them
 _VERIFY_TABLES = {
     "gev": reference.TableId.GEV_SEQUENCE,
     "table2": reference.TableId.TABLE2,
@@ -251,25 +246,22 @@ def _closed_form_variant_section() -> dict:
 
 
 def _cmd_verify(args) -> int:
-    if args.table == "all":
-        ids = [reference.TableId.GEV_SEQUENCE, reference.TableId.TABLE2,
-               reference.TableId.TABLE1]
-    else:
-        ids = [_VERIFY_TABLES[args.table]]
+    everything = args.table == "all"
+    ids = _VERIFY_TABLES.values() if everything else [_VERIFY_TABLES[args.table]]
     reports = [reference.compare(tid, args.tolerance) for tid in ids]
     failed = any(r.passed is False for r in reports)
+    if everything:
+        bd, cf = _breakdown_section(), _closed_form_variant_section()
 
     if args.format == "json":
         payload = {"reports": [r.to_json_dict() for r in reports]}
-        if args.table == "all":
-            payload["pseudospin_breakdown"] = _breakdown_section()
-            payload["field_free_closed_form"] = _closed_form_variant_section()
+        if everything:
+            payload.update(pseudospin_breakdown=bd, field_free_closed_form=cf)
         payload["passed"] = not failed
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:
         chunks = [r.to_text() for r in reports]
-        if args.table == "all":
-            bd = _breakdown_section()
+        if everything:
             chunks.append(
                 "pseudospin breakdown scan (M=1.5, omega0=1/2.4, C_ps=-10.3, n=0):\n"
                 f"  discriminant flip at eps = {bd['eps_discriminant_flip']:.9f}\n"
@@ -277,7 +269,6 @@ def _cmd_verify(args) -> int:
                 f"  scanned window {bd['scan_window']},"
                 f" reference breakdown window {bd['reference_breakdown_window']}"
             )
-            cf = _closed_form_variant_section()
             chunks.append(
                 "field-free closed-form variant at (M=1, omega0=1, n=0):\n"
                 f"  variant value {cf['variant_value'][0]:.7f}"
@@ -343,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nu_check)
 
     p = sub.add_parser("verify", help="compare against bundled reference tables")
-    p.add_argument("--table", choices=["gev", "table2", "table1", "all"],
-                   default="all")
+    p.add_argument("--table", choices=[*_VERIFY_TABLES, "all"], default="all")
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output", default="-")
@@ -361,8 +351,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, reference.UnknownTable, spectra.NoSignChange,
-            ConstantsUndefined) as exc:
+    except ValueError as exc:  # every input error of the library is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

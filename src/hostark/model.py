@@ -29,12 +29,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-# Raised by wavefunctions, which re-exports it; defined here so that the CLI
-# can map it to exit code 2 without importing wavefunctions (and NumPy).
-class ConstantsUndefined(Exception):
-    """Shape constants are not defined at this energy (e.g. gamma <= 0)."""
-
-
 class SymmetryKind(Enum):
     """Which Dirac symmetry limit a parameter set refers to.
 

@@ -35,7 +35,7 @@ from .model import _check_n
 _EPS = 1e-12
 
 
-class NuError(Exception):
+class NuError(ValueError):
     """Base class for reduction failures."""
 
 

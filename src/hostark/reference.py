@@ -40,7 +40,7 @@ TABLE_PARAMS_M = 1.5
 TABLE_PARAMS_OMEGA0 = 1.0 / 2.4
 
 
-class UnknownTable(Exception):
+class UnknownTable(ValueError):
     """Requested reference table does not exist."""
 
 

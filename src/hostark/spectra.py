@@ -45,21 +45,17 @@ from .model import ModelParams, SymmetryKind, _check_n, _stark_shift, derived_co
 _BOUNDARY_TOL = 1e-12
 
 
-class DegenerateCubic(Exception):
+class DegenerateCubic(ValueError):
     """Leading cubic coefficient is zero."""
 
 
-class NoSignChange(Exception):
+class NoSignChange(ValueError):
     """The residual does not change sign over the bracket."""
 
 
 class Status(Enum):
     BOUND = "Bound"
     NO_PHYSICAL_ROOT = "NoPhysicalRoot"
-    # Discriminant-regime marker (e^2 < 4p: three real roots reached through
-    # complex intermediates).  Carried as a flag on solutions and levels;
-    # selection itself reports BOUND / NO_PHYSICAL_ROOT.
-    CARDANO_COMPLEX_REGIME = "CardanoComplexRegime"
 
 
 class CubicMethod(Enum):
@@ -77,15 +73,12 @@ class Equation(Enum):
 
 @dataclass(frozen=True)
 class CubicCoefficients:
-    """Monic cubic A E^3 + B E^2 + C E + D with provenance."""
+    """Cubic A E^3 + B E^2 + C E + D."""
 
     A: float
     B: float
     C: float
     D: float
-    sym: SymmetryKind | None = None
-    n: int | None = None
-    params: ModelParams | None = None
 
 
 @dataclass(frozen=True)
@@ -159,7 +152,7 @@ def cubic_coefficients(params: ModelParams, n: int) -> CubicCoefficients:
     gp = _stark_shift(params.M, params.omega0, params.q, params.eps)
     B, C, D = _level_bcd(params.kappa, params.M, params.C, gp,
                          _rhs_squared(params.M, params.omega0, n))
-    return CubicCoefficients(1.0, B, C, D, sym=params.sym, n=n, params=params)
+    return CubicCoefficients(1.0, B, C, D)
 
 
 def _depressed(B, C, D):
@@ -223,7 +216,7 @@ def _cubic_roots(B: float, C: float, D: float):
     else:
         # e^2 < 4p forces p > 0, hence d < 0
         u = math.sqrt(-d / 3.0)
-        arg = min(1.0, max(-1.0, -e / (2.0 * u ** 3)))
+        arg = min(1.0, max(-1.0, -e / (2.0 * _power(u, 3))))
         theta = math.acos(arg) / 3.0
         roots = tuple(
             complex(2.0 * u * math.cos(theta - 2.0 * math.pi * k / 3.0) - B / 3.0)
@@ -298,9 +291,15 @@ def _relho_residual(M: float, omega: float, n: int, E: float) -> float:
     return math.sqrt((E + M) / (2.0 * M)) * (E - M) - (n + 0.5) * omega
 
 
+# Enough halvings to take any float64 bracket down to adjacent floats: one
+# to zero, then 2098 from 2^1024 to the smallest subnormal 2^-1074.
+_MAX_HALVINGS = 2100
+
+
 def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
     """Root of f between a and b, where f must change sign, to within tol or
-    until the midpoint equals an end of the bracket (at most 200 halvings)."""
+    until the midpoint equals an end of the bracket (at most _MAX_HALVINGS
+    halvings, which any float64 bracket reaches)."""
     fa, fb = f(a), f(b)
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         raise NoSignChange(f"no sign change over [{a}, {b}]")
@@ -308,7 +307,7 @@ def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
         return a
     if fb == 0.0:
         return b
-    for _ in range(200):
+    for _ in range(_MAX_HALVINGS):
         if b - a <= tol:
             break
         m = 0.5 * (a + b)
@@ -436,7 +435,7 @@ def _select(params: ModelParams, kappa: int, n: int, gp: float, roots,
     rejected += [RejectedRoot(complex(r.real), reasons[_LOWER])
                  for r, c in zip(roots, codes)
                  if _alternate_code(c, r.real, selected) == _LOWER]
-    w2 = M * params.omega0 ** 2
+    w2 = M * _power(params.omega0, 2)
     residual = abs(_residual(kappa, 2 * n + 1, M, C, gp, w2)(selected))
     if residual > 1e-9:
         refined = _refine_near_boundary(kappa, 2 * n + 1, M, C, gp, w2, selected)
@@ -463,8 +462,8 @@ def select_physical_root(sol: CubicSolution, params: ModelParams, n: int) -> Ene
     return _select(params, params.kappa, n, gp, sol.roots, sol.cardano_real)
 
 
-def _solve(params: ModelParams, n: int) -> EnergyLevel:
-    """One level through the scalar root stage, on plain floats."""
+def solve_level(params: ModelParams, n: int) -> EnergyLevel:
+    """Level-n energy in the symmetry limit of the parameters."""
     n = _check_n(n)
     kappa = params.kappa
     M, C = params.M, params.C
@@ -472,11 +471,6 @@ def _solve(params: ModelParams, n: int) -> EnergyLevel:
     roots, _, _, _, cardano_real = _cubic_roots(
         *_level_bcd(kappa, M, C, gp, _rhs_squared(M, params.omega0, n)))
     return _select(params, kappa, n, gp, roots, cardano_real)
-
-
-def solve_level(params: ModelParams, n: int) -> EnergyLevel:
-    """Level-n energy in the symmetry limit of the parameters."""
-    return _solve(params, n)
 
 
 def bisection_oracle(equation: Equation, params: ModelParams, n: int,
@@ -510,14 +504,20 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int,
         raise ValueError(f"equation {equation.value} needs {equation.value} "
                          f"parameters, got {params.sym.value}")
     gp = _stark_shift(M, omega0, params.q, params.eps)
-    k, w2 = 2 * n + 1, M * omega0 ** 2
+    k, w2 = 2 * n + 1, M * _power(omega0, 2)
+    try:
+        rhs = k * k * w2 / 2.0  # R of the level cubic, k^2 M w0^2 / 2
+    except OverflowError:  # k^2 is past float64
+        rhs = math.inf
+    if not math.isfinite(rhs):
+        raise ValueError(f"(2n+1)^2 M omega0^2 / 2 is not finite in float64 at n={n}")
     if bracket is not None:
         return _bisect(_residual(kappa, k, M, C, gp, w2, -math.inf), *bracket)
     e1, e2 = _edges(kappa, M, C, gp)
     if kappa < 0:
         lo = max(e1, e2)
         return _bisect(_residual(kappa, k, M, C, gp, w2, -math.inf, lo),
-                       lo, lo + 2.0 * (k * k * w2 / 2.0) ** (1.0 / 3.0))
+                       lo, lo + 2.0 * rhs ** (1.0 / 3.0))
     if e1 >= e2:
         raise NoSignChange("pseudospin sign conditions define an empty window")
     return _bisect(_residual(kappa, k, M, C, gp, w2), e1 + (e2 - e1) / 3.0, e2)
@@ -552,11 +552,15 @@ def nr_pseudospin_level(params: ModelParams, n: int) -> float:
     """Nonrelativistic limit of the pseudospin branch (always positive).
 
     Implemented literally as (w0^2 / 2M)(n + 1/2)^2 [1 + (q eps / 2 M w0)^2]^-2.
+    Raises ValueError where float64 cannot hold it.
     """
     n = _check_n(n)
-    base = params.omega0 ** 2 / (2.0 * params.M) * (n + 0.5) ** 2
-    bracket = 1.0 + (params.q * params.eps / (2.0 * params.M * params.omega0)) ** 2
-    return base * bracket ** -2
+    base = _power(params.omega0, 2) / (2.0 * params.M) * _power(n + 0.5, 2)
+    bracket = 1.0 + _power(params.q * params.eps / (2.0 * params.M * params.omega0), 2)
+    E = base * bracket ** -2
+    if not math.isfinite(E):
+        raise ValueError(f"nr_pseudospin_level is not finite in float64 at n={n}")
+    return E
 
 
 def spectrum_grid(params: ModelParams, n_max: int,

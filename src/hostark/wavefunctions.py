@@ -47,12 +47,15 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (ConstantsUndefined, ModelParams, SymmetryKind, _check_n,
-                    _check_r_max, derived_constants)
+from .model import ModelParams, SymmetryKind, _check_n, _check_r_max, derived_constants
 from .spectra import EnergyLevel, Status, solve_level
 
 
-class SingularAtOrigin(Exception):
+class ConstantsUndefined(ValueError):
+    """Shape constants are not defined at this energy (e.g. gamma <= 0)."""
+
+
+class SingularAtOrigin(ValueError):
     """The kappa/r term makes the lower component singular at r = 0."""
 
 
@@ -61,6 +64,13 @@ class RadialKind(Enum):
     LOWER_G = "LowerG"
     NONREL_R = "NonRelR"
     PSEUDO_LOWER_G = "PseudoLowerG"
+
+    @property
+    def sym(self) -> SymmetryKind:
+        """The symmetry limit whose parameters this component is evaluated at."""
+        if self is RadialKind.PSEUDO_LOWER_G:
+            return SymmetryKind.PSEUDOSPIN
+        return SymmetryKind.SPIN
 
 
 @dataclass(frozen=True)
@@ -110,14 +120,18 @@ def _level_energy(params: ModelParams, n: int, energy: float | None) -> float:
     return level.E
 
 
-def _evaluation(fn: str, sym: SymmetryKind, params: ModelParams, n: int, r,
+def _evaluation(fn: str, kind: RadialKind, params: ModelParams, n: int, r,
                 energy: float | None):
-    """(E, shape constants, r as a float array) for the evaluator fn of channel sym."""
-    if params.sym is not sym:
-        what = "spin-symmetry" if sym is SymmetryKind.SPIN else "pseudospin"
+    """(E, shape constants, r as a float array) for the evaluator fn of kind:
+    params must be of its channel, and r >= 1e-8 for the lower spin component."""
+    if params.sym is not kind.sym:
+        what = "spin-symmetry" if kind.sym is SymmetryKind.SPIN else "pseudospin"
         raise ValueError(f"{fn} requires {what} parameters")
     E = _level_energy(params, n, energy)
-    return E, shape_constants(params, E), np.asarray(r, dtype=float)
+    sc, r = shape_constants(params, E), np.asarray(r, dtype=float)
+    if kind is RadialKind.LOWER_G and np.any(r < 1e-8):
+        raise SingularAtOrigin("lower component needs r >= 1e-8")
+    return E, sc, r
 
 
 def shape_constants(params: ModelParams, energy: float) -> ShapeConstants:
@@ -154,6 +168,8 @@ def hermite(n: int, x):
     x = np.asarray(x)
     dtype = complex if np.iscomplexobj(x) else float
     h = np.ones_like(x, dtype=dtype)
+    if n == 0:
+        return h[()] if h.ndim == 0 else h
     hm1 = np.zeros_like(x, dtype=dtype)
     tmp, x2 = np.empty_like(h), 2.0 * x
     for k in range(n):
@@ -182,7 +198,7 @@ def assoc_laguerre(n: int, alpha: float, x):
 
 def upper_spinor_F(params: ModelParams, n: int, r, energy: float | None = None):
     """Unnormalized upper spinor component at the solved spin level."""
-    _, sc, r = _evaluation("upper_spinor_F", SymmetryKind.SPIN, params, n, r, energy)
+    _, sc, r = _evaluation("upper_spinor_F", RadialKind.UPPER_F, params, n, r, energy)
     _, out, xi = sc._spin_factors(r)
     out *= assoc_laguerre(n, 0.0, xi)
     return float(out) if out.ndim == 0 else out
@@ -218,9 +234,7 @@ def lower_spinor_G(params: ModelParams, n: int, r, energy: float | None = None):
     Central differences with step h = 1e-6 max(1, r); r must stay >= 1e-8
     because of the kappa/r term.
     """
-    E, sc, r = _evaluation("lower_spinor_G", SymmetryKind.SPIN, params, n, r, energy)
-    if np.any(r < 1e-8):
-        raise SingularAtOrigin("lower component needs r >= 1e-8")
+    E, sc, r = _evaluation("lower_spinor_G", RadialKind.LOWER_G, params, n, r, energy)
     dF = _central_dF(params, n, r, 1e-6 * np.maximum(1.0, r), E)
     out = sc._lower_g(dF, upper_spinor_F(params, n, r, E), r)
     return float(out) if out.ndim == 0 else out
@@ -233,10 +247,8 @@ def lower_spinor_G_closed_form(params: ModelParams, n: int, r,
     Carries the polynomial-derivative term as + L_n^(1) of the squared
     argument; compare against lower_spinor_G, do not substitute for it.
     """
-    _, sc, r = _evaluation("lower_spinor_G_closed_form", SymmetryKind.SPIN,
+    _, sc, r = _evaluation("lower_spinor_G_closed_form", RadialKind.LOWER_G,
                            params, n, r, energy)
-    if np.any(r < 1e-8):
-        raise SingularAtOrigin("lower component needs r >= 1e-8")
     lam2, envelope, xi = sc._spin_factors(r)
     bracket = (sc.eps1 * (sc.b - lam2 * r) + SymmetryKind.SPIN.kappa / r) \
         * assoc_laguerre(n, 0.0, xi) \
@@ -251,7 +263,7 @@ def pseudo_lower_G(params: ModelParams, n: int, r, energy: float | None = None):
     For bound levels the result is real up to floating-point noise; use
     realness_defect to quantify the residual imaginary part.
     """
-    _, sc, r = _evaluation("pseudo_lower_G", SymmetryKind.PSEUDOSPIN, params, n, r, energy)
+    _, sc, r = _evaluation("pseudo_lower_G", RadialKind.PSEUDO_LOWER_G, params, n, r, energy)
     lam2 = sc.lambda_scale ** 2
     arg = -1j * sc.eps2p * (lam2 * r - sc.b) ** 2
     out = np.exp(1j * sc.eps1p * (-sc.b * r + 0.5 * lam2 * r * r)) * hermite(n, arg)

@@ -263,6 +263,7 @@ class TestErrors:
         (("--kind", "R", "--n", "200"), "n = 200 is past 150"),
         (("--kind", "R", "--n", "1100"), "n = 1100 is past 150"),
         (("--kind", "F", "--n", str(10 ** 400)), "n must be within float64 range"),
+        (("--kind", "G", "--n", "0", "--r-max", "1e-9"), "lower component needs r >= 1e-8"),
     ])
     def test_wavefunction_past_float64_exits_two(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "wavefunction", *flags, "--M", "1.5",
@@ -271,6 +272,18 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("command", [
+        ("spectrum", "--symmetry", "spin"), ("potential",), ("figure2",),
+        ("wavefunction", "--kind", "F", "--n", "0"),
+    ], ids=lambda command: command[0])
+    def test_zero_omega0_inv_exits_two(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--M", "1.5", "--omega0-inv", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "--omega0-inv must be nonzero" in err
 
     def test_figure2_negative_n_max_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "figure2", "--M", "1", "--omega0", "1",
@@ -434,6 +447,21 @@ for module, names in EXPORTS.items():
         assert name in dir(hostark), name
         assert getattr(hostark, name) is getattr(getattr(hostark, module), name), name
 """
+
+
+def test_input_errors_are_value_errors():
+    """cli.main maps ValueError, and only it, to exit code 2: every input
+    error of the library is one, a corrupted install is not."""
+    import hostark
+    from hostark import model
+    from hostark.reference import IntegrityError
+
+    for name in ("NoSignChange", "DegenerateCubic", "UnknownTable", "NuError",
+                 "SingularAtOrigin", "ConstantsUndefined"):
+        assert issubclass(getattr(hostark, name), ValueError), name
+    assert not issubclass(IntegrityError, ValueError)
+    assert not [v for v in vars(model).values()
+                if isinstance(v, type) and issubclass(v, BaseException)]
 
 
 def test_cli_imports_numpy_only_where_used():

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from hostark import wavefunctions as wf
-from hostark.model import ConstantsUndefined, ModelParams, SymmetryKind, derived_constants
+from hostark.model import ModelParams, SymmetryKind, derived_constants
 from hostark.spectra import Status, solve_level
+from hostark.wavefunctions import ConstantsUndefined
 
 # ------------------------------------------------------------ frozen reference
 

@@ -294,6 +294,13 @@ class TestBisectionOracle:
         with pytest.raises(NoSignChange):
             bisection_oracle(Equation.PSEUDOSPIN_EQ, pseudo(), 0, bracket=(0.0, 1.0))
 
+    def test_rel_ho_root_past_200_halvings(self):
+        # the default bracket [1, 1e201 + 11] holds the root 1.71e133 (50-digit
+        # value 1.70997594667669698935e133): ~280 halvings to float resolution
+        E = relativistic_ho_level(1.0, 1e200, 0)
+        assert E == pytest.approx(1.7099759466766970e133, rel=1e-15)
+        assert bisection_oracle(Equation.REL_HO, ModelParams(M=1.0, omega0=1e200), 0) == E
+
     def test_rel_ho_default_bracket(self):
         assert bisection_oracle(Equation.REL_HO, GEV, 2) == pytest.approx(
             2.8110575, abs=1e-6
@@ -481,3 +488,18 @@ class TestFieldFreeClosedFormVariant:
         assert value.real == pytest.approx(0.547043499594, abs=1e-6)
         assert abs(value.imag) < 1e-9
         assert abs(value.real - relativistic_ho_level(1.0, 1.0, 0)) > 0.5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bisection_oracle(Equation.SPIN_EQ, ModelParams(M=1.0, omega0=1e200), 0),
+    lambda: bisection_oracle(Equation.SPIN_EQ, GEV, 10 ** 200),
+    lambda: nr_pseudospin_level(ModelParams(M=1.0, omega0=1.0), 10 ** 200),
+    lambda: nr_pseudospin_level(ModelParams(M=1.0, omega0=1e200), 0),
+    # finite d = -3.3e239 whose cube overflows, in the trigonometric branch
+    lambda: solve_level(ModelParams(M=1e-300, omega0=1.0, C=-1e120), 10 ** 200),
+    lambda: spectrum_grid(ModelParams(M=1e-300, omega0=1e200, C=-1e120), 2, [0.0]),
+], ids=["oracle-omega0", "oracle-n", "nr-pseudospin-n", "nr-pseudospin-omega0",
+        "level-trig-cube", "grid-trig-cube"])
+def test_float64_overflow_is_a_value_error(call):
+    with pytest.raises(ValueError, match="not finite in float64"):
+        call()
