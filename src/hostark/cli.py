@@ -13,20 +13,24 @@ Exit codes: 0 success, 1 gating verification failure, 2 flag/parameter
 errors.  Identical argv produces byte-identical output (fixed 17
 significant-digit formatting, deterministic ordering).
 
-Only spectrum, potential and wavefunction load NumPy, when they run.  The
-pure-math modules spectra and reference load with this one (perfbench's
-traced run binds their functions after importing it); nu loads in nu-check.
+Only wavefunction loads NumPy, when it runs: spectrum solves its grid cell
+by cell with the scalar solve_level and potential samples its curve on
+floats, both equal to the NumPy routes (spectrum_grid, potential_curve) bit
+for bit.  The pure-math modules spectra and reference load with this one
+(perfbench's traced run binds their functions after importing it); nu loads
+in nu-check.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import reference, spectra
-from .model import ModelParams, SymmetryKind, _check_n, potential_curve
+from .model import ModelParams, SymmetryKind, _check_n, _potential_rows, _stark_shift
 
 
 def _fmt(x: float) -> str:
@@ -117,12 +121,16 @@ def _spectrum_row(params: ModelParams, level: spectra.EnergyLevel) -> dict:
 
 
 def _cmd_spectrum(args) -> int:
-    sym = SymmetryKind(args.symmetry)
-    params = _params(args, sym, 0.0)
-    rows = [
-        _spectrum_row(p, level)
-        for p, level in spectra.spectrum_grid(params, args.n_max, _eps_list(args.eps))
-    ]
+    # the rows and errors of spectra.spectrum_grid, one cell at a time: the
+    # batch saves less than its NumPy import costs below 5,500-8,800 cells
+    params = _params(args, SymmetryKind(args.symmetry), 0.0)
+    eps_list = _eps_list(args.eps)
+    n_max = _check_n(args.n_max, "n_max")
+    grid = [dataclasses.replace(params, eps=eps) for eps in eps_list]
+    for p in grid:  # every g_shift before any cell, as the batch checks them
+        _stark_shift(p.M, p.omega0, p.q, p.eps)
+    rows = [_spectrum_row(p, spectra.solve_level(p, n))
+            for n in range(n_max + 1) for p in grid]
     if args.format == "json":
         _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.output)
         return 0
@@ -133,8 +141,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_potential(args) -> int:
     params = _params(args, SymmetryKind.SPIN, args.eps)
-    curve = potential_curve(params, args.r_max, args.samples)
-    lines = ["r,V"] + [f"{_fmt(r)},{_fmt(v)}" for r, v in curve]
+    rows = _potential_rows(params, args.r_max, args.samples)
+    lines = ["r,V"] + [f"{_fmt(r)},{_fmt(v)}" for r, v in rows]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

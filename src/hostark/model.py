@@ -98,6 +98,12 @@ class DerivedConstants:
     M_s: float
 
 
+def _potential(M, omega0, q, eps, r):
+    """(1/2) M w0^2 r^2 - q eps r in one operation order, so a float r and
+    each element of an array r give the same bits."""
+    return 0.5 * M * omega0 * omega0 * r * r - q * eps * r
+
+
 def combined_potential(M, omega0, q, eps, r):
     """Raw potential kernel (1/2) M w0^2 r^2 - q eps r, vectorized over r.
 
@@ -106,8 +112,7 @@ def combined_potential(M, omega0, q, eps, r):
     """
     import numpy as np
 
-    r = np.asarray(r, dtype=float)
-    v = 0.5 * M * omega0 * omega0 * r * r - q * eps * r
+    v = _potential(M, omega0, q, eps, np.asarray(r, dtype=float))
     return float(v) if v.ndim == 0 else v
 
 
@@ -165,12 +170,35 @@ def _check_n(value, name: str = "n") -> int:
     return n
 
 
+def _check_curve(r_max: float, samples: int) -> None:
+    _check_r_max(r_max)
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+
+
 def potential_curve(params: ModelParams, r_max: float, samples: int) -> np.ndarray:
     """Uniformly sampled (r, V(r)) curve on [0, r_max], shape (samples, 2)."""
     import numpy as np
 
-    _check_r_max(r_max)
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+    _check_curve(r_max, samples)
     r = np.linspace(0.0, r_max, samples)
     return np.column_stack((r, eval_potential(params, r)))
+
+
+def _potential_rows(params: ModelParams, r_max: float, samples: int) -> list[tuple[float, float]]:
+    """The rows of potential_curve on plain floats, equal bit for bit.
+
+    r repeats np.linspace(0.0, r_max, samples): i * step with step =
+    r_max / (samples - 1), or (i / (samples - 1)) * r_max where step
+    underflows to 0, and the last point set to r_max.
+    """
+    _check_curve(r_max, samples)
+    div = samples - 1
+    step = r_max / div
+    if step == 0.0:
+        r = [i / div * r_max for i in range(samples)]
+    else:
+        r = [i * step for i in range(samples)]
+    r[-1] = r_max
+    M, omega0, q, eps = params.M, params.omega0, params.q, params.eps
+    return [(x, _potential(M, omega0, q, eps, x)) for x in r]

@@ -37,6 +37,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -299,7 +300,8 @@ _MAX_HALVINGS = 2100
 def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
     """Root of f between a and b, where f must change sign, to within tol or
     until the midpoint equals an end of the bracket (at most _MAX_HALVINGS
-    halvings, which any float64 bracket reaches)."""
+    halvings, which any float64 bracket reaches).  The midpoint is
+    0.5 (a + b), or 0.5 a + 0.5 b where a + b overflows."""
     fa, fb = f(a), f(b)
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         raise NoSignChange(f"no sign change over [{a}, {b}]")
@@ -308,19 +310,19 @@ def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
     if fb == 0.0:
         return b
     for _ in range(_MAX_HALVINGS):
-        if b - a <= tol:
-            break
         m = 0.5 * (a + b)
-        if m == a or m == b:
+        if math.isinf(m):
+            m = 0.5 * a + 0.5 * b
+        if b - a <= tol or m == a or m == b:
             break
         fm = f(m)
         if fm == 0.0:
-            return m
+            break
         if (fm < 0.0) == (fa < 0.0):
             a, fa = m, fm
         else:
             b, fb = m, fm
-    return 0.5 * (a + b)
+    return m
 
 
 def _margin_forms(kappa: int, M: float, C: float, gp, clip=lambda x: max(x, 0.0)):
@@ -511,6 +513,9 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int,
         rhs = math.inf
     if not math.isfinite(rhs):
         raise ValueError(f"(2n+1)^2 M omega0^2 / 2 is not finite in float64 at n={n}")
+    if rhs == 0.0:  # so w2 > 0 too: the pseudospin condition divides by it
+        raise ValueError(f"(2n+1)^2 M omega0^2 / 2 underflows to 0 in float64 at "
+                         f"M={M}, omega0={omega0}")
     if bracket is not None:
         return _bisect(_residual(kappa, k, M, C, gp, w2, -math.inf), *bracket)
     e1, e2 = _edges(kappa, M, C, gp)
@@ -527,7 +532,8 @@ def relativistic_ho_level(M: float, omega: float, n: int) -> float:
     """Oscillator level with relativistic mass correction (field-free limit).
 
     Root E > M of sqrt((E + M)/(2M)) (E - M) = (n + 1/2) omega, found by
-    safeguarded bisection on [M, M + 10(n+1) omega + 10].
+    safeguarded bisection on [M, M + 10(n+1) omega + 10], its upper end
+    clipped to the largest float.
     """
     if M <= 0 or omega <= 0:
         raise ValueError("M and omega must be > 0")
@@ -535,7 +541,7 @@ def relativistic_ho_level(M: float, omega: float, n: int) -> float:
     return _bisect(
         lambda E: _relho_residual(M, omega, n, E),
         M,
-        M + 10.0 * (n + 1) * omega + 10.0,
+        min(M + 10.0 * (n + 1) * omega + 10.0, sys.float_info.max),
     )
 
 
@@ -555,8 +561,12 @@ def nr_pseudospin_level(params: ModelParams, n: int) -> float:
     Raises ValueError where float64 cannot hold it.
     """
     n = _check_n(n)
+    two_m_w0 = 2.0 * params.M * params.omega0
+    if two_m_w0 == 0.0:
+        raise ValueError(f"2 M omega0 underflows to 0 in float64 at "
+                         f"M={params.M}, omega0={params.omega0}")
     base = _power(params.omega0, 2) / (2.0 * params.M) * _power(n + 0.5, 2)
-    bracket = 1.0 + _power(params.q * params.eps / (2.0 * params.M * params.omega0), 2)
+    bracket = 1.0 + _power(params.q * params.eps / two_m_w0, 2)
     E = base * bracket ** -2
     if not math.isfinite(E):
         raise ValueError(f"nr_pseudospin_level is not finite in float64 at n={n}")

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hostark.cli import main
-from hostark.model import ModelParams
+from hostark.model import ModelParams, potential_curve
 from hostark.reference import TableId, load_reference
 from hostark.spectra import nr_spin_level
 
@@ -316,6 +319,78 @@ class TestErrors:
         assert target.read_text().startswith("r,V\n")
 
 
+# errors of spectrum and potential, each first in the order the commands
+# check their inputs: M, omega0, q and C, the eps list, n_max, each eps, each
+# g_shift, then the cells (spectrum); the parameters, r_max, samples (potential)
+BASE = ("--M", "1.5", "--omega0", "0.4")
+INPUT_ERRORS = [
+    (("spectrum", "--symmetry", "spin", "--eps", "abc", "--M", "-1", "--omega0", "1"),
+     "M must be > 0, got -1.0"),
+    (("spectrum", "--symmetry", "spin", "--eps", "0,abc", "--n-max", "-1", *BASE),
+     "cannot parse field-strength list '0,abc'"),
+    (("spectrum", "--symmetry", "spin", "--eps", "0.5,-1", "--n-max", "-1", *BASE),
+     "n_max must be >= 0, got -1"),
+    (("spectrum", "--symmetry", "spin", "--eps", "0.5,-1", *BASE),
+     "eps must be >= 0, got -1.0"),
+    (("spectrum", "--symmetry", "spin", "--eps", "1", "--q", "0", *BASE),
+     "q must be nonzero when eps > 0"),
+    (("spectrum", "--symmetry", "spin", "--C=-10.3", "--eps", "0.5,1e75", *BASE),
+     "the level cubic is not finite in float64: B=4.166666666666665e+150, "
+     "C=4.340277777777774e+300, D=5.121527777777773e+301"),
+    # the g_shift of a later eps overflows before the cubic of an earlier one
+    (("spectrum", "--symmetry", "pseudospin", "--C=-10.3", "--eps", "0.5,1e75,1e160",
+      *BASE), "g_shift is not finite in float64 at M=1.5, omega0=0.4, q=1.0, eps=1e+160"),
+    (("potential", "--r-max", "0", "--samples", "1", "--eps", "-1", *BASE),
+     "eps must be >= 0, got -1.0"),
+    (("potential", "--r-max", "0", "--samples", "1", *BASE),
+     "r_max must be finite and > 0, got 0.0"),
+    (("potential", "--samples", "1", *BASE), "samples must be >= 2, got 1"),
+    (("potential", "--samples", "-3", *BASE), "samples must be >= 2, got -3"),
+    (("potential", "--eps", "1", "--q", "0", *BASE), "q must be nonzero when eps > 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INPUT_ERRORS)
+def test_spectrum_and_potential_input_errors(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def cli_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(r_max=st.floats(min_value=5e-324, max_value=1e308),
+       samples=st.integers(min_value=2, max_value=3000),
+       M=st.floats(min_value=1e-3, max_value=1e3),
+       omega0=st.floats(min_value=1e-3, max_value=1e3),
+       q=st.sampled_from([1.0, -2.0, 0.5]),
+       eps=st.floats(min_value=0.0, max_value=1e3))
+@example(r_max=15.0, samples=2, M=1.5, omega0=0.4, q=1.0, eps=2.0)
+@example(r_max=0.1, samples=200_001, M=1.5, omega0=0.4, q=1.0, eps=2.0)
+@example(r_max=1 / 3, samples=600, M=1.0, omega0=1.0, q=-2.0, eps=0.5)
+# r_max / (samples - 1) underflows to 0, where NumPy scales i / (samples - 1)
+@example(r_max=1e-322, samples=7, M=1.0, omega0=1.0, q=1.0, eps=0.5)
+# V overflows: inf, and inf - inf = nan
+@example(r_max=1e308, samples=50, M=1.5, omega0=0.4, q=1.0, eps=1e3)
+def test_potential_rows_equal_potential_curve(r_max, samples, M, omega0, q, eps):
+    """The float rows of the potential command are model.potential_curve bit
+    for bit (%.17g round-trips every float, nan and -0.0 included)."""
+    text = cli_stdout("potential", "--M", repr(M), "--omega0", repr(omega0),
+                      "--q", repr(q), "--eps", repr(eps), "--r-max", repr(r_max),
+                      "--samples", str(samples))
+    rows = [tuple(map(float, line.split(","))) for line in text.splitlines()[1:]]
+    with np.errstate(all="ignore"):
+        curve = potential_curve(ModelParams(M=M, omega0=omega0, q=q, eps=eps),
+                                r_max, samples)
+    assert len(rows) == samples
+    assert [tuple(map(repr, row)) for row in rows] == \
+        [(repr(float(r)), repr(float(v))) for r, v in curve]
+
+
 DATA = Path(__file__).parent / "data"
 WIDE_EPS = "0,0.5,1,1.5,2,2.5,3,3.5,4,4.5,5"
 GOLDEN_SPECTRA = {
@@ -437,9 +512,14 @@ loaded = [m for m in ("numpy", "hostark._grid", "hostark.wavefunctions", "hashli
           if m in sys.modules]
 assert not loaded, loaded
 sys.modules["numpy"] = None  # any `import numpy` raises ImportError
-for argv in (["verify"], ["figure2", "--M", "1.5", "--omega0", "0.4"], ["nu-check"]):
+spectrum = ["spectrum", "--symmetry", "pseudospin", "--M", "1.5", "--omega0", "0.4",
+            "--C=-10.3", "--eps", "0,0.5,2", "--n-max", "3"]
+for argv in (["verify"], ["figure2", "--M", "1.5", "--omega0", "0.4"], ["nu-check"],
+             spectrum, spectrum + ["--format", "json"],
+             ["potential", "--M", "1.5", "--omega0", "0.4", "--eps", "2"]):
     code = hostark.cli.main(argv)
     assert code == 0, (argv, code)
+assert "hostark._grid" not in sys.modules
 del sys.modules["numpy"]
 for module, names in EXPORTS.items():
     assert module in dir(hostark), module
@@ -465,7 +545,8 @@ def test_input_errors_are_value_errors():
 
 
 def test_cli_imports_numpy_only_where_used():
-    """import hostark, hostark.cli loads no NumPy and no hashlib, the
-    array-free commands run without NumPy, and every exported name resolves
-    lazily to its submodule's."""
+    """import hostark, hostark.cli loads no NumPy and no hashlib, every
+    command but wavefunction runs without NumPy (spectrum without the batch
+    route hostark._grid), and every exported name resolves lazily to its
+    submodule's."""
     run_fresh(f"EXPORTS = {EXPORTS!r}\n" + IMPORT_FOOTPRINT_SCRIPT)

@@ -12,6 +12,7 @@ from hostark.spectra import (
     Equation,
     NoSignChange,
     Status,
+    _bisect,
     _margin_forms,
     _margins,
     field_free_closed_form_variant,
@@ -503,3 +504,30 @@ class TestFieldFreeClosedFormVariant:
 def test_float64_overflow_is_a_value_error(call):
     with pytest.raises(ValueError, match="not finite in float64"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    # 2 M omega0 underflows to 0, and q eps / (2 M omega0) divided by it
+    (lambda: nr_pseudospin_level(ModelParams(M=1e-300, omega0=1e-300), 0),
+     "2 M omega0 underflows to 0"),
+    # w2 = M omega0^2 underflows to 0, and the pseudospin condition divides by it
+    (lambda: bisection_oracle(Equation.PSEUDOSPIN_EQ, ModelParams(
+        M=1e100, omega0=1e-200, sym=SymmetryKind.PSEUDOSPIN, C=-1e120), 0),
+     "/ 2 underflows to 0"),
+], ids=["nr-pseudospin", "oracle-pseudospin"])
+def test_float64_underflow_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_bisection_stays_finite_in_the_top_binade():
+    top = sys.float_info.max
+    # the bracket end M + 10 (n+1) omega + 10 overflows; the root is ~1.71e205
+    E = relativistic_ho_level(1.0, 1e308, 0)
+    assert math.isfinite(E)
+    assert (E - 1.0) * math.sqrt((E + 1.0) / 2.0) == pytest.approx(0.5e308, rel=1e-12)
+    # a + b overflows at every halving while the root is near the top
+    root = _bisect(lambda x: x - 0.999 * top, -top, top)
+    assert root == pytest.approx(0.999 * top, rel=1e-15)
+    # below the top binade the midpoint is 0.5 (a + b), as before
+    assert _bisect(lambda x: x - 1.0, 0.0, 3.0, tol=0.0) == 1.0
