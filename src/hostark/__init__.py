@@ -14,8 +14,8 @@ import importlib
 # load on first access (PEP 562), so `import hostark` costs no NumPy.
 _EXPORTS = {
     "model": (
-        "DerivedConstants", "ModelParams", "SymmetryKind", "combined_potential",
-        "derived_constants", "eval_potential", "potential_curve",
+        "DerivedConstants", "ModelParams", "SymmetryKind", "derived_constants",
+        "eval_potential", "potential_curve",
     ),
     "nu": (
         "NoAdmissibleBranch", "NonPolynomialRoot", "NuError", "NuReduction", "Poly2",

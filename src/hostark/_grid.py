@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, _stark_shift
+from .model import ModelParams
 from .spectra import (
     _BOUNDARY_TOL, _COMPLEX, _LOWER, _MAX_HALVINGS, _REASONS, ChannelScalars, EnergyLevel,
     RejectedRoot, Status, _alternate_code, _cbrt, _condition, _deflate, _depressed,
@@ -181,14 +181,16 @@ def _refine_batch(kappa: int, k, M: float, C: float, gp, w2: float, E, residual)
     return np.where(keep, boundary + direction * t, E), np.where(keep, r, residual)
 
 
-def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
+def _solve_grid(grid: list[ModelParams], n_max: int,
+                g_shifts: list[float]) -> list[EnergyLevel]:
     """Levels of the cells (n, grid[j]), n outer, as one NumPy batch.
 
-    The parameters differ only in eps.  Roots, selection, residual, boundary
-    flag, gamma/alpha/v/beta, the margin-form refinement and the alternates'
-    values and reasons are columns; the loop only builds the result objects
-    from them.  Cells whose cubic is not finite take the scalar stage, which
-    raises for them as solve_level does.
+    The parameters differ only in eps; g_shifts[j] is grid[j]'s g_shift.
+    Roots, selection, residual, boundary flag, gamma/alpha/v/beta, the
+    margin-form refinement and the alternates' values and reasons are
+    columns; the loop only builds the result objects from them.  Cells
+    whose cubic is not finite take the scalar stage, which raises for them
+    as solve_level does.
     """
     p0 = grid[0]
     kappa = p0.kappa
@@ -196,7 +198,7 @@ def _solve_grid(grid: list[ModelParams], n_max: int) -> list[EnergyLevel]:
     w2 = M * _power(omega0, 2)
     rows = grid * (n_max + 1)
     ns = [n for n in range(n_max + 1) for _ in grid]
-    gp = np.array([_stark_shift(M, omega0, p0.q, p.eps) for p in grid] * (n_max + 1))
+    gp = np.array(g_shifts * (n_max + 1))
     qeps = np.array([p0.q * p.eps for p in grid] * (n_max + 1))
     R = np.repeat([_rhs_squared(M, omega0, n) for n in range(n_max + 1)], len(grid))
 

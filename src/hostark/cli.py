@@ -13,24 +13,23 @@ Exit codes: 0 success, 1 gating verification failure, 2 flag/parameter
 errors.  Identical argv produces byte-identical output (fixed 17
 significant-digit formatting, deterministic ordering).
 
-Only wavefunction loads NumPy, when it runs: spectrum solves its grid cell
-by cell with the scalar solve_level and potential samples its curve on
-floats, both equal to the NumPy routes (spectrum_grid, potential_curve) bit
-for bit.  The pure-math modules spectra and reference load with this one
-(perfbench's traced run binds their functions after importing it); nu loads
-in nu-check.
+Only wavefunction loads NumPy, when it runs.  spectrum checks its grid
+with spectrum_grid's input rules and solves it cell by cell with the scalar
+solve_level, equal to spectrum_grid's NumPy batch bit for bit; potential
+prints the float rows that potential_curve is built from.  The pure-math
+modules spectra and reference load with this one (perfbench's traced run
+binds their functions after importing it); nu loads in nu-check.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import reference, spectra
-from .model import ModelParams, SymmetryKind, _check_n, _potential_rows, _stark_shift
+from .model import ModelParams, SymmetryKind, _check_n, _potential_rows
 
 
 def _fmt(x: float) -> str:
@@ -124,11 +123,7 @@ def _cmd_spectrum(args) -> int:
     # the rows and errors of spectra.spectrum_grid, one cell at a time: the
     # batch saves less than its NumPy import costs below 5,500-8,800 cells
     params = _params(args, SymmetryKind(args.symmetry), 0.0)
-    eps_list = _eps_list(args.eps)
-    n_max = _check_n(args.n_max, "n_max")
-    grid = [dataclasses.replace(params, eps=eps) for eps in eps_list]
-    for p in grid:  # every g_shift before any cell, as the batch checks them
-        _stark_shift(p.M, p.omega0, p.q, p.eps)
+    n_max, grid, _ = spectra._grid_inputs(params, args.n_max, _eps_list(args.eps))
     rows = [_spectrum_row(p, spectra.solve_level(p, n))
             for n in range(n_max + 1) for p in grid]
     if args.format == "json":

@@ -104,21 +104,13 @@ def _potential(M, omega0, q, eps, r):
     return 0.5 * M * omega0 * omega0 * r * r - q * eps * r
 
 
-def combined_potential(M, omega0, q, eps, r):
-    """Raw potential kernel (1/2) M w0^2 r^2 - q eps r, vectorized over r.
-
-    Depends on q and eps only through the product q*eps, so it is invariant
-    under the joint flip (q, eps) -> (-q, -eps).
-    """
+def eval_potential(params: ModelParams, r):
+    """V(r) for r >= 0, vectorized over r; q and eps enter only as q*eps."""
     import numpy as np
 
-    v = _potential(M, omega0, q, eps, np.asarray(r, dtype=float))
+    v = _potential(params.M, params.omega0, params.q, params.eps,
+                   np.asarray(r, dtype=float))
     return float(v) if v.ndim == 0 else v
-
-
-def eval_potential(params: ModelParams, r):
-    """Evaluate V(r) for r >= 0."""
-    return combined_potential(params.M, params.omega0, params.q, params.eps, r)
 
 
 def _stark_shift(M, omega0, q, eps):
@@ -170,29 +162,24 @@ def _check_n(value, name: str = "n") -> int:
     return n
 
 
-def _check_curve(r_max: float, samples: int) -> None:
-    _check_r_max(r_max)
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-
-
 def potential_curve(params: ModelParams, r_max: float, samples: int) -> np.ndarray:
     """Uniformly sampled (r, V(r)) curve on [0, r_max], shape (samples, 2)."""
     import numpy as np
 
-    _check_curve(r_max, samples)
-    r = np.linspace(0.0, r_max, samples)
-    return np.column_stack((r, eval_potential(params, r)))
+    return np.array(_potential_rows(params, r_max, samples))
 
 
 def _potential_rows(params: ModelParams, r_max: float, samples: int) -> list[tuple[float, float]]:
-    """The rows of potential_curve on plain floats, equal bit for bit.
+    """The rows of potential_curve on plain floats.
 
     r repeats np.linspace(0.0, r_max, samples): i * step with step =
     r_max / (samples - 1), or (i / (samples - 1)) * r_max where step
-    underflows to 0, and the last point set to r_max.
+    underflows to 0, and the last point set to r_max.  Raises ValueError
+    at the first r where V is not finite in float64.
     """
-    _check_curve(r_max, samples)
+    _check_r_max(r_max)
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
     div = samples - 1
     step = r_max / div
     if step == 0.0:
@@ -201,4 +188,8 @@ def _potential_rows(params: ModelParams, r_max: float, samples: int) -> list[tup
         r = [i * step for i in range(samples)]
     r[-1] = r_max
     M, omega0, q, eps = params.M, params.omega0, params.q, params.eps
-    return [(x, _potential(M, omega0, q, eps, x)) for x in r]
+    rows = [(x, _potential(M, omega0, q, eps, x)) for x in r]
+    for x, v in rows:
+        if not math.isfinite(v):
+            raise ValueError(f"V(r) is not finite in float64 at r={x}")
+    return rows

@@ -55,9 +55,6 @@ class Poly2:
     c1: complex = 0.0
     c2: complex = 0.0
 
-    def __call__(self, r):
-        return (self.c2 * r + self.c1) * r + self.c0
-
     def derivative(self) -> "Poly2":
         return Poly2(self.c1, 2.0 * self.c2, 0.0)
 

@@ -26,7 +26,6 @@ The CSV files are hash-pinned; any edit fails the integrity check.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -167,9 +166,6 @@ class ComparisonReport:
             "passed": self.passed,
             "cells": [asdict(c) for c in self.cells],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = [

@@ -69,7 +69,6 @@ class Equation(Enum):
 
     SPIN_EQ = "spin"
     PSEUDOSPIN_EQ = "pseudospin"
-    REL_HO = "relativistic-ho"
 
 
 @dataclass(frozen=True)
@@ -205,6 +204,9 @@ def _cubic_roots(B: float, C: float, D: float):
             # larger-magnitude branch avoids cancellation (nonzero since d != 0)
             z3 = -e / 2.0 - s / 2.0 if e > 0.0 else -e / 2.0 + s / 2.0
             z = _cbrt(z3)
+            if z == 0.0:  # z^3 underflowed, so d / (3 z) has no float value
+                raise ValueError(f"the level cubic underflows in float64: "
+                                 f"B={B!r}, C={C!r}, D={D!r}")
             y1 = z - d / (3.0 * z)
         e1, b1, disc = _deflate(y1, B, C)
         if disc >= 0.0:
@@ -286,10 +288,6 @@ def _residual(kappa: int, k: int, M: float, C: float, gp: float, w2: float,
                 return math.nan
             return _condition(kappa, k, m1, -(E + kM + gp), w2)
     return f
-
-
-def _relho_residual(M: float, omega: float, n: int, E: float) -> float:
-    return math.sqrt((E + M) / (2.0 * M)) * (E - M) - (n + 0.5) * omega
 
 
 # Enough halvings to take any float64 bracket down to adjacent floats: one
@@ -475,13 +473,11 @@ def solve_level(params: ModelParams, n: int) -> EnergyLevel:
     return _select(params, kappa, n, gp, roots, cardano_real)
 
 
-def bisection_oracle(equation: Equation, params: ModelParams, n: int,
-                     bracket: tuple[float, float] | None = None) -> float:
+def bisection_oracle(equation: Equation, params: ModelParams, n: int) -> float:
     """Root of the chosen unsquared condition, independent of the cubic path.
 
-    With an explicit bracket the residual must change sign across it.
-    Without one, the bracket is closed form in the sign-condition edges
-    e1 = kappa M + C and e2 = -kappa M - g', where the margins vanish.  The
+    The bracket is closed form in the sign-condition edges e1 = kappa M + C
+    and e2 = -kappa M - g', where the margins vanish.  The
     spin residual rises on its domain, and with lo = max(e1, e2) both margins
     are at least E - lo, so it is positive above lo + (k^2 M w0^2 / 2)^(1/3),
     k = 2n+1; the bracket is (lo, lo + 2 (k^2 M w0^2 / 2)^(1/3)).  The spin
@@ -490,17 +486,11 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int,
     when the root is within an ulp of lo.  The pseudospin residual equals
     2n+1 at both ends of its window lo = e1, hi = e2 and is smallest at
     lo + (hi - lo)/3, so the bracket (lo + (hi - lo)/3, hi) holds the
-    tabulated upper root.  Rel-HO without a bracket is relativistic_ho_level.
-    Roots are located to 1e-12.  SPIN_EQ and PSEUDOSPIN_EQ must match
-    params.sym.
+    tabulated upper root.  Roots are located to 1e-12.  The equation must
+    match params.sym.
     """
     n = _check_n(n)
     M, C, omega0 = params.M, params.C, params.omega0
-    if equation is Equation.REL_HO:
-        if bracket is None:
-            return relativistic_ho_level(M, omega0, n)
-        return _bisect(lambda E: _relho_residual(M, omega0, n, E), *bracket)
-
     kappa = params.kappa
     if equation is not (Equation.SPIN_EQ if kappa < 0 else Equation.PSEUDOSPIN_EQ):
         raise ValueError(f"equation {equation.value} needs {equation.value} "
@@ -516,8 +506,6 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int,
     if rhs == 0.0:  # so w2 > 0 too: the pseudospin condition divides by it
         raise ValueError(f"(2n+1)^2 M omega0^2 / 2 underflows to 0 in float64 at "
                          f"M={M}, omega0={omega0}")
-    if bracket is not None:
-        return _bisect(_residual(kappa, k, M, C, gp, w2, -math.inf), *bracket)
     e1, e2 = _edges(kappa, M, C, gp)
     if kappa < 0:
         lo = max(e1, e2)
@@ -539,7 +527,7 @@ def relativistic_ho_level(M: float, omega: float, n: int) -> float:
         raise ValueError("M and omega must be > 0")
     n = _check_n(n)
     return _bisect(
-        lambda E: _relho_residual(M, omega, n, E),
+        lambda E: math.sqrt((E + M) / (2.0 * M)) * (E - M) - (n + 0.5) * omega,
         M,
         min(M + 10.0 * (n + 1) * omega + 10.0, sys.float_info.max),
     )
@@ -573,6 +561,15 @@ def nr_pseudospin_level(params: ModelParams, n: int) -> float:
     return E
 
 
+def _grid_inputs(params: ModelParams, n_max: int, eps_list):
+    """The checked inputs of an (n, eps) grid, before any cell is solved:
+    n_max, then each eps's ModelParams, then each eps's g_shift.  Returns
+    (n_max, grid, g_shifts)."""
+    n_max = _check_n(n_max, "n_max")
+    grid = [dataclasses.replace(params, eps=float(eps)) for eps in eps_list]
+    return n_max, grid, [_stark_shift(p.M, p.omega0, p.q, p.eps) for p in grid]
+
+
 def spectrum_grid(params: ModelParams, n_max: int,
                   eps_list) -> list[tuple[ModelParams, EnergyLevel]]:
     """Levels over an (n, eps) grid, n outer and eps inner, cells independent.
@@ -583,11 +580,10 @@ def spectrum_grid(params: ModelParams, n_max: int,
     """
     from ._grid import _solve_grid
 
-    n_max = _check_n(n_max, "n_max")
-    grid = [dataclasses.replace(params, eps=float(eps)) for eps in eps_list]
+    n_max, grid, g_shifts = _grid_inputs(params, n_max, eps_list)
     if not grid:
         return []
-    return list(zip(grid * (n_max + 1), _solve_grid(grid, n_max)))
+    return list(zip(grid * (n_max + 1), _solve_grid(grid, n_max, g_shifts)))
 
 
 @dataclass(frozen=True)

@@ -332,23 +332,27 @@ def mean_radius(rf: "RadialFunction") -> float:
     return float(integrate(rf.r * w) / integrate(w))
 
 
+def _phase_aligned(v: np.ndarray) -> np.ndarray:
+    """v times the global phase that makes its largest-modulus sample real
+    and positive."""
+    ref = v[np.argmax(np.abs(v))]
+    return v * np.conj(ref / abs(ref))
+
+
 def realness_defect(values) -> float:
     """Max |Im| after aligning the global phase, relative to the peak."""
     v = np.asarray(values, dtype=complex)
     peak = np.max(np.abs(v))
     if peak == 0.0:
         return 0.0
-    ref = v[np.argmax(np.abs(v))]
-    aligned = v * np.conj(ref / abs(ref))
-    return float(np.max(np.abs(aligned.imag)) / peak)
+    return float(np.max(np.abs(_phase_aligned(v).imag)) / peak)
 
 
 def count_nodes(values) -> int:
     """Interior sign changes, ignoring samples below 1e-9 of the peak."""
     v = np.asarray(values)
     if np.iscomplexobj(v):
-        ref = v[np.argmax(np.abs(v))]
-        v = (v * np.conj(ref / abs(ref))).real
+        v = _phase_aligned(v).real
     peak = np.max(np.abs(v))
     if peak == 0.0:
         return 0
@@ -375,10 +379,6 @@ class RadialFunction:
     nodes: int
     normalized: bool
     origin_defect: float
-
-    @property
-    def samples(self) -> np.ndarray:
-        return np.column_stack((self.r, self.values))
 
 
 def default_r_max(params: ModelParams) -> float:

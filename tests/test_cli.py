@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hostark.cli import main
-from hostark.model import ModelParams, potential_curve
+from hostark.cli import build_parser, main
+from hostark.model import ModelParams, SymmetryKind, eval_potential, potential_curve
 from hostark.reference import TableId, load_reference
-from hostark.spectra import nr_spin_level
+from hostark.spectra import nr_spin_level, spectrum_grid
 
 
 def run_cli(capsys, *argv):
@@ -321,7 +321,8 @@ class TestErrors:
 
 # errors of spectrum and potential, each first in the order the commands
 # check their inputs: M, omega0, q and C, the eps list, n_max, each eps, each
-# g_shift, then the cells (spectrum); the parameters, r_max, samples (potential)
+# g_shift, then the cells (spectrum); the parameters, r_max, samples, then V
+# (potential).  Later cases are appended at the end.
 BASE = ("--M", "1.5", "--omega0", "0.4")
 INPUT_ERRORS = [
     (("spectrum", "--symmetry", "spin", "--eps", "abc", "--M", "-1", "--omega0", "1"),
@@ -347,6 +348,14 @@ INPUT_ERRORS = [
     (("potential", "--samples", "1", *BASE), "samples must be >= 2, got 1"),
     (("potential", "--samples", "-3", *BASE), "samples must be >= 2, got -3"),
     (("potential", "--eps", "1", "--q", "0", *BASE), "q must be nonzero when eps > 0"),
+    # r^2 overflows: V is inf - inf = nan, and inf at eps = 0
+    (("potential", "--eps", "1e3", "--r-max", "1e308", "--samples", "50", *BASE),
+     "V(r) is not finite in float64 at r=2.0408163265306124e+306"),
+    (("potential", "--r-max", "1e308", "--samples", "50", *BASE),
+     "V(r) is not finite in float64 at r=2.0408163265306124e+306"),
+    # the Cardano z^3 underflows to 0
+    (("spectrum", "--symmetry", "spin", "--M", "5e-324", "--omega0", "1", "--C", "2.6e-121",
+      "--n-max", "0"), "the level cubic underflows in float64: B=-2.6e-121, C=0.0, D=-0.0"),
 ]
 
 
@@ -355,11 +364,23 @@ def test_spectrum_and_potential_input_errors(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
-def cli_stdout(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(list(argv)) == 0
-    return out.getvalue()
+# the spectrum cases that get past the CLI's own parsing (the eps-0
+# ModelParams and the eps list), so that spectrum_grid sees their inputs
+@pytest.mark.parametrize("argv, message", [INPUT_ERRORS[i] for i in (2, 3, 4, 5, 6, -1)])
+def test_spectrum_grid_raises_the_cli_message(argv, message):
+    args = build_parser().parse_args(argv)
+    params = ModelParams(M=args.M, omega0=args.omega0, q=args.q,
+                         sym=SymmetryKind(args.symmetry), C=args.C)
+    with pytest.raises(ValueError) as info:
+        spectrum_grid(params, args.n_max, [float(x) for x in args.eps.split(",")])
+    assert str(info.value) == message
+
+
+def cli_output(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,21 +395,34 @@ def cli_stdout(*argv):
 @example(r_max=1 / 3, samples=600, M=1.0, omega0=1.0, q=-2.0, eps=0.5)
 # r_max / (samples - 1) underflows to 0, where NumPy scales i / (samples - 1)
 @example(r_max=1e-322, samples=7, M=1.0, omega0=1.0, q=1.0, eps=0.5)
-# V overflows: inf, and inf - inf = nan
+# V overflows: inf - inf = nan from r = 2.04e306 on
 @example(r_max=1e308, samples=50, M=1.5, omega0=0.4, q=1.0, eps=1e3)
 def test_potential_rows_equal_potential_curve(r_max, samples, M, omega0, q, eps):
-    """The float rows of the potential command are model.potential_curve bit
-    for bit (%.17g round-trips every float, nan and -0.0 included)."""
-    text = cli_stdout("potential", "--M", repr(M), "--omega0", repr(omega0),
-                      "--q", repr(q), "--eps", repr(eps), "--r-max", repr(r_max),
-                      "--samples", str(samples))
-    rows = [tuple(map(float, line.split(","))) for line in text.splitlines()[1:]]
+    """The rows of the potential command and of model.potential_curve are
+    np.linspace and eval_potential bit for bit (%.17g round-trips every
+    float, -0.0 included); where V is not finite, both reject the first
+    such r."""
+    params = ModelParams(M=M, omega0=omega0, q=q, eps=eps)
+    r = np.linspace(0.0, r_max, samples)
     with np.errstate(all="ignore"):
-        curve = potential_curve(ModelParams(M=M, omega0=omega0, q=q, eps=eps),
-                                r_max, samples)
-    assert len(rows) == samples
-    assert [tuple(map(repr, row)) for row in rows] == \
-        [(repr(float(r)), repr(float(v))) for r, v in curve]
+        v = eval_potential(params, r)
+    code, text, err = cli_output(
+        "potential", "--M", repr(M), "--omega0", repr(omega0), "--q", repr(q),
+        "--eps", repr(eps), "--r-max", repr(r_max), "--samples", str(samples))
+    finite = np.isfinite(v)
+    if not finite.all():
+        message = f"V(r) is not finite in float64 at r={float(r[~finite][0])}"
+        assert (code, text, err) == (2, "", f"error: {message}\n")
+        with pytest.raises(ValueError) as info:
+            potential_curve(params, r_max, samples)
+        assert str(info.value) == message
+        return
+    expected = [(repr(float(x)), repr(float(y))) for x, y in zip(r, v)]
+    rows = [tuple(map(float, line.split(","))) for line in text.splitlines()[1:]]
+    assert code == 0
+    assert [tuple(map(repr, row)) for row in rows] == expected
+    curve = potential_curve(params, r_max, samples).tolist()
+    assert [tuple(map(repr, row)) for row in curve] == expected
 
 
 DATA = Path(__file__).parent / "data"
@@ -485,10 +519,11 @@ def test_runtime_needs_no_scipy():
     run_fresh(NO_SCIPY_SCRIPT)
 
 
-# the names `hostark` exported when its __init__ imported every submodule
+# the names `hostark` exported when its __init__ imported every submodule,
+# less the removed combined_potential
 EXPORTS = {
-    "model": "DerivedConstants ModelParams SymmetryKind combined_potential "
-             "derived_constants eval_potential potential_curve",
+    "model": "DerivedConstants ModelParams SymmetryKind derived_constants "
+             "eval_potential potential_curve",
     "nu": "NoAdmissibleBranch NonPolynomialRoot NuError NuReduction Poly2 "
           "inverted_oscillator_instance oscillator_instance quantize reduce",
     "reference": "ComparisonReport ReferenceTable TableId UnknownTable compare "
@@ -516,6 +551,8 @@ spectrum = ["spectrum", "--symmetry", "pseudospin", "--M", "1.5", "--omega0", "0
             "--C=-10.3", "--eps", "0,0.5,2", "--n-max", "3"]
 for argv in (["verify"], ["figure2", "--M", "1.5", "--omega0", "0.4"], ["nu-check"],
              spectrum, spectrum + ["--format", "json"],
+             ["spectrum", "--symmetry", "spin", "--M", "1.5", "--omega0", "0.4",
+              "--eps", "0,0.5,2", "--format", "json"],
              ["potential", "--M", "1.5", "--omega0", "0.4", "--eps", "2"]):
     code = hostark.cli.main(argv)
     assert code == 0, (argv, code)

@@ -11,7 +11,6 @@ from hostark.cli import build_parser
 from hostark.model import (
     ModelParams,
     SymmetryKind,
-    combined_potential,
     derived_constants,
     eval_potential,
     potential_curve,
@@ -78,9 +77,9 @@ class TestEvalPotential:
         st.floats(0.0, 20.0),
     )
     def test_depends_only_on_q_eps_product(self, M, w0, q, eps, r):
-        direct = combined_potential(M, w0, q, eps, r)
-        flipped = combined_potential(M, w0, -q, -eps, r)
-        assert flipped == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        direct = eval_potential(params(M=M, omega0=w0, q=q, eps=eps), r)
+        moved = eval_potential(params(M=M, omega0=w0, q=2.0 * q, eps=eps / 2.0), r)
+        assert moved == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_completed_square_identity_fuzz():
@@ -158,7 +157,9 @@ class TestPotentialCurve:
                                      dict(r_max=-1.0, samples=10),
                                      dict(r_max=1.0, samples=1),
                                      dict(r_max=math.nan, samples=10),
-                                     dict(r_max=math.inf, samples=10)])
+                                     dict(r_max=math.inf, samples=10),
+                                     # r^2 overflows, so V is inf
+                                     dict(r_max=1e308, samples=50)])
     def test_rejects_bad_grid(self, bad):
         with pytest.raises(ValueError):
             potential_curve(params(), **bad)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hostark import reference
@@ -100,8 +102,8 @@ class TestCompare:
         assert cell.computed == pytest.approx(1.70166541194331, abs=1e-9)
 
     def test_report_is_deterministic(self):
-        a = compare(TableId.TABLE2).to_json()
-        b = compare(TableId.TABLE2).to_json()
+        a = json.dumps(compare(TableId.TABLE2).to_json_dict(), indent=2)
+        b = json.dumps(compare(TableId.TABLE2).to_json_dict(), indent=2)
         assert a == b
 
     def test_text_rendering(self):

@@ -15,6 +15,7 @@ from hostark.spectra import (
     _bisect,
     _margin_forms,
     _margins,
+    _residual,
     field_free_closed_form_variant,
     bisection_oracle,
     cubic_coefficients,
@@ -282,28 +283,31 @@ class TestSpectrumGrid:
 
 class TestBisectionOracle:
     def test_gev_with_bracket(self):
-        E = bisection_oracle(Equation.SPIN_EQ, GEV, 0, bracket=(1.0, 2.0))
+        # the closed-form spin bracket
+        E = bisection_oracle(Equation.SPIN_EQ, GEV, 0)
         assert E == pytest.approx(1.4516059, abs=1e-7)
 
     def test_pseudospin_with_bracket(self):
-        E = bisection_oracle(Equation.PSEUDOSPIN_EQ, pseudo(), 0,
-                             bracket=(-1.7, -1.5))
+        # the closed-form pseudospin bracket holds the upper root of the pair
+        E = bisection_oracle(Equation.PSEUDOSPIN_EQ, pseudo(), 0)
         assert E == pytest.approx(-1.63480480639905, abs=1e-9)
         assert E == pytest.approx(-1.635, abs=5e-3)
 
     def test_invalid_bracket(self):
+        # the oracle's pseudospin residual is positive at both ends of (0, 1)
+        p = pseudo()
+        f = _residual(p.kappa, 1, p.M, p.C, 0.0, p.M * p.omega0 ** 2)
         with pytest.raises(NoSignChange):
-            bisection_oracle(Equation.PSEUDOSPIN_EQ, pseudo(), 0, bracket=(0.0, 1.0))
+            _bisect(f, 0.0, 1.0)
 
     def test_rel_ho_root_past_200_halvings(self):
         # the default bracket [1, 1e201 + 11] holds the root 1.71e133 (50-digit
         # value 1.70997594667669698935e133): ~280 halvings to float resolution
         E = relativistic_ho_level(1.0, 1e200, 0)
         assert E == pytest.approx(1.7099759466766970e133, rel=1e-15)
-        assert bisection_oracle(Equation.REL_HO, ModelParams(M=1.0, omega0=1e200), 0) == E
 
     def test_rel_ho_default_bracket(self):
-        assert bisection_oracle(Equation.REL_HO, GEV, 2) == pytest.approx(
+        assert relativistic_ho_level(GEV.M, GEV.omega0, 2) == pytest.approx(
             2.8110575, abs=1e-6
         )
 
@@ -333,8 +337,6 @@ class TestBisectionOracle:
         # C_ps is not a C_s: the other channel's condition has other roots
         with pytest.raises(ValueError, match=f"equation {eq.value} needs"):
             bisection_oracle(eq, p, 0)
-        assert bisection_oracle(Equation.REL_HO, p, 0) == relativistic_ho_level(
-            p.M, p.omega0, 0)
 
     def test_empty_pseudospin_window(self):
         # C_ps so shallow that E - M - C_ps > 0 and E + M + g' < 0 cannot hold
@@ -506,6 +508,9 @@ def test_float64_overflow_is_a_value_error(call):
         call()
 
 
+UNDERFLOW_CUBIC = ModelParams(M=5e-324, omega0=1.0, q=1e-200, C=2.6013065110635485e-121)
+
+
 @pytest.mark.parametrize("call, message", [
     # 2 M omega0 underflows to 0, and q eps / (2 M omega0) divided by it
     (lambda: nr_pseudospin_level(ModelParams(M=1e-300, omega0=1e-300), 0),
@@ -514,7 +519,12 @@ def test_float64_overflow_is_a_value_error(call):
     (lambda: bisection_oracle(Equation.PSEUDOSPIN_EQ, ModelParams(
         M=1e100, omega0=1e-200, sym=SymmetryKind.PSEUDOSPIN, C=-1e120), 0),
      "/ 2 underflows to 0"),
-], ids=["nr-pseudospin", "oracle-pseudospin"])
+    # d underflows to -0.0 and e^2 - 4p to 0, so the Cardano z^3 is 0; the
+    # batch route sends the cell to the scalar stage
+    (lambda: solve_level(UNDERFLOW_CUBIC, 0), "the level cubic underflows in float64"),
+    (lambda: spectrum_grid(UNDERFLOW_CUBIC, 0, [0.0]),
+     "the level cubic underflows in float64"),
+], ids=["nr-pseudospin", "oracle-pseudospin", "level-cubic", "grid-cubic"])
 def test_float64_underflow_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -335,10 +335,6 @@ class TestSampling:
         rf = sample_radial(RadialKind.NONREL_R, spin(eps=0.5), 3, samples=4001)
         assert rf.nodes == count_nodes(rf.values)
 
-    def test_samples_property_shape(self):
-        rf = sample_radial(RadialKind.UPPER_F, spin(), 1, samples=101)
-        assert rf.samples.shape == (101, 2)
-
     def test_normalizes_when_norm_integral_overflows(self):
         # raw peak ~8.7e216, so |F|^2 overflows and the raw Simpson integral is inf
         p = spin(eps=1.2905, M=4.0638, omega0=0.08247, C=-36.985)
