@@ -188,9 +188,9 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
     The parameters differ only in eps; g_shifts[j] is grid[j]'s g_shift.
     Roots, selection, residual, boundary flag, gamma/alpha/v/beta, the
     margin-form refinement and the alternates' values and reasons are
-    columns; the loop only builds the result objects from them.  Cells
-    whose cubic is not finite take the scalar stage, which raises for them
-    as solve_level does.
+    columns; records are mapped from them, and the row loop zips each
+    level's scalars with its alternates.  Cells whose cubic is not finite
+    take the scalar stage, which raises for them as solve_level does.
     """
     p0 = grid[0]
     kappa = p0.kappa
@@ -222,23 +222,27 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
     alt, re, im = (np.take_along_axis(a, order, axis=1) for a in (alt, re, im))
     im = np.where(alt == _LOWER, 0.0, im)
     keep = alt != 0
+    values = re[keep].astype(complex)
+    values.imag = im[keep]
     reasons = _REASONS[kappa]
-    rejected = [RejectedRoot(complex(r, i), reasons[a]) for r, i, a in zip(
-        re[keep].tolist(), im[keep].tolist(), alt[keep].tolist())]
+    rejected = tuple(map(RejectedRoot, values.tolist(),
+                         map(reasons.__getitem__, alt[keep].tolist())))
     ends = np.cumsum(keep.sum(axis=1)).tolist()
+    # gamma/alpha/v/beta as complex for the Bound rows only, taken in row order
+    scalars = map(ChannelScalars, *(x[bound & finite].astype(complex).tolist()
+                                    for x in (gamma, alpha, v, beta)))
 
     levels = []
     start = 0
-    for p, n, end, go_scalar, has, E, res, ccr, boundary, g, a, vv, b in zip(
+    for p, n, end, go_scalar, has, E, res, ccr, boundary in zip(
             rows, ns, ends, (~finite).tolist(), bound.tolist(), selected.tolist(),
-            residual.tolist(), (~cardano_real).tolist(), flag.tolist(),
-            *(x.astype(complex).tolist() for x in (gamma, alpha, v, beta))):
-        alternates, start = tuple(rejected[start:end]), end
+            residual.tolist(), (~cardano_real).tolist(), flag.tolist()):
+        alternates, start = rejected[start:end], end
         if go_scalar:
             levels.append(solve_level(p, n))
         elif has:
             levels.append(EnergyLevel(n, kappa, Status.BOUND, E, res, alternates, ccr,
-                                      boundary, ChannelScalars(g, a, vv, b)))
+                                      boundary, next(scalars)))
         else:
             levels.append(EnergyLevel(n, kappa, Status.NO_PHYSICAL_ROOT, None, None,
                                       alternates, ccr))

@@ -119,6 +119,19 @@ def _spectrum_row(params: ModelParams, level: spectra.EnergyLevel) -> dict:
     }
 
 
+# a row's compact form with newline and indent in its item separator is its
+# json.dumps(..., indent=2) form, and the C encoder writes it
+_json_row = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _json_rows(rows: list[dict]) -> str:
+    """json.dumps({"rows": rows}, indent=2) for rows of flat dicts."""
+    if not rows:
+        return '{\n  "rows": []\n}'
+    body = ",\n    ".join("{\n      " + _json_row(row)[1:-1] + "\n    }" for row in rows)
+    return '{\n  "rows": [\n    ' + body + "\n  ]\n}"
+
+
 def _cmd_spectrum(args) -> int:
     # the rows and errors of spectra.spectrum_grid, one cell at a time: the
     # batch saves less than its NumPy import costs below 5,500-8,800 cells
@@ -127,7 +140,7 @@ def _cmd_spectrum(args) -> int:
     rows = [_spectrum_row(p, spectra.solve_level(p, n))
             for n in range(n_max + 1) for p in grid]
     if args.format == "json":
-        _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.output)
+        _emit(_json_rows(rows) + "\n", args.output)
         return 0
     lines = [_SPECTRUM_HEADER] + [",".join(map(_cell, row.values())) for row in rows]
     _emit("\n".join(lines) + "\n", args.output)

@@ -44,7 +44,7 @@ class SymmetryKind(Enum):
         return -1 if self is SymmetryKind.SPIN else +1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelParams:
     """Physical inputs, all finite pure numbers (hbar = c = 1).
 

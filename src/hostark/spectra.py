@@ -92,13 +92,13 @@ class CubicSolution:
     method: CubicMethod
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectedRoot:
     value: complex
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelScalars:
     """Derived channel scalars evaluated at the selected energy.
 
@@ -114,7 +114,7 @@ class ChannelScalars:
     beta: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyLevel:
     n: int
     kappa: int
@@ -566,7 +566,9 @@ def _grid_inputs(params: ModelParams, n_max: int, eps_list):
     n_max, then each eps's ModelParams, then each eps's g_shift.  Returns
     (n_max, grid, g_shifts)."""
     n_max = _check_n(n_max, "n_max")
-    grid = [dataclasses.replace(params, eps=float(eps)) for eps in eps_list]
+    # dataclasses.replace(params, eps=float(eps)), without its walk over the fields
+    grid = [type(params)(params.M, params.omega0, params.q, float(eps), params.sym,
+                         params.C) for eps in eps_list]
     return n_max, grid, [_stark_shift(p.M, p.omega0, p.q, p.eps) for p in grid]
 
 

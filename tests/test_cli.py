@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hostark.cli import build_parser, main
+from hostark.cli import _SPECTRUM_HEADER, _json_rows, _spectrum_row, build_parser, main
 from hostark.model import ModelParams, SymmetryKind, eval_potential, potential_curve
 from hostark.reference import TableId, load_reference
-from hostark.spectra import nr_spin_level, spectrum_grid
+from hostark.spectra import nr_spin_level, solve_level, spectrum_grid
 
 
 def run_cli(capsys, *argv):
@@ -448,6 +448,30 @@ def test_spectrum_output_matches_golden_bytes(capsys, name, fmt):
     code, out, _ = run_cli(capsys, "spectrum", *GOLDEN_SPECTRA[name], "--format", fmt)
     assert code == 0
     assert out.encode("ascii") == (DATA / f"{name}.{fmt}").read_bytes()
+
+
+def spectrum_rows(sym, n, **params):
+    p = ModelParams(sym=sym, **params)
+    return [_spectrum_row(p, solve_level(p, n))]
+
+
+SPECTRUM_CELL = st.one_of(st.none(), st.integers(), st.floats(), st.text())
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.fixed_dictionaries(dict.fromkeys(_SPECTRUM_HEADER.split(","),
+                                                         SPECTRUM_CELL)), max_size=4))
+@example(rows=[])  # spectrum --eps ","
+# null E and residual: an unbound pseudospin cell of spectrum_pseudospin_wide
+@example(rows=spectrum_rows(SymmetryKind.PSEUDOSPIN, 10, M=0.92, omega0=0.13, eps=5.0, C=-39.1))
+# a Bound spin level on the gamma = 0 edge has residual nan
+@example(rows=spectrum_rows(SymmetryKind.SPIN, 27, M=2.1611926340449954,
+                            omega0=0.005491207480256318, q=2.0, eps=45.04372438439045,
+                            C=-281.6172466686213))
+def test_spectrum_json_writer_matches_indented_dumps(rows):
+    """spectrum --format json writes its rows through the C encoder; the bytes
+    are those of the pure-Python indent=2 encoder."""
+    assert _json_rows(rows) == json.dumps({"rows": rows}, indent=2)
 
 
 GOLDEN_COMMANDS = {

@@ -17,6 +17,7 @@ from hostark._grid import _bisect_batch, _newton_batch
 from hostark.spectra import (
     NoSignChange,
     _bisect,
+    _grid_inputs,
     _polish,
     cubic_coefficients,
     select_physical_root,
@@ -138,9 +139,19 @@ def test_negative_charge_flips_beta():
         assert a.E == b.E and b.diagnostics.beta == -a.diagnostics.beta != 0
 
 
+def replaced_inputs(params, eps_list):
+    """_grid_inputs' ModelParams built through dataclasses.replace."""
+    return [dataclasses.replace(params, eps=float(eps)) for eps in eps_list]
+
+
 def test_rows_of_one_eps_share_params():
     rows = spectrum_grid(pseudo(), 2, [0.0, 0.5])
     assert rows[0][0] is rows[2][0] is rows[4][0]
+    # _grid_inputs builds each ModelParams directly, equal to replace's by repr
+    for params in (pseudo(), ModelParams(M=2.0, omega0=0.5, q=-2.0, C=3.0)):
+        eps_list = [0, 3, -0.0, 0.0, np.float64(0.1), np.float32(0.7), np.int64(2), 1e-300]
+        _, grid, _ = _grid_inputs(params, 2, eps_list)
+        assert repr(grid) == repr(replaced_inputs(params, eps_list))
 
 
 @pytest.mark.parametrize("sym", list(SymmetryKind))
@@ -164,6 +175,14 @@ def test_negative_eps_mid_list_raises_like_scalar_route():
         scalar_rows(pseudo(), 2, [0.0, -0.5, 1.0])
     with pytest.raises(ValueError, match=message):
         spectrum_grid(pseudo(), 2, [0.0, -0.5, 1.0])
+    # the direct build of _grid_inputs fails first where replace's does
+    for bad in (-0.5, math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        eps_list = [0.0, np.float64(0.5), bad, -1.0, 1.0]
+        with pytest.raises(ValueError) as replaced:
+            replaced_inputs(pseudo(), eps_list)
+        with pytest.raises(ValueError) as direct:
+            _grid_inputs(pseudo(), 2, eps_list)
+        assert str(direct.value) == str(replaced.value)
 
 
 def test_negative_n_max_rejected():
