@@ -44,11 +44,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .model import ModelParams, SymmetryKind, _check_n, _check_r_max, derived_constants
 from .spectra import EnergyLevel, Status, solve_level
+
+
+# samples per pass of sample_radial: the scratch of a block stays in cache, and
+# a grid of up to _BLOCK samples takes one pass
+_BLOCK = 8192
 
 
 class ConstantsUndefined(ValueError):
@@ -104,9 +110,9 @@ class ShapeConstants:
         xi *= self.eps2
         return lam2, np.exp(envelope, out=envelope), xi
 
-    def _lower_g(self, dF, F, r):
+    def _lower_g(self, dF, F, r, out=None):
         """The spin derivative relation d0 (dF/dr + kappa/r F)."""
-        return self.d0 * (dF + SymmetryKind.SPIN.kappa / r * F)
+        return np.multiply(self.d0, dF + SymmetryKind.SPIN.kappa / r * F, out=out)
 
 
 def _level_energy(params: ModelParams, n: int, energy: float | None) -> float:
@@ -122,7 +128,7 @@ def _level_energy(params: ModelParams, n: int, energy: float | None) -> float:
 
 def _evaluation(fn: str, kind: RadialKind, params: ModelParams, n: int, r,
                 energy: float | None):
-    """(E, shape constants, r as a float array) for the evaluator fn of kind:
+    """(shape constants, r as a float array) for the evaluator fn of kind:
     params must be of its channel, and r >= 1e-8 for the lower spin component."""
     if params.sym is not kind.sym:
         what = "spin-symmetry" if kind.sym is SymmetryKind.SPIN else "pseudospin"
@@ -131,7 +137,7 @@ def _evaluation(fn: str, kind: RadialKind, params: ModelParams, n: int, r,
     sc, r = shape_constants(params, E), np.asarray(r, dtype=float)
     if kind is RadialKind.LOWER_G and np.any(r < 1e-8):
         raise SingularAtOrigin("lower component needs r >= 1e-8")
-    return E, sc, r
+    return sc, r
 
 
 def shape_constants(params: ModelParams, energy: float) -> ShapeConstants:
@@ -166,12 +172,12 @@ def hermite(n: int, x):
     """Physicists' Hermite polynomial via H_{k+1} = 2x H_k - 2k H_{k-1}."""
     n = _check_n(n)
     x = np.asarray(x)
-    dtype = complex if np.iscomplexobj(x) else float
-    h = np.ones_like(x, dtype=dtype)
+    h = np.empty_like(x, dtype=complex if x.dtype.kind == "c" else float)
+    h.fill(1.0)  # cheaper per call than np.ones_like, and this runs once per block
     if n == 0:
         return h[()] if h.ndim == 0 else h
-    hm1 = np.zeros_like(x, dtype=dtype)
-    tmp, x2 = np.empty_like(h), 2.0 * x
+    hm1, tmp, x2 = np.empty_like(h), np.empty_like(h), 2.0 * x
+    hm1.fill(0.0)
     for k in range(n):
         np.subtract(np.multiply(x2, h, out=tmp), np.multiply(2.0 * k, hm1, out=hm1), out=hm1)
         h, hm1 = hm1, h  # H_{k+1} in H_{k-1}'s buffer
@@ -184,8 +190,8 @@ def assoc_laguerre(n: int, alpha: float, x):
     if alpha <= -1:
         raise ValueError(f"alpha must be > -1, got {alpha}")
     x = np.asarray(x)
-    dtype = complex if np.iscomplexobj(x) else float
-    lk = np.ones_like(x, dtype=dtype)
+    lk = np.empty_like(x, dtype=complex if x.dtype.kind == "c" else float)
+    lk.fill(1.0)
     if n == 0:
         return lk[()] if lk.ndim == 0 else lk
     lkp1, tmp = np.subtract(1.0 + alpha, x, out=np.empty_like(lk)), np.empty_like(lk)
@@ -196,36 +202,88 @@ def assoc_laguerre(n: int, alpha: float, x):
     return lkp1[()] if lkp1.ndim == 0 else lkp1
 
 
-def upper_spinor_F(params: ModelParams, n: int, r, energy: float | None = None):
-    """Unnormalized upper spinor component at the solved spin level."""
-    _, sc, r = _evaluation("upper_spinor_F", RadialKind.UPPER_F, params, n, r, energy)
-    _, out, xi = sc._spin_factors(r)
-    out *= assoc_laguerre(n, 0.0, xi)
-    return float(out) if out.ndim == 0 else out
+def _upper_F(sc: ShapeConstants, n: int, r, out=None):
+    """F at r, into out: the spin envelope times L_n of the spin argument."""
+    _, envelope, xi = sc._spin_factors(r)
+    return np.multiply(envelope, assoc_laguerre(n, 0.0, xi), out=out)
 
 
-def nr_radial_R(params: ModelParams, n: int, r):
-    """Nonrelativistic radial function: displaced Gaussian times Hermite."""
+def _central_dF(sc: ShapeConstants, n: int, r, h):
+    """dF/dr of the upper spin component by the central difference of step h."""
+    return (_upper_F(sc, n, r + h) - _upper_F(sc, n, r - h)) / (2.0 * h)
+
+
+def _lower_G(sc: ShapeConstants, n: int, r, out=None):
+    """G at r, into out: the derivative relation with step h = 1e-6 max(1, r)."""
+    dF = _central_dF(sc, n, r, 1e-6 * np.maximum(1.0, r))
+    return sc._lower_g(dF, _upper_F(sc, n, r), r, out)
+
+
+def _pseudo_G(sc: ShapeConstants, n: int, r, out=None):
+    """The pseudospin lower component at r, into out."""
+    lam2 = sc.lambda_scale ** 2
+    arg = -1j * sc.eps2p * (lam2 * r - sc.b) ** 2
+    return np.multiply(np.exp(1j * sc.eps1p * (-sc.b * r + 0.5 * lam2 * r * r)),
+                       hermite(n, arg), out=out)
+
+
+def _nr_constants(params: ModelParams, n: int):
+    """(lambda, r0, the prefactor of R_n) for a checked level index n."""
     n = _check_n(n)
     if n > 150:  # 2^n n! overflows float64 from n = 151 on
         raise ValueError(f"n = {n} is past 150, where 2^n n! in R_n overflows float64")
     lam = math.sqrt(params.M * params.omega0)
-    r0 = derived_constants(params).r0
-    r = np.asarray(r, dtype=float)
-    x = r - r0
     pref = (lam * lam / math.pi) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
-    out = np.multiply(-0.5 * lam * lam, x, out=np.empty_like(r))
+    return lam, derived_constants(params).r0, pref
+
+
+def _nr_R(consts, n: int, r, out):
+    """R_n at r, into out (an array, also for 0-d r)."""
+    lam, r0, pref = consts
+    x = r - r0
+    np.multiply(-0.5 * lam * lam, x, out=out)
     out *= x
     np.exp(out, out=out)
     out *= pref
     x *= lam
     out *= hermite(n, x)
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
-def _central_dF(params: ModelParams, n: int, r, h, E: float):
-    """dF/dr of the upper spin component by the central difference of step h."""
-    return (upper_spinor_F(params, n, r + h, E) - upper_spinor_F(params, n, r - h, E)) / (2.0 * h)
+# kind -> (its public evaluator, named in errors; its kernel; the dtype of its samples)
+_KERNELS = {
+    RadialKind.UPPER_F: ("upper_spinor_F", _upper_F, float),
+    RadialKind.LOWER_G: ("lower_spinor_G", _lower_G, float),
+    RadialKind.NONREL_R: ("nr_radial_R", _nr_R, float),
+    RadialKind.PSEUDO_LOWER_G: ("pseudo_lower_G", _pseudo_G, complex),
+}
+
+
+def _resolve(kind: RadialKind, params: ModelParams, n: int, r, energy: float | None = None):
+    """kind's kernel(r, out) with the channel, level and constants resolved once,
+    and r as a float array."""
+    fn, kernel, _ = _KERNELS[kind]
+    if kind is RadialKind.NONREL_R:
+        return partial(kernel, _nr_constants(params, n), n), np.asarray(r, dtype=float)
+    sc, r = _evaluation(fn, kind, params, n, r, energy)
+    return partial(kernel, sc, n), r
+
+
+def _evaluate(kind: RadialKind, params: ModelParams, n: int, r, energy: float | None = None):
+    """kind's kernel over the whole of r; a Python number for scalar r."""
+    kernel, r = _resolve(kind, params, n, r, energy)
+    out = kernel(r, np.empty_like(r, dtype=_KERNELS[kind][2]))
+    return out.item() if out.ndim == 0 else out
+
+
+def upper_spinor_F(params: ModelParams, n: int, r, energy: float | None = None):
+    """Unnormalized upper spinor component at the solved spin level."""
+    return _evaluate(RadialKind.UPPER_F, params, n, r, energy)
+
+
+def nr_radial_R(params: ModelParams, n: int, r):
+    """Nonrelativistic radial function: displaced Gaussian times Hermite."""
+    return _evaluate(RadialKind.NONREL_R, params, n, r)
 
 
 def lower_spinor_G(params: ModelParams, n: int, r, energy: float | None = None):
@@ -234,10 +292,16 @@ def lower_spinor_G(params: ModelParams, n: int, r, energy: float | None = None):
     Central differences with step h = 1e-6 max(1, r); r must stay >= 1e-8
     because of the kappa/r term.
     """
-    E, sc, r = _evaluation("lower_spinor_G", RadialKind.LOWER_G, params, n, r, energy)
-    dF = _central_dF(params, n, r, 1e-6 * np.maximum(1.0, r), E)
-    out = sc._lower_g(dF, upper_spinor_F(params, n, r, E), r)
-    return float(out) if out.ndim == 0 else out
+    return _evaluate(RadialKind.LOWER_G, params, n, r, energy)
+
+
+def _lower_G_closed(sc: ShapeConstants, n: int, r):
+    """The printed closed form of the lower component at r."""
+    lam2, envelope, xi = sc._spin_factors(r)
+    bracket = (sc.eps1 * (sc.b - lam2 * r) + SymmetryKind.SPIN.kappa / r) \
+        * assoc_laguerre(n, 0.0, xi) \
+        + 2.0 * lam2 * sc.eps2 * (lam2 * r - sc.b) * assoc_laguerre(n, 1.0, xi)
+    return sc.d0 * envelope * bracket
 
 
 def lower_spinor_G_closed_form(params: ModelParams, n: int, r,
@@ -247,13 +311,9 @@ def lower_spinor_G_closed_form(params: ModelParams, n: int, r,
     Carries the polynomial-derivative term as + L_n^(1) of the squared
     argument; compare against lower_spinor_G, do not substitute for it.
     """
-    _, sc, r = _evaluation("lower_spinor_G_closed_form", RadialKind.LOWER_G,
-                           params, n, r, energy)
-    lam2, envelope, xi = sc._spin_factors(r)
-    bracket = (sc.eps1 * (sc.b - lam2 * r) + SymmetryKind.SPIN.kappa / r) \
-        * assoc_laguerre(n, 0.0, xi) \
-        + 2.0 * lam2 * sc.eps2 * (lam2 * r - sc.b) * assoc_laguerre(n, 1.0, xi)
-    out = sc.d0 * envelope * bracket
+    sc, r = _evaluation("lower_spinor_G_closed_form", RadialKind.LOWER_G,
+                        params, n, r, energy)
+    out = _lower_G_closed(sc, n, r)
     return float(out) if out.ndim == 0 else out
 
 
@@ -263,47 +323,72 @@ def pseudo_lower_G(params: ModelParams, n: int, r, energy: float | None = None):
     For bound levels the result is real up to floating-point noise; use
     realness_defect to quantify the residual imaginary part.
     """
-    _, sc, r = _evaluation("pseudo_lower_G", RadialKind.PSEUDO_LOWER_G, params, n, r, energy)
-    lam2 = sc.lambda_scale ** 2
-    arg = -1j * sc.eps2p * (lam2 * r - sc.b) ** 2
-    out = np.exp(1j * sc.eps1p * (-sc.b * r + 0.5 * lam2 * r * r)) * hermite(n, arg)
-    return complex(out) if out.ndim == 0 else out
+    return _evaluate(RadialKind.PSEUDO_LOWER_G, params, n, r, energy)
+
+
+def _density(v):
+    """|v|^2, the integrand of the norm; v^2 for real v, which has the same bits."""
+    return np.square(np.abs(v) if v.dtype.kind == "c" else v)
 
 
 def _guarded_div(num, den):
     """num / den, and 0 where den is 0."""
+    if np.count_nonzero(den) == den.size:  # the masked loop is several times slower
+        return np.true_divide(num, den)
     return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
 
 
 def _simpson_rule(x):
     """simpson(., x) as a function of y alone: the factors that depend on the
-    grid x only are computed once, for every integral on that grid."""
-    h = np.diff(x)
+    grid x only are computed once, for every integral on that grid.
+
+    The factors and the terms of an integral are formed _BLOCK samples at a
+    time; the terms of all interval pairs are then added by one np.sum, so
+    the summation order is SciPy's.  integrate(y, f) integrates f(y) for an
+    elementwise f, applied block by block (sample_radial's |values|^2).
+    """
+    x = np.asarray(x)
     odd = len(x) % 2 == 1
-    stop = len(x) - 2 if odd else len(x) - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = _guarded_div(h0, h1)
-    w, c = hsum / 6.0, 2.0 - h0divh1
-    a, b = 2.0 - _guarded_div(1.0, h0divh1), hsum * _guarded_div(hsum, hprod)
+    pairs = (len(x) - 1) // 2  # pair i spans x[2i], x[2i + 1], x[2i + 2]
+    columns = np.empty((4, pairs), np.result_type(x, 1.0))  # a, b, c and w of each pair
+    spans = []  # per block: the samples it spans, its pairs and its rows of a, b, c, w
+    for p in range(0, pairs, _BLOCK // 2):
+        q = min(p + _BLOCK // 2, pairs)
+        a, b, c, w = columns[:, p:q]
+        spans.append((slice(2 * p, 2 * q + 1), slice(p, q), a, b, c, w))
+        xs = x[2 * p:2 * q + 1]
+        h = xs[1:] - xs[:-1]  # np.diff(xs)
+        h0, h1 = h[0::2], h[1::2]
+        hsum = h0 + h1
+        hprod = h0 * h1
+        h0divh1 = _guarded_div(h0, h1)
+        np.divide(hsum, 6.0, out=w)
+        np.subtract(2.0, h0divh1, out=c)
+        np.subtract(2.0, _guarded_div(1.0, h0divh1), out=a)
+        np.multiply(hsum, _guarded_div(hsum, hprod), out=b)
     if not odd:
         # 0-d arrays, as in SciPy, so that ** takes the same NumPy loop
-        h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
+        h0, h1 = np.asarray(x[-2] - x[-3]), np.asarray(x[-1] - x[-2])
         alpha = _guarded_div(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
         beta = _guarded_div(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
         eta = _guarded_div(1 * h1 ** 3, 6 * h0 * (h0 + h1))
 
-    def integrate(y):
+    def integrate(y, f=None):
         y = np.asarray(y)
-        acc = y[0:stop:2] * a  # w * (y0 a + y1 b + y2 c), summed in one buffer
-        acc += y[1:stop + 1:2] * b
-        acc += y[2:stop + 2:2] * c
-        acc *= w
+        acc = columns[0]  # the empty sum of a grid without pairs
+        for samples, block, a, b, c, w in spans:
+            fy = y[samples] if f is None else f(y[samples])
+            if block.start == 0:
+                acc = np.empty(pairs, np.promote_types(fy.dtype, a.dtype))
+            term = np.multiply(fy[:-1:2], a, out=acc[block])  # w (y0 a + y1 b + y2 c)
+            term += fy[1::2] * b
+            term += fy[2::2] * c
+            term *= w
         result = np.sum(acc)
         if odd:
             return result
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+        y = y[-3:] if f is None else f(y[-3:])
+        result += alpha * y[2] + beta * y[1] - eta * y[0]
         return result + 0.0  # SciPy adds 0.0 here too, which turns -0.0 into 0.0
 
     return integrate
@@ -332,11 +417,29 @@ def mean_radius(rf: "RadialFunction") -> float:
     return float(integrate(rf.r * w) / integrate(w))
 
 
-def _phase_aligned(v: np.ndarray) -> np.ndarray:
-    """v times the global phase that makes its largest-modulus sample real
-    and positive."""
-    ref = v[np.argmax(np.abs(v))]
-    return v * np.conj(ref / abs(ref))
+def _blocks(size: int) -> list[slice]:
+    """Slices that cover range(size) in runs of _BLOCK (one empty one for size 0)."""
+    return [slice(lo, lo + _BLOCK) for lo in range(0, max(size, 1), _BLOCK)]
+
+
+def _peak(part, blocks):
+    """max |part(s)| over the blocks s; nan if any sample is nan."""
+    peak = np.maximum.reduce(np.abs(part(blocks[0])))
+    for s in blocks[1:]:
+        peak = np.maximum(peak, np.maximum.reduce(np.abs(part(s))))
+    return peak
+
+
+def _phase(v: np.ndarray, blocks):
+    """The global phase that makes the first largest-modulus sample of v
+    real and positive."""
+    ref = top = None
+    for s in blocks:
+        modulus = np.abs(v[s])
+        i = np.argmax(modulus)
+        if top is None or modulus[i] > top:
+            ref, top = v[s][i], modulus[i]
+    return np.conj(ref / abs(ref))
 
 
 def realness_defect(values) -> float:
@@ -345,20 +448,36 @@ def realness_defect(values) -> float:
     peak = np.max(np.abs(v))
     if peak == 0.0:
         return 0.0
-    return float(np.max(np.abs(_phase_aligned(v).imag)) / peak)
+    return float(np.max(np.abs((v * _phase(v, _blocks(len(v)))).imag)) / peak)
 
 
 def count_nodes(values) -> int:
-    """Interior sign changes, ignoring samples below 1e-9 of the peak."""
-    v = np.asarray(values)
-    if np.iscomplexobj(v):
-        v = _phase_aligned(v).real
-    peak = np.max(np.abs(v))
+    """Interior sign changes, ignoring samples below 1e-9 of the peak.
+
+    Complex values are counted on the real part after global phase alignment.
+    Runs a block at a time, carrying the last kept sign across block edges.
+    """
+    v = np.asarray(values).reshape(-1)
+    blocks = _blocks(len(v))
+    if v.dtype.kind == "c":
+        phase = _phase(v, blocks)
+
+        def part(s):
+            return (v[s] * phase).real
+    else:
+        part = v.__getitem__
+    peak = _peak(part, blocks)
     if peak == 0.0:
         return 0
-    keep = v[np.abs(v) > 1e-9 * peak]
-    signs = np.sign(keep)
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    nodes, last = 0, None
+    for s in blocks:
+        block = part(s)
+        signs = np.sign(block[np.abs(block) > 1e-9 * peak])
+        if len(signs):
+            nodes += int(np.count_nonzero(signs[1:] != signs[:-1]))
+            nodes += last is not None and bool(signs[0] != last)
+            last = signs[-1]
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -388,14 +507,6 @@ def default_r_max(params: ModelParams) -> float:
     return derived_constants(params).r0 + 20.0 / lam
 
 
-_EVALUATORS = {
-    RadialKind.UPPER_F: upper_spinor_F,
-    RadialKind.LOWER_G: lower_spinor_G,
-    RadialKind.NONREL_R: nr_radial_R,
-    RadialKind.PSEUDO_LOWER_G: pseudo_lower_G,
-}
-
-
 def sample_radial(kind: RadialKind, params: ModelParams, n: int,
                   r_max: float | None = None, samples: int = 2001,
                   normalize: bool = True) -> RadialFunction:
@@ -414,22 +525,27 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
     r = np.linspace(0.0, r_max, samples)
     if kind is RadialKind.LOWER_G:
         r[0] = 1e-8
+    kernel, r = _resolve(kind, params, n, r)
+    # every pass below works through r and values _BLOCK samples at a time; the
+    # only other full-length arrays are the Simpson columns and terms (N/2 each)
+    values, blocks = np.empty(samples, _KERNELS[kind][2]), _blocks(samples)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples raise below
-        values = np.asarray(_EVALUATORS[kind](params, n, r))
-        integrate, modulus = _simpson_rule(r), np.abs(values)
-        norm = float(integrate(modulus ** 2))
+        for s in blocks:
+            kernel(r[s], values[s])
+        integrate = _simpson_rule(r)
+        norm = float(integrate(values, _density))
         if normalize:
             if not math.isfinite(norm):
                 # |values|^2 overflowed: normalize the peak-scaled samples instead
-                raw_peak = float(np.max(modulus))
+                raw_peak = float(_peak(values.__getitem__, blocks))
                 if 0.0 < raw_peak < math.inf:
                     values /= raw_peak
-                    norm = float(integrate(np.abs(values, out=modulus) ** 2))
+                    norm = float(integrate(values, _density))
             if norm <= 0.0:
                 raise ValueError("cannot normalize an identically zero function")
             values /= math.sqrt(norm)
-            norm = float(integrate(np.abs(values, out=modulus) ** 2))
-    peak = float(np.max(modulus))
+            norm = float(integrate(values, _density))
+        peak = float(_peak(values.__getitem__, blocks))
     if not math.isfinite(peak):
         raise ValueError(f"{kind.value} at n={n} has non-finite samples (float64 overflow)")
     return RadialFunction(
@@ -466,19 +582,19 @@ class GDeviationReport:
 def g_deviation_report(params: ModelParams, n: int) -> GDeviationReport:
     """Compare the two lower-component paths on 200 points of [0.1, 20]."""
     E = _level_energy(params, n, None)
-    sc = shape_constants(params, E)
-    r = np.linspace(0.1, 20.0, 200)
-    closed = lower_spinor_G_closed_form(params, n, r, E)
+    sc, r = _evaluation("lower_spinor_G_closed_form", RadialKind.LOWER_G, params, n,
+                        np.linspace(0.1, 20.0, 200), E)
+    closed = _lower_G_closed(sc, n, r)
     # lower_spinor_G's central difference, kept for the h-refinement below
     h = 1e-6 * np.maximum(1.0, r)
-    d_h = _central_dF(params, n, r, h, E)
-    f0 = upper_spinor_F(params, n, r, E)
+    d_h = _central_dF(sc, n, r, h)
+    f0 = _upper_F(sc, n, r)
     numeric = sc._lower_g(d_h, f0, r)
     scale = np.maximum(np.maximum(np.abs(numeric), np.abs(closed)), 1e-300)
     rel = np.abs(numeric - closed) / scale
 
     # h-refinement consistency of the derivative path
-    d_h2 = _central_dF(params, n, r, h / 2.0, E)
+    d_h2 = _central_dF(sc, n, r, h / 2.0)
     g_ex = sc._lower_g((4.0 * d_h2 - d_h) / 3.0, f0, r)
     rich = np.max(np.abs(sc._lower_g(d_h2, f0, r) - g_ex)) / max(1.0, float(np.max(np.abs(g_ex))))
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -514,6 +515,25 @@ def test_wavefunction_output_matches_golden_bytes(capsys, kind):
                            *GOLDEN_WAVEFUNCTIONS[kind])
     assert code == 0
     assert out.encode("ascii") == (DATA / f"wavefunction_{kind}.csv").read_bytes()
+
+
+# sha256 of the stdout of 20,001-sample runs, which sample_radial works through
+# in several blocks (the golden files above are one block each)
+MULTI_BLOCK_WAVEFUNCTIONS = {
+    "F": "49e12a25153f15dc980f85e7f2c2472743fd39f4426bf85b6ad03a150889a27e",
+    "G": "f6b9c3bce1e18b79683fac2da23072eb5105c5842a4ec5f4d48ae456205b28c2",
+    "R": "99ff5a7046d92b849db4da16c61040b0f937da36321dabf0867682b4b8de0a6a",
+    "Gps": "fe55332c39398a52e24b2d4342a1649c69e2b4b5de85af074552e29234bdf58e",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MULTI_BLOCK_WAVEFUNCTIONS))
+def test_multi_block_wavefunction_output_is_pinned(capsys, kind):
+    code, out, _ = run_cli(capsys, "wavefunction", "--kind", kind, "--M", "1.5",
+                           "--omega0", "0.4", "--eps", "0.5", "--C", "-10.3", "--n", "3",
+                           "--samples", "20001")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == MULTI_BLOCK_WAVEFUNCTIONS[kind]
 
 
 NO_SCIPY_SCRIPT = """

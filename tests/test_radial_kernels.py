@@ -9,6 +9,7 @@ evaluator may write into the caller's r.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ def ref_sample_radial(kind, params, n, samples, normalize, E):
     peak = float(np.max(np.abs(values)))
     defect = float(abs(values[0]) / peak) if peak > 0.0 else 0.0
     return r, values, norm, peak, defect
+
+
+def ref_count_nodes(values):
+    """count_nodes over the whole vector at once."""
+    v = np.asarray(values)
+    if np.iscomplexobj(v):
+        ref = v[np.argmax(np.abs(v))]
+        v = (v * np.conj(ref / abs(ref))).real
+    peak = np.max(np.abs(v))
+    if peak == 0.0:
+        return 0
+    signs = np.sign(v[np.abs(v) > 1e-9 * peak])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 # kind -> (library evaluator with its energy argument, reference, channel)
@@ -235,3 +249,85 @@ def test_simpson_rule_is_simpson(samples):
     integrate = wf._simpson_rule(r)
     for y in (np.exp(-r), np.cos(3 * r) * r, np.full_like(r, -0.0)):
         assert bits(integrate(y)) == bits(simpson(y, x=r)) == bits(wf.simpson(y, r))
+
+
+# sample counts on either side of the block edges of sample_radial: k blocks of
+# samples, and 2k blocks, which are k blocks of Simpson interval pairs
+BLOCK = wf._BLOCK
+EDGE_COUNTS = sorted({c for k in (1, 2) for c in (k * BLOCK - 1, k * BLOCK, k * BLOCK + 1,
+                                                  2 * k * BLOCK - 2, 2 * k * BLOCK - 1,
+                                                  2 * k * BLOCK + 1, 2 * k * BLOCK + 2)})
+EDGE_PARAMS = {
+    SymmetryKind.SPIN: ModelParams(M=1.5, omega0=0.4, eps=0.5),
+    SymmetryKind.PSEUDOSPIN: ModelParams(M=1.5, omega0=0.4, eps=0.5, C=-10.3,
+                                         sym=SymmetryKind.PSEUDOSPIN),
+}
+# |F|^2 overflows here, so the peak-scaled samples are normalized
+OVERFLOW_F = ModelParams(M=4.0638, omega0=0.08247, eps=1.2905, C=-36.985)
+
+
+@pytest.mark.parametrize("samples", EDGE_COUNTS)
+@pytest.mark.parametrize("kind, p", [(kind, EDGE_PARAMS[REFERENCE[kind][2]])
+                                     for kind in wf.RadialKind]
+                         + [(wf.RadialKind.UPPER_F, OVERFLOW_F)],
+                         ids=[kind.value for kind in wf.RadialKind] + ["UpperF-overflow"])
+def test_block_edges_match_reference(kind, p, samples):
+    E = bound_energy(kind, p, 3)
+    for normalize in (True, False):
+        with np.errstate(all="ignore"):
+            r, values, norm, peak, defect = ref_sample_radial(kind, p, 3, samples, normalize, E)
+            rf = wf.sample_radial(kind, p, 3, samples=samples, normalize=normalize)
+        assert bits(rf.r) == bits(r)
+        assert bits(rf.values) == bits(values)
+        assert repr(rf.norm) == repr(norm)
+        assert repr(rf.origin_defect) == repr(defect)
+        assert rf.nodes == ref_count_nodes(values)
+
+
+def node_cases():
+    """Sample vectors whose node count depends on the handling of block edges."""
+    x = np.linspace(0.0, 9.0, 3 * BLOCK)
+    wave = np.sin(x)
+    across = np.ones(2 * BLOCK)
+    across[BLOCK:] = -1.0  # the only sign change is across the block edge
+    quiet = wave.copy()
+    quiet[BLOCK:2 * BLOCK] *= 1e-12  # a whole block below 1e-9 of the peak
+    quiet[:BLOCK] = np.abs(quiet[:BLOCK])
+    quiet[2 * BLOCK:] = -np.abs(quiet[2 * BLOCK:])
+    tied = wave.copy()
+    tied[BLOCK // 2] = tied[BLOCK + 7] = 3.0  # equal maxima in two blocks
+    return {"across": across, "quiet": quiet, "tied": tied}
+
+
+@pytest.mark.parametrize("name", ["across", "quiet", "tied"])
+def test_count_nodes_across_blocks_matches_whole_vector(name):
+    v = node_cases()[name]
+    assert wf.count_nodes(v) == ref_count_nodes(v)
+    assert wf.count_nodes(v * (0.6 - 0.8j)) == ref_count_nodes(v * (0.6 - 0.8j)) \
+        == ref_count_nodes(v)
+    if name == "tied":
+        # the first of two tied maxima sets the phase: with it the first block
+        # is real, with the second only the later ones would be
+        rot = v * (0.6 - 0.8j)
+        rot[BLOCK:] *= 1j
+        assert wf.count_nodes(rot) == ref_count_nodes(rot) == ref_count_nodes(v[:BLOCK])
+
+
+# float64 sample arrays (of N = 100,001) that sample_radial may hold at once:
+# r, the values (two for complex ones), the Simpson columns (two) and terms
+# (half of one), plus block-sized scratch
+PEAK_ARRAYS = {wf.RadialKind.UPPER_F: 5.5, wf.RadialKind.LOWER_G: 5.5,
+               wf.RadialKind.NONREL_R: 5.5, wf.RadialKind.PSEUDO_LOWER_G: 6.5}
+
+
+@pytest.mark.parametrize("kind", list(wf.RadialKind), ids=lambda kind: kind.value)
+def test_sample_radial_memory_stays_block_sized(kind):
+    p, samples = EDGE_PARAMS[REFERENCE[kind][2]], 100_001
+    wf.sample_radial(kind, p, 3, samples=samples)  # solver and import caches
+    tracemalloc.start()
+    try:
+        wf.sample_radial(kind, p, 3, samples=samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_ARRAYS[kind] * 8 * samples, peak / (8 * samples)
