@@ -44,7 +44,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -52,8 +52,8 @@ from .model import ModelParams, SymmetryKind, _check_n, _check_r_max, derived_co
 from .spectra import EnergyLevel, Status, solve_level
 
 
-# samples per pass of sample_radial: the scratch of a block stays in cache, and
-# a grid of up to _BLOCK samples takes one pass
+# samples per pass of sample_radial: the scratch of a block stays in cache (a
+# shorter remainder than _BLOCK // 2 joins the pass before it)
 _BLOCK = 8192
 
 
@@ -338,72 +338,68 @@ def _guarded_div(num, den):
     return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
 
 
-def _simpson_rule(x):
-    """simpson(., x) as a function of y alone: the factors that depend on the
-    grid x only are computed once, for every integral on that grid.
-
-    The factors and the terms of an integral are formed _BLOCK samples at a
-    time; the terms of all interval pairs are then added by one np.sum, so
-    the summation order is SciPy's.  integrate(y, f) integrates f(y) for an
-    elementwise f, applied block by block (sample_radial's |values|^2).
-    """
-    x = np.asarray(x)
-    odd = len(x) % 2 == 1
-    pairs = (len(x) - 1) // 2  # pair i spans x[2i], x[2i + 1], x[2i + 2]
-    columns = np.empty((4, pairs), np.result_type(x, 1.0))  # a, b, c and w of each pair
-    spans = []  # per block: the samples it spans, its pairs and its rows of a, b, c, w
-    for p in range(0, pairs, _BLOCK // 2):
-        q = min(p + _BLOCK // 2, pairs)
-        a, b, c, w = columns[:, p:q]
-        spans.append((slice(2 * p, 2 * q + 1), slice(p, q), a, b, c, w))
-        xs = x[2 * p:2 * q + 1]
-        h = xs[1:] - xs[:-1]  # np.diff(xs)
-        h0, h1 = h[0::2], h[1::2]
-        hsum = h0 + h1
-        hprod = h0 * h1
-        h0divh1 = _guarded_div(h0, h1)
-        np.divide(hsum, 6.0, out=w)
-        np.subtract(2.0, h0divh1, out=c)
-        np.subtract(2.0, _guarded_div(1.0, h0divh1), out=a)
-        np.multiply(hsum, _guarded_div(hsum, hprod), out=b)
-    if not odd:
-        # 0-d arrays, as in SciPy, so that ** takes the same NumPy loop
-        h0, h1 = np.asarray(x[-2] - x[-3]), np.asarray(x[-1] - x[-2])
-        alpha = _guarded_div(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
-        beta = _guarded_div(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
-        eta = _guarded_div(1 * h1 ** 3, 6 * h0 * (h0 + h1))
-
-    def integrate(y, f=None):
-        y = np.asarray(y)
-        acc = columns[0]  # the empty sum of a grid without pairs
-        for samples, block, a, b, c, w in spans:
-            fy = y[samples] if f is None else f(y[samples])
-            if block.start == 0:
-                acc = np.empty(pairs, np.promote_types(fy.dtype, a.dtype))
-            term = np.multiply(fy[:-1:2], a, out=acc[block])  # w (y0 a + y1 b + y2 c)
-            term += fy[1::2] * b
-            term += fy[2::2] * c
-            term *= w
-        result = np.sum(acc)
-        if odd:
-            return result
-        y = y[-3:] if f is None else f(y[-3:])
-        result += alpha * y[2] + beta * y[1] - eta * y[0]
-        return result + 0.0  # SciPy adds 0.0 here too, which turns -0.0 into 0.0
-
-    return integrate
-
-
 def simpson(y, x):
     """Composite Simpson integral of samples y on the grid x (N >= 3 points).
 
     Repeats scipy.integrate.simpson(y, x=x) of SciPy 1.17 on 1-D input
     operation for operation, so the result is the same bit for bit: the
     nonuniform three-point rule over pairs of intervals, and for even N
-    Cartwright's correction for the last interval.  sample_radial and
-    mean_radius compute the grid factors once for all their integrals.
+    Cartwright's correction for the last interval.  The rule for any grid,
+    behind mean_radius (sample_radial weighs its own grid uniformly); public
+    while the benchmark's traced radial run binds it by name.
     """
-    return _simpson_rule(x)(y)
+    y, x = np.asarray(y), np.asarray(x)
+    m = len(x) if len(x) % 2 else len(x) - 1  # the interval pairs span x[:m]
+    h = np.diff(x[:m]).astype(float, copy=False)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    h0divh1 = _guarded_div(h0, h1)
+    result = np.sum(hsum / 6.0 * (y[0:m - 2:2] * (2.0 - _guarded_div(1.0, h0divh1))
+                                  + y[1:m - 1:2] * (hsum * _guarded_div(hsum, h0 * h1))
+                                  + y[2:m:2] * (2.0 - h0divh1)))
+    if m == len(x):
+        return result
+    # 0-d arrays, as in SciPy, so that ** takes the same NumPy loop
+    h0, h1 = np.asarray(x[-2] - x[-3], float), np.asarray(x[-1] - x[-2], float)
+    alpha = _guarded_div(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _guarded_div(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _guarded_div(1 * h1 ** 3, 6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result + 0.0  # SciPy adds 0.0 here too, which turns -0.0 into 0.0
+
+
+def _pair_weights(x0: float, x1: float, x2: float):
+    """simpson's (w, a, b, c) of the pair x0 <= x1 < x2: w (a y0 + b y1 + c y2)."""
+    h0, h1 = x1 - x0, x2 - x1
+    hsum, q = h0 + h1, h0 / h1
+    return (hsum / 6.0, 2.0 - (1.0 / q if q else 0.0),
+            hsum * (hsum / (h0 * h1)) if h0 else 0.0, 2.0 - q)
+
+
+def _norm_sq(values, h: float, pair) -> float:
+    """Simpson integral of |values|^2 on sample_radial's grid of step h.
+
+    Weights h/3 (1, 4, 2, ..., 4, 1) on the odd-length run values[lo:hi + 1],
+    whose interior enters as two strided sums of |values|^2 per block; an even
+    count adds simpson's last-interval correction with h0 = h1 = h (5h/12, 2h/3,
+    -h/12).  A pair of _pair_weights weighs the first two intervals instead.
+    """
+    n = len(values)
+    lo, hi = 0 if pair is None else 2, n - 1 - (n % 2 == 0)
+    four = two = 0.0
+    inner = values[lo + 1:hi]
+    for s in _blocks(len(inner)):
+        d = _density(inner[s])
+        four += d[::2].sum()
+        two += d[1::2].sum()
+    y0, y1, y_lo, y_hi, y_n3, y_n1 = _density(values[[0, 1, lo, hi, n - 3, n - 1]]).tolist()
+    total = h / 3.0 * (y_lo + 4.0 * four + 2.0 * two + y_hi) if hi > lo else 0.0
+    if pair is not None:
+        w, a, b, c = pair
+        total += w * (y0 * a + y1 * b + y_lo * c)
+    if n % 2 == 0:
+        total += 5.0 / 12.0 * h * y_n1 + 2.0 / 3.0 * h * y_hi - h / 12.0 * y_n3
+    return float(total)
 
 
 def mean_radius(rf: "RadialFunction") -> float:
@@ -413,21 +409,19 @@ def mean_radius(rf: "RadialFunction") -> float:
     displacement (the closed forms place the density center at +r0).
     """
     w = np.abs(rf.values) ** 2
-    integrate = _simpson_rule(rf.r)
-    return float(integrate(rf.r * w) / integrate(w))
+    return float(simpson(rf.r * w, rf.r) / simpson(w, rf.r))
 
 
 def _blocks(size: int) -> list[slice]:
-    """Slices that cover range(size) in runs of _BLOCK (one empty one for size 0)."""
-    return [slice(lo, lo + _BLOCK) for lo in range(0, max(size, 1), _BLOCK)]
+    """Slices that cover range(size) in runs of _BLOCK; a remainder shorter
+    than _BLOCK // 2 joins the run before it (one empty slice for size 0)."""
+    starts = range(0, max(size - _BLOCK // 2 + 1, 1), _BLOCK)
+    return [slice(lo, lo + _BLOCK) for lo in starts[:-1]] + [slice(starts[-1], None)]
 
 
-def _peak(part, blocks):
-    """max |part(s)| over the blocks s; nan if any sample is nan."""
-    peak = np.maximum.reduce(np.abs(part(blocks[0])))
-    for s in blocks[1:]:
-        peak = np.maximum(peak, np.maximum.reduce(np.abs(part(s))))
-    return peak
+def _peak(parts):
+    """max |p| over the arrays p of parts; nan if any sample is nan."""
+    return reduce(np.maximum, [np.maximum.reduce(np.abs(p)) for p in parts])
 
 
 def _phase(v: np.ndarray, blocks):
@@ -451,6 +445,28 @@ def realness_defect(values) -> float:
     return float(np.max(np.abs((v * _phase(v, _blocks(len(v)))).imag)) / peak)
 
 
+def _count_nodes(v: np.ndarray, blocks, peak=None) -> int:
+    """count_nodes of the 1-D v over blocks; peak is max |v|, if the caller
+    has it (complex v count against the peak of their aligned real part)."""
+    if v.dtype.kind == "c":
+        phase = _phase(v, blocks)
+        parts = [(v[s] * phase).real.copy() for s in blocks]  # frees the complex product
+        peak = _peak(parts)
+    else:
+        parts = [v[s] for s in blocks]
+        peak = _peak(parts) if peak is None else peak
+    if peak == 0.0:
+        return 0
+    nodes, last = 0, None
+    for block in parts:
+        signs = np.sign(block[np.abs(block) > 1e-9 * peak])
+        if len(signs):
+            nodes += int(np.count_nonzero(signs[1:] != signs[:-1]))
+            nodes += last is not None and bool(signs[0] != last)
+            last = signs[-1]
+    return nodes
+
+
 def count_nodes(values) -> int:
     """Interior sign changes, ignoring samples below 1e-9 of the peak.
 
@@ -458,26 +474,7 @@ def count_nodes(values) -> int:
     Runs a block at a time, carrying the last kept sign across block edges.
     """
     v = np.asarray(values).reshape(-1)
-    blocks = _blocks(len(v))
-    if v.dtype.kind == "c":
-        phase = _phase(v, blocks)
-
-        def part(s):
-            return (v[s] * phase).real
-    else:
-        part = v.__getitem__
-    peak = _peak(part, blocks)
-    if peak == 0.0:
-        return 0
-    nodes, last = 0, None
-    for s in blocks:
-        block = part(s)
-        signs = np.sign(block[np.abs(block) > 1e-9 * peak])
-        if len(signs):
-            nodes += int(np.count_nonzero(signs[1:] != signs[:-1]))
-            nodes += last is not None and bool(signs[0] != last)
-            last = signs[-1]
-    return nodes
+    return _count_nodes(v, _blocks(len(v)))
 
 
 @dataclass(frozen=True)
@@ -512,8 +509,10 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
                   normalize: bool = True) -> RadialFunction:
     """Sample a radial component on [0, r_max] and optionally L2-normalize.
 
-    The lower spin component is sampled from r = 1e-8 instead of 0 (its
-    kappa/r term diverges there, so its norm depends on that cutoff).
+    The norm takes Simpson's uniform weights on this linspace grid.  The
+    lower spin component is sampled from r = 1e-8 instead of 0 (its kappa/r
+    term diverges there, so its norm depends on that cutoff) and keeps
+    simpson's nonuniform weights on its first interval pair.
     """
     if samples < 3:
         raise ValueError(f"samples must be >= 3, got {samples}")
@@ -525,27 +524,28 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
     r = np.linspace(0.0, r_max, samples)
     if kind is RadialKind.LOWER_G:
         r[0] = 1e-8
-    kernel, r = _resolve(kind, params, n, r)
-    # every pass below works through r and values _BLOCK samples at a time; the
-    # only other full-length arrays are the Simpson columns and terms (N/2 each)
+    kernel, r = _resolve(kind, params, n, r)  # checks r[1] >= 1e-8 = r[0] for LOWER_G
+    pair = _pair_weights(*r[:3].tolist()) if kind is RadialKind.LOWER_G else None
+    h = float(r_max) / (samples - 1)  # linspace's own step
+    # every pass below works through r and values _BLOCK samples at a time;
+    # the only other full-length arrays are the real parts of complex values
     values, blocks = np.empty(samples, _KERNELS[kind][2]), _blocks(samples)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples raise below
         for s in blocks:
             kernel(r[s], values[s])
-        integrate = _simpson_rule(r)
-        norm = float(integrate(values, _density))
+        norm = _norm_sq(values, h, pair)
         if normalize:
             if not math.isfinite(norm):
                 # |values|^2 overflowed: normalize the peak-scaled samples instead
-                raw_peak = float(_peak(values.__getitem__, blocks))
+                raw_peak = float(_peak(values[s] for s in blocks))
                 if 0.0 < raw_peak < math.inf:
                     values /= raw_peak
-                    norm = float(integrate(values, _density))
+                    norm = _norm_sq(values, h, pair)
             if norm <= 0.0:
                 raise ValueError("cannot normalize an identically zero function")
             values /= math.sqrt(norm)
-            norm = float(integrate(values, _density))
-        peak = float(_peak(values.__getitem__, blocks))
+            norm = _norm_sq(values, h, pair)
+        peak = float(_peak(values[s] for s in blocks))
     if not math.isfinite(peak):
         raise ValueError(f"{kind.value} at n={n} has non-finite samples (float64 overflow)")
     return RadialFunction(
@@ -554,7 +554,7 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
         r=r,
         values=values,
         norm=norm,
-        nodes=count_nodes(values),
+        nodes=_count_nodes(values, blocks, peak),
         normalized=normalize,
         origin_defect=float(abs(values[0]) / peak) if peak > 0.0 else 0.0,
     )

@@ -510,7 +510,8 @@ GOLDEN_WAVEFUNCTIONS = {
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_WAVEFUNCTIONS))
 def test_wavefunction_output_matches_golden_bytes(capsys, kind):
-    """tests/data holds the output captured while SciPy's simpson normalized."""
+    """tests/data holds the output normalized by sample_radial's uniform
+    Simpson weights (the G and Gps bytes are the same under SciPy's rule)."""
     code, out, _ = run_cli(capsys, "wavefunction", "--kind", kind,
                            *GOLDEN_WAVEFUNCTIONS[kind])
     assert code == 0
@@ -520,9 +521,9 @@ def test_wavefunction_output_matches_golden_bytes(capsys, kind):
 # sha256 of the stdout of 20,001-sample runs, which sample_radial works through
 # in several blocks (the golden files above are one block each)
 MULTI_BLOCK_WAVEFUNCTIONS = {
-    "F": "49e12a25153f15dc980f85e7f2c2472743fd39f4426bf85b6ad03a150889a27e",
-    "G": "f6b9c3bce1e18b79683fac2da23072eb5105c5842a4ec5f4d48ae456205b28c2",
-    "R": "99ff5a7046d92b849db4da16c61040b0f937da36321dabf0867682b4b8de0a6a",
+    "F": "fff4f1b8af14cf3ce9cb3f54ad2444d99d96de4af6be04911b68109c68fb86c0",
+    "G": "04cdffcf893b9204c3ff175b72bc4c9f2cce09682e7c71c8e094c0be5734114d",
+    "R": "56102b2311ae5462fc26ddbbb1029bf936f266cc459f9dce1a4fd13cf0cfab3f",
     "Gps": "fe55332c39398a52e24b2d4342a1649c69e2b4b5de85af074552e29234bdf58e",
 }
 

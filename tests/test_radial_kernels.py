@@ -1,19 +1,24 @@
 """The radial kernels against a frozen copy of their out-of-place formulas.
 
-hostark evaluates the polynomial recurrences, the spin envelope and the
-Simpson sums in buffers it reuses.  The reference below writes the same
-operations as plain NumPy expressions, one new array per step, exactly as
-the closed forms read.  Every sample, norm, node count and origin defect
-must come out with the same bits, for array, 0-d and Python-float r, and no
-evaluator may write into the caller's r.
+hostark evaluates the polynomial recurrences and the spin envelope in
+buffers it reuses, and sums |values|^2 block by block.  The reference below
+writes the same operations as plain NumPy expressions, one new array per
+step, exactly as the closed forms read, and adds the norm's block sums in
+the same order.  Every sample, norm, node count and origin defect must come
+out with the same bits, for array, 0-d and Python-float r, and no evaluator
+may write into the caller's r.  SciPy's simpson stays the reference of the
+quadrature: the uniform weights of sample_radial must agree with it to
+1e-14 relative, beyond what the rounding of the grid points accounts for,
+and wavefunctions.simpson bit for bit.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from hostark import wavefunctions as wf
@@ -22,6 +27,13 @@ from hostark.spectra import Status, solve_level
 from hostark.wavefunctions import ConstantsUndefined
 
 # ------------------------------------------------------------ frozen reference
+
+BLOCK = wf._BLOCK
+
+# counts about the edge where a remainder of BLOCK // 2 samples stops joining
+# the pass before it, for the samples and for the norm's interior, which is 2
+# to 5 samples shorter
+TAIL_COUNTS = [k * BLOCK + BLOCK // 2 + d for k in (1, 2) for d in range(-1, 7)]
 
 
 def ref_hermite(n, x):
@@ -87,24 +99,56 @@ def ref_pseudo_G(params, n, r, E):
     return complex(out) if out.ndim == 0 else out
 
 
+def ref_blocks(size):
+    """sample_radial's blocks as (start, stop): runs of BLOCK samples, and a
+    remainder shorter than BLOCK // 2 joined to the run before it."""
+    starts = list(range(0, size, BLOCK)) or [0]
+    if len(starts) > 1 and size - starts[-1] < BLOCK // 2:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [size]))
+
+
+def ref_norm_sq(r, values, h):
+    """sample_radial's uniform Simpson rule, added up in its order: weights
+    h/3 (1, 4, 2, ..., 4, 1) on the odd-length run y[lo:hi + 1], whose
+    interior is two strided sums per block; SciPy's weights on the first pair
+    of the LOWER_G grid (r[0] = 1e-8), which the run skips; for even N,
+    Cartwright's correction with h0 = h1 = h."""
+    y = np.abs(values) ** 2
+    n = len(y)
+    lo, hi = (2 if r[0] else 0), (n - 1 if n % 2 else n - 2)
+    inner = y[lo + 1:hi]
+    four = two = 0.0
+    for start, stop in ref_blocks(len(inner)):
+        four += np.sum(inner[start:stop][0::2])
+        two += np.sum(inner[start:stop][1::2])
+    total = h / 3.0 * (y[lo] + 4.0 * four + 2.0 * two + y[hi]) if hi > lo else 0.0
+    if lo:
+        total += simpson(y[:3], x=r[:3])
+    if n % 2 == 0:
+        total += 5.0 / 12.0 * h * y[-1] + 2.0 / 3.0 * h * y[-2] - h / 12.0 * y[-3]
+    return float(total)
+
+
 def ref_sample_radial(kind, params, n, samples, normalize, E):
-    """sample_radial's arithmetic; SciPy's simpson is the quadrature."""
-    r = np.linspace(0.0, wf.default_r_max(params), samples)
+    """sample_radial's arithmetic; ref_norm_sq is the quadrature."""
+    r_max = wf.default_r_max(params)
+    r, h = np.linspace(0.0, r_max, samples), r_max / (samples - 1)
     if kind is wf.RadialKind.LOWER_G:
         r[0] = 1e-8
     values = np.asarray(REFERENCE[kind][1](params, n, r, E))
     with np.errstate(over="ignore"):
-        raw_norm_sq = float(simpson(np.abs(values) ** 2, x=r))
+        raw_norm_sq = ref_norm_sq(r, values, h)
     if normalize:
         if not math.isfinite(raw_norm_sq):
             raw_peak = float(np.max(np.abs(values)))
             if 0.0 < raw_peak < math.inf:
                 values = values / raw_peak
-                raw_norm_sq = float(simpson(np.abs(values) ** 2, x=r))
+                raw_norm_sq = ref_norm_sq(r, values, h)
         if raw_norm_sq <= 0.0:
             return None
         values = values / math.sqrt(raw_norm_sq)
-    norm = float(simpson(np.abs(values) ** 2, x=r))
+    norm = ref_norm_sq(r, values, h)
     peak = float(np.max(np.abs(values)))
     defect = float(abs(values[0]) / peak) if peak > 0.0 else 0.0
     return r, values, norm, peak, defect
@@ -179,7 +223,8 @@ def test_polynomials_match_reference(n, xs, alpha, shape):
 
 @settings(max_examples=120, deadline=None)
 @given(kind_and_params=kinds_and_params, n=st.integers(0, 30),
-       samples=st.one_of(st.integers(3, 3000), st.integers(32769, 40000)),
+       samples=st.one_of(st.integers(3, 3000), st.integers(32769, 40000),
+                         st.sampled_from(TAIL_COUNTS)),
        normalize=st.booleans())
 def test_sample_radial_matches_reference(kind_and_params, n, samples, normalize):
     kind, p = kind_and_params
@@ -246,14 +291,11 @@ def test_spin_factors_match_reference():
 @pytest.mark.parametrize("samples", [3, 4, 5, 1000, 1001, 32769, 32770])
 def test_simpson_rule_is_simpson(samples):
     r = np.linspace(0.0, 7.5, samples)
-    integrate = wf._simpson_rule(r)
     for y in (np.exp(-r), np.cos(3 * r) * r, np.full_like(r, -0.0)):
-        assert bits(integrate(y)) == bits(simpson(y, x=r)) == bits(wf.simpson(y, r))
+        assert bits(wf.simpson(y, r)) == bits(simpson(y, x=r))
 
 
-# sample counts on either side of the block edges of sample_radial: k blocks of
-# samples, and 2k blocks, which are k blocks of Simpson interval pairs
-BLOCK = wf._BLOCK
+# sample counts on either side of the edges of k and 2k blocks of samples
 EDGE_COUNTS = sorted({c for k in (1, 2) for c in (k * BLOCK - 1, k * BLOCK, k * BLOCK + 1,
                                                   2 * k * BLOCK - 2, 2 * k * BLOCK - 1,
                                                   2 * k * BLOCK + 1, 2 * k * BLOCK + 2)})
@@ -282,6 +324,40 @@ def test_block_edges_match_reference(kind, p, samples):
         assert repr(rf.norm) == repr(norm)
         assert repr(rf.origin_defect) == repr(defect)
         assert rf.nodes == ref_count_nodes(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind_and_params=kinds_and_params, n=st.integers(0, 30),
+       samples=st.one_of(st.sampled_from([3, 4, 5, 6]), st.integers(3, 3000),
+                         st.sampled_from(EDGE_COUNTS + TAIL_COUNTS)),
+       tight=st.booleans())
+def test_raw_norm_matches_scipy(kind_and_params, n, samples, tight):
+    """The uniform weights move the raw norm by at most 1e-14 relative from
+    SciPy's nonuniform rule on the same samples, plus what the rounding of
+    the grid itself accounts for: linspace's points stray from i h by up to
+    ulp(r_max), which SciPy's weights follow and the uniform ones do not, so
+    the two integrals may differ by that times the variation of |values|^2;
+    and by an ulp of 0.0 per sample where the samples underflow to
+    subnormals, whose relative precision is lower.  A tight window has step 1e-8, where the LOWER_G grid's first interval,
+    from r[0] = 1e-8, can have zero width."""
+    kind, p = kind_and_params
+    r_max = 1e-8 * (samples - 1) if tight else wf.default_r_max(p)
+    assume(r_max > 0.0)
+    assume(kind is wf.RadialKind.NONREL_R or bound_energy(kind, p, n) is not None)
+    try:
+        with np.errstate(all="ignore"):
+            rf = wf.sample_radial(kind, p, n, r_max=r_max, samples=samples, normalize=False)
+    except ValueError as exc:  # float64 overflow, or a step just below 1e-8 for LOWER_G
+        assert re.search("non-finite samples|needs r >= 1e-8", str(exc)), exc
+        return
+    with np.errstate(over="ignore"):
+        y = np.abs(rf.values) ** 2
+        ref = float(simpson(y, x=rf.r))
+    if math.isfinite(ref):
+        grid = math.ulp(r_max) * float(np.sum(np.abs(np.diff(y)))) + samples * math.ulp(0.0)
+        assert abs(rf.norm - ref) <= 1e-14 * ref + grid, (rf.norm, ref, grid)
+    else:
+        assert repr(rf.norm) == repr(ref)
 
 
 def node_cases():
@@ -313,9 +389,9 @@ def test_count_nodes_across_blocks_matches_whole_vector(name):
         assert wf.count_nodes(rot) == ref_count_nodes(rot) == ref_count_nodes(v[:BLOCK])
 
 
-# float64 sample arrays (of N = 100,001) that sample_radial may hold at once:
-# r, the values (two for complex ones), the Simpson columns (two) and terms
-# (half of one), plus block-sized scratch
+# upper bounds on the float64 sample arrays (of N = 100,001) that sample_radial
+# holds at once: r, the values (two for complex ones), the aligned real parts
+# that count_nodes keeps of complex values, and block-sized scratch
 PEAK_ARRAYS = {wf.RadialKind.UPPER_F: 5.5, wf.RadialKind.LOWER_G: 5.5,
                wf.RadialKind.NONREL_R: 5.5, wf.RadialKind.PSEUDO_LOWER_G: 6.5}
 

@@ -15,6 +15,7 @@ from hostark.wavefunctions import (
     SingularAtOrigin,
     assoc_laguerre,
     count_nodes,
+    default_r_max,
     g_deviation_report,
     hermite,
     lower_spinor_G,
@@ -330,6 +331,24 @@ class TestSampling:
     def test_raw_sampling(self):
         rf = sample_radial(RadialKind.UPPER_F, spin(), 0, normalize=False)
         assert rf.values[0] == pytest.approx(1.0)  # unnormalized closed form at r=0
+
+    def test_nonrel_norm_converges_to_mpmath_quad(self):
+        # the raw norm of R_3 against a 30-digit quad of the closed-form R_3^2
+        # over the same window [0, r0 + 20/lambda], which cuts R_3 off at
+        # r = 0 (the integral is 0.675..., not 1); at 1001 samples the
+        # uniform rule is 1.95e-8 off, and halving h cuts that 16.01x (h^4)
+        p = spin(eps=0.5, omega0=0.4)
+        n, r_max = 3, default_r_max(p)
+        lam, r0 = math.sqrt(p.M * p.omega0), derived_constants(p).r0
+        with mpmath.workdps(30):
+            pref = (lam ** 2 / mpmath.pi) ** 0.25 / mpmath.sqrt(2 ** n * math.factorial(n))
+            exact = float(mpmath.quad(
+                lambda r: (pref * mpmath.exp(-lam ** 2 * (r - r0) ** 2 / 2)
+                           * mpmath.hermite(n, lam * (r - r0))) ** 2, [0, r0, r_max]))
+        err = [sample_radial(RadialKind.NONREL_R, p, n, samples=samples, normalize=False).norm
+               / exact - 1.0 for samples in (1001, 2001)]
+        assert abs(err[0]) <= 2e-8
+        assert 15.5 <= err[0] / err[1] <= 16.5
 
     def test_node_metadata_matches_count(self):
         rf = sample_radial(RadialKind.NONREL_R, spin(eps=0.5), 3, samples=4001)
