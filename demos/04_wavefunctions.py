@@ -9,8 +9,9 @@ shows the two diagnostics that are deliberately reported instead of fixed:
   (full-line oscillator solutions used on a half line), and
 * the printed lower-component closed form disagrees with the derivative
   relation that defines it (its polynomial-derivative term carries a
-  nonstandard index and sign), so the numeric-derivative path is
-  authoritative and the disagreement is quantified, never hidden.
+  nonstandard index and sign), so the derivative relation, with dF/dr
+  in closed form, is authoritative and the disagreement is quantified,
+  never hidden.
 """
 
 import numpy as np
@@ -50,12 +51,12 @@ print("(the density is centered on +r0; the value is reported, no sign asserted)
 
 print("\nlower-component paths, n = 1:")
 rep = g_deviation_report(SPIN, 1)
-print(f"  numeric derivative path, h-refinement consistency: "
-      f"{rep.richardson_defect:.2e}")
-print(f"  printed closed form vs numeric path: max relative deviation "
+print(f"  derivative relation (closed-form dF/dr) vs extrapolated central "
+      f"differences: {rep.richardson_defect:.2e}")
+print(f"  printed closed form vs derivative relation: max relative deviation "
       f"{rep.max_rel_deviation:.3f}, mean {rep.mean_rel_deviation:.3f}")
 idx = np.linspace(0, len(rep.r) - 1, 5, dtype=int)
-print(f"  {'r':>8} {'numeric':>14} {'printed form':>14}")
+print(f"  {'r':>8} {'relation':>14} {'printed form':>14}")
 for i in idx:
     print(f"  {rep.r[i]:>8.3f} {rep.numeric[i]:>14.6e} {rep.closed_form[i]:>14.6e}")
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -171,6 +172,10 @@ _KINDS = {"F": "UPPER_F", "G": "LOWER_G", "R": "NONREL_R", "Gps": "PSEUDO_LOWER_
 
 
 def _cmd_wavefunction(args) -> int:
+    if "numpy" not in sys.modules:
+        # no hostark kernel calls BLAS, and an idle OpenBLAS worker spins for
+        # ~0.1 s of CPU after import; a value the caller set wins
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import wavefunctions
 
     kind = wavefunctions.RadialKind[_KINDS[args.kind]]

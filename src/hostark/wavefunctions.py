@@ -17,9 +17,10 @@ derivative relation
 
     G(r) = d0 (d/dr + kappa/r) F(r),      d0 = 1/gamma,
 
-computed by central differences; the two are compared, never forced to
-agree (the printed form carries a Laguerre-derivative term with a
-nonstandard index and sign).
+with dF/dr in closed form from F's own factors (L_n' = -L_{n-1}^(1), summed
+in L_n's recurrence); the two are compared, never forced to agree (the
+printed form carries a Laguerre-derivative term with a nonstandard index
+and sign).
 
 The nonrelativistic radial function is the displaced-oscillator solution
 
@@ -97,18 +98,18 @@ class ShapeConstants:
     d0: float | None = None
 
     def _spin_factors(self, r):
-        """lambda^2, the envelope exp[-eps1 (lambda^2 r^2/2 - b r)] and the
-        Laguerre argument eps2 (lambda^2 r - b)^2 of the spin components, as new arrays."""
+        """lambda^2, the envelope exp[-eps1 (lambda^2 r^2/2 - b r)], the Laguerre
+        argument eps2 u^2 of the spin components and u = lambda^2 r - b, as new arrays."""
         lam2 = self.lambda_scale ** 2
         envelope = np.multiply(0.5 * lam2, r, out=np.empty_like(r))
         envelope *= r
         envelope -= self.b * r
         envelope *= -self.eps1
-        xi = lam2 * r  # a scalar for 0-d r: there ** 2 is C pow, not np.square
-        xi -= self.b
-        xi **= 2
+        u = lam2 * r  # a scalar for 0-d r: there ** 2 is C pow, not np.square
+        u -= self.b
+        xi = u ** 2
         xi *= self.eps2
-        return lam2, np.exp(envelope, out=envelope), xi
+        return lam2, np.exp(envelope, out=envelope), xi, u
 
     def _lower_g(self, dF, F, r, out=None):
         """The spin derivative relation d0 (dF/dr + kappa/r F)."""
@@ -133,6 +134,7 @@ def _evaluation(fn: str, kind: RadialKind, params: ModelParams, n: int, r,
     if params.sym is not kind.sym:
         what = "spin-symmetry" if kind.sym is SymmetryKind.SPIN else "pseudospin"
         raise ValueError(f"{fn} requires {what} parameters")
+    _check_n(n)  # the kernels' recurrences take n unchecked
     E = _level_energy(params, n, energy)
     sc, r = shape_constants(params, E), np.asarray(r, dtype=float)
     if kind is RadialKind.LOWER_G and np.any(r < 1e-8):
@@ -189,34 +191,50 @@ def assoc_laguerre(n: int, alpha: float, x):
     n = _check_n(n)
     if alpha <= -1:
         raise ValueError(f"alpha must be > -1, got {alpha}")
+    return _laguerre(n, alpha, x)
+
+
+def _laguerre(n: int, alpha: float, x, total=None):
+    """L_n^(alpha)(x); total, a buffer shaped like x, if given, gets
+    sum_{k<n} L_k^(alpha)(x) = L_{n-1}^(alpha+1)(x), added up in the recurrence."""
     x = np.asarray(x)
     lk = np.empty_like(x, dtype=complex if x.dtype.kind == "c" else float)
     lk.fill(1.0)
+    if total is not None:
+        total.fill(1.0 if n else 0.0)
     if n == 0:
         return lk[()] if lk.ndim == 0 else lk
     lkp1, tmp = np.subtract(1.0 + alpha, x, out=np.empty_like(lk)), np.empty_like(lk)
     for k in range(1, n):
+        if total is not None:
+            total += lkp1
         np.multiply(np.subtract(2 * k + 1 + alpha, x, out=tmp), lkp1, out=tmp)
         np.subtract(tmp, np.multiply(k + alpha, lk, out=lk), out=lk)
         lk, lkp1 = lkp1, np.divide(lk, k + 1, out=lk)  # L_{k+1} in L_{k-1}'s buffer
     return lkp1[()] if lkp1.ndim == 0 else lkp1
 
 
-def _upper_F(sc: ShapeConstants, n: int, r, out=None):
-    """F at r, into out: the spin envelope times L_n of the spin argument."""
-    _, envelope, xi = sc._spin_factors(r)
-    return np.multiply(envelope, assoc_laguerre(n, 0.0, xi), out=out)
-
-
-def _central_dF(sc: ShapeConstants, n: int, r, h):
-    """dF/dr of the upper spin component by the central difference of step h."""
-    return (_upper_F(sc, n, r + h) - _upper_F(sc, n, r - h)) / (2.0 * h)
+def _upper_F(sc: ShapeConstants, n: int, r, out=None, slope=False):
+    """F = e L_n(xi) at r, into out: the spin envelope e times L_n of the spin
+    argument xi.  With slope, (F, dF/dr) from the same factors, since
+    L_n' = -L_{n-1}^(1):  dF/dr = e u (-eps1 L_n(xi) - 2 eps2 lambda^2 L_{n-1}^(1)(xi))."""
+    lam2, envelope, xi, u = sc._spin_factors(r)
+    total = np.empty_like(xi) if slope else None
+    L = _laguerre(n, 0.0, xi, total)
+    F = np.multiply(envelope, L, out=out)
+    if not slope:
+        return F
+    dF = np.multiply(-sc.eps1, L)
+    dF -= np.multiply(2.0 * sc.eps2 * lam2, total, out=total)
+    u *= envelope
+    dF *= u
+    return F, dF
 
 
 def _lower_G(sc: ShapeConstants, n: int, r, out=None):
-    """G at r, into out: the derivative relation with step h = 1e-6 max(1, r)."""
-    dF = _central_dF(sc, n, r, 1e-6 * np.maximum(1.0, r))
-    return sc._lower_g(dF, _upper_F(sc, n, r), r, out)
+    """G at r, into out: the derivative relation with dF/dr in closed form."""
+    F, dF = _upper_F(sc, n, r, slope=True)
+    return sc._lower_g(dF, F, r, out)
 
 
 def _pseudo_G(sc: ShapeConstants, n: int, r, out=None):
@@ -289,18 +307,17 @@ def nr_radial_R(params: ModelParams, n: int, r):
 def lower_spinor_G(params: ModelParams, n: int, r, energy: float | None = None):
     """Lower spinor component from the derivative relation (authoritative).
 
-    Central differences with step h = 1e-6 max(1, r); r must stay >= 1e-8
-    because of the kappa/r term.
+    dF/dr is taken in closed form from F's own factors, in one pass with F;
+    r must stay >= 1e-8 because of the kappa/r term.
     """
     return _evaluate(RadialKind.LOWER_G, params, n, r, energy)
 
 
 def _lower_G_closed(sc: ShapeConstants, n: int, r):
     """The printed closed form of the lower component at r."""
-    lam2, envelope, xi = sc._spin_factors(r)
-    bracket = (sc.eps1 * (sc.b - lam2 * r) + SymmetryKind.SPIN.kappa / r) \
-        * assoc_laguerre(n, 0.0, xi) \
-        + 2.0 * lam2 * sc.eps2 * (lam2 * r - sc.b) * assoc_laguerre(n, 1.0, xi)
+    lam2, envelope, xi, u = sc._spin_factors(r)
+    bracket = (-sc.eps1 * u + SymmetryKind.SPIN.kappa / r) * _laguerre(n, 0.0, xi) \
+        + 2.0 * lam2 * sc.eps2 * u * _laguerre(n, 1.0, xi)
     return sc.d0 * envelope * bracket
 
 
@@ -562,13 +579,14 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
 
 @dataclass(frozen=True)
 class GDeviationReport:
-    """Numeric-derivative vs printed closed form for the lower component.
+    """lower_spinor_G (numeric) against the printed closed form (closed_form).
 
     max_rel_deviation / mean_rel_deviation quantify their disagreement
     (expected to be O(1): the printed polynomial-derivative term does not
-    match the actual derivative).  richardson_defect certifies the numeric
-    path itself: it compares the h and h/2 central differences against
-    their Richardson extrapolation.
+    match the actual derivative).  richardson_defect checks numeric's closed-
+    form dF/dr independently: max |numeric - G_ex| / max(1, max |G_ex|), G_ex
+    the relation on the Richardson extrapolation of the central differences
+    of step h = 1e-6 max(1, r) and h/2.
     """
 
     r: np.ndarray
@@ -585,18 +603,15 @@ def g_deviation_report(params: ModelParams, n: int) -> GDeviationReport:
     sc, r = _evaluation("lower_spinor_G_closed_form", RadialKind.LOWER_G, params, n,
                         np.linspace(0.1, 20.0, 200), E)
     closed = _lower_G_closed(sc, n, r)
-    # lower_spinor_G's central difference, kept for the h-refinement below
-    h = 1e-6 * np.maximum(1.0, r)
-    d_h = _central_dF(sc, n, r, h)
-    f0 = _upper_F(sc, n, r)
-    numeric = sc._lower_g(d_h, f0, r)
+    numeric = _lower_G(sc, n, r)
     scale = np.maximum(np.maximum(np.abs(numeric), np.abs(closed)), 1e-300)
     rel = np.abs(numeric - closed) / scale
 
-    # h-refinement consistency of the derivative path
-    d_h2 = _central_dF(sc, n, r, h / 2.0)
-    g_ex = sc._lower_g((4.0 * d_h2 - d_h) / 3.0, f0, r)
-    rich = np.max(np.abs(sc._lower_g(d_h2, f0, r) - g_ex)) / max(1.0, float(np.max(np.abs(g_ex))))
+    # the closed-form dF/dr against central differences of step h and h/2, extrapolated
+    h = 1e-6 * np.maximum(1.0, r)
+    d_h, d_h2 = ((_upper_F(sc, n, r + s) - _upper_F(sc, n, r - s)) / (2.0 * s) for s in (h, h / 2))
+    g_ex = sc._lower_g((4.0 * d_h2 - d_h) / 3.0, _upper_F(sc, n, r), r)
+    rich = np.max(np.abs(numeric - g_ex)) / max(1.0, float(np.max(np.abs(g_ex))))
 
     return GDeviationReport(
         r=r,

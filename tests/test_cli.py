@@ -511,7 +511,8 @@ GOLDEN_WAVEFUNCTIONS = {
 @pytest.mark.parametrize("kind", sorted(GOLDEN_WAVEFUNCTIONS))
 def test_wavefunction_output_matches_golden_bytes(capsys, kind):
     """tests/data holds the output normalized by sample_radial's uniform
-    Simpson weights (the G and Gps bytes are the same under SciPy's rule)."""
+    Simpson weights (the Gps bytes are the same under SciPy's rule), G from
+    the closed-form dF/dr."""
     code, out, _ = run_cli(capsys, "wavefunction", "--kind", kind,
                            *GOLDEN_WAVEFUNCTIONS[kind])
     assert code == 0
@@ -522,7 +523,7 @@ def test_wavefunction_output_matches_golden_bytes(capsys, kind):
 # in several blocks (the golden files above are one block each)
 MULTI_BLOCK_WAVEFUNCTIONS = {
     "F": "fff4f1b8af14cf3ce9cb3f54ad2444d99d96de4af6be04911b68109c68fb86c0",
-    "G": "04cdffcf893b9204c3ff175b72bc4c9f2cce09682e7c71c8e094c0be5734114d",
+    "G": "f5247525356e52ef2f9b84264777c32884e4446c8887e35a20b236817238f974",
     "R": "56102b2311ae5462fc26ddbbb1029bf936f266cc459f9dce1a4fd13cf0cfab3f",
     "Gps": "fe55332c39398a52e24b2d4342a1649c69e2b4b5de85af074552e29234bdf58e",
 }
@@ -562,6 +563,33 @@ def run_fresh(script):
 
 def test_runtime_needs_no_scipy():
     run_fresh(NO_SCIPY_SCRIPT)
+
+
+BLAS_THREADS_SCRIPT = """
+import os, sys
+import hostark.cli
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+if PRESET is not None:
+    os.environ["OPENBLAS_NUM_THREADS"] = PRESET
+if NUMPY_FIRST:
+    import numpy
+assert "numpy" in sys.modules if NUMPY_FIRST else "numpy" not in sys.modules
+code = hostark.cli.main(["wavefunction", "--kind", "F", "--M", "1.5", "--omega0", "0.4",
+                         "--n", "0", "--samples", "5", "--output", os.devnull])
+assert code == 0, code
+assert os.environ.get("OPENBLAS_NUM_THREADS") == EXPECT, os.environ.get("OPENBLAS_NUM_THREADS")
+"""
+
+
+@pytest.mark.parametrize("preset, numpy_first, expect", [(None, False, "1"), ("3", False, "3"),
+                                                         (None, True, None)],
+                         ids=["unset", "preset", "numpy-first"])
+def test_wavefunction_caps_an_unset_blas_pool(preset, numpy_first, expect):
+    """wavefunction sets OPENBLAS_NUM_THREADS=1 before it first imports NumPy
+    (no kernel calls BLAS); a value already set wins, and a process that has
+    NumPy loaded keeps its environment."""
+    run_fresh(f"PRESET, NUMPY_FIRST, EXPECT = {preset!r}, {numpy_first!r}, {expect!r}\n"
+              + BLAS_THREADS_SCRIPT)
 
 
 # the names `hostark` exported when its __init__ imported every submodule,

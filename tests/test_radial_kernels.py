@@ -72,11 +72,15 @@ def ref_upper_F(params, n, r, E):
 
 
 def ref_lower_G(params, n, r, E):
+    """d0 (dF/dr + kappa/r F) with dF/dr in closed form: L_n' = -L_{n-1}^(1), and
+    L_{n-1}^(1) = L_0 + ... + L_{n-1}, added up from L_0 in that order."""
     sc = wf.shape_constants(params, E)
     r = np.asarray(r, dtype=float)
-    h = 1e-6 * np.maximum(1.0, r)
-    dF = (ref_upper_F(params, n, r + h, E) - ref_upper_F(params, n, r - h, E)) / (2.0 * h)
-    out = sc.d0 * (dF + SymmetryKind.SPIN.kappa / r * ref_upper_F(params, n, r, E))
+    lam2, envelope, xi = ref_spin_factors(sc, r)
+    L = ref_assoc_laguerre(n, 0.0, xi)
+    S = sum((ref_assoc_laguerre(k, 0.0, xi) for k in range(n)), 0.0)
+    dF = envelope * (lam2 * r - sc.b) * (-sc.eps1 * L - 2.0 * sc.eps2 * lam2 * S)
+    out = sc.d0 * (dF + SymmetryKind.SPIN.kappa / r * (envelope * L))
     return float(out) if out.ndim == 0 else out
 
 
@@ -284,7 +288,9 @@ def test_spin_factors_match_reference():
     sc = wf.shape_constants(p, solve_level(p, 2).E)
     grid = np.linspace(0.0, 30.0, 20001)
     for r in [grid, *map(np.asarray, grid)]:
-        for got, want in zip(sc._spin_factors(r), ref_spin_factors(sc, r)):
+        lam2, envelope, xi, u = sc._spin_factors(r)
+        assert bits(np.asarray(u))[1:] == bits(np.asarray(lam2 * r - sc.b))[1:]
+        for got, want in zip((lam2, envelope, xi), ref_spin_factors(sc, r)):
             assert bits(np.asarray(got))[1:] == bits(np.asarray(want))[1:]
 
 
