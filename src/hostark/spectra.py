@@ -324,23 +324,17 @@ def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
 
 
 def _margin_forms(kappa: int, M: float, C: float, gp, clip=lambda x: max(x, 0.0)):
-    """The margins (m1, m2) written in the margin t from each edge, as (edge,
-    direction, margins) with E = edge + direction t: on floats by default, on
-    arrays of cells with an array clip at 0."""
+    """_margins (m1, m2) = (E - e1, -kappa (E - e2)) written in the margin t
+    from each edge of _edges, as (edge, direction, margins) with E = edge +
+    direction t.  With gap = e1 - e2, t is m1 from e1 and m2 from e2 (direction
+    -kappa), and the pseudospin depth margin m1 from e2 is clipped at 0: on
+    floats by default, on arrays of cells with an array clip."""
     e1, e2 = _edges(kappa, M, C, gp)
-    if kappa < 0:
-        return (
-            # t = E + M - C (gamma margin)
-            (e1, +1.0, lambda t: (t, t + C - 2.0 * M + gp)),
-            # t = E - M + g' (shift margin)
-            (e2, +1.0, lambda t: (t + 2.0 * M - gp - C, t)),
-        )
-    return (
-        # t = E - M - C_ps (depth margin, growing upward from e1)
-        (e1, +1.0, lambda t: (t, -(t + e1 + M + gp))),
-        # t = -(E + M + g') (margin below e2)
-        (e2, -1.0, lambda t: (clip(e2 - t - M - C), t)),
-    )
+    gap = e1 - e2
+    if kappa < 0:  # the spin gamma margin is never clipped
+        clip = lambda x: x
+    return ((e1, 1.0, lambda t: (t, -kappa * (t + gap))),
+            (e2, float(-kappa), lambda t: (clip(-kappa * t - gap), t)))
 
 
 def _refine_near_boundary(kappa: int, k: int, M: float, C: float, gp: float,

@@ -50,7 +50,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .model import ModelParams, SymmetryKind, _check_n, _check_r_max, derived_constants
-from .spectra import EnergyLevel, Status, solve_level
+from .spectra import Status, solve_level
 
 
 # samples per pass of sample_radial: the scratch of a block stays in cache (a
@@ -114,32 +114,6 @@ class ShapeConstants:
     def _lower_g(self, dF, F, r, out=None):
         """The spin derivative relation d0 (dF/dr + kappa/r F)."""
         return np.multiply(self.d0, dF + SymmetryKind.SPIN.kappa / r * F, out=out)
-
-
-def _level_energy(params: ModelParams, n: int, energy: float | None) -> float:
-    if energy is not None:
-        return energy
-    level: EnergyLevel = solve_level(params, n)
-    if level.status is not Status.BOUND:
-        raise ConstantsUndefined(
-            f"no bound level at n={n} for these parameters ({level.status.value})"
-        )
-    return level.E
-
-
-def _evaluation(fn: str, kind: RadialKind, params: ModelParams, n: int, r,
-                energy: float | None):
-    """(shape constants, r as a float array) for the evaluator fn of kind:
-    params must be of its channel, and r >= 1e-8 for the lower spin component."""
-    if params.sym is not kind.sym:
-        what = "spin-symmetry" if kind.sym is SymmetryKind.SPIN else "pseudospin"
-        raise ValueError(f"{fn} requires {what} parameters")
-    _check_n(n)  # the kernels' recurrences take n unchecked
-    E = _level_energy(params, n, energy)
-    sc, r = shape_constants(params, E), np.asarray(r, dtype=float)
-    if kind is RadialKind.LOWER_G and np.any(r < 1e-8):
-        raise SingularAtOrigin("lower component needs r >= 1e-8")
-    return sc, r
 
 
 def shape_constants(params: ModelParams, energy: float) -> ShapeConstants:
@@ -277,19 +251,38 @@ _KERNELS = {
 }
 
 
-def _resolve(kind: RadialKind, params: ModelParams, n: int, r, energy: float | None = None):
-    """kind's kernel(r, out) with the channel, level and constants resolved once,
-    and r as a float array."""
-    fn, kernel, _ = _KERNELS[kind]
+def _resolve(kind: RadialKind, params: ModelParams, n: int, r, energy: float | None = None,
+             fn: str | None = None, kernel=None):
+    """(constants, kernel(r, out) bound to them, r as a float array) for the
+    evaluator fn of kind, both kind's own by default.  Checks, in this order:
+    params are of kind's channel, n, the level is bound (energy, if given,
+    stands for it), the constants exist, and r >= 1e-8 for the lower spin
+    component.  NONREL_R has no channel and no level, only its own n check."""
+    name, own, _ = _KERNELS[kind]
     if kind is RadialKind.NONREL_R:
-        return partial(kernel, _nr_constants(params, n), n), np.asarray(r, dtype=float)
-    sc, r = _evaluation(fn, kind, params, n, r, energy)
-    return partial(kernel, sc, n), r
+        consts = _nr_constants(params, n)
+    else:
+        if params.sym is not kind.sym:
+            what = "spin-symmetry" if kind.sym is SymmetryKind.SPIN else "pseudospin"
+            raise ValueError(f"{fn or name} requires {what} parameters")
+        _check_n(n)  # the kernels' recurrences take n unchecked
+        if energy is None:
+            level = solve_level(params, n)
+            if level.status is not Status.BOUND:
+                raise ConstantsUndefined(
+                    f"no bound level at n={n} for these parameters ({level.status.value})")
+            energy = level.E
+        consts = shape_constants(params, energy)
+    r = np.asarray(r, dtype=float)
+    if kind is RadialKind.LOWER_G and np.any(r < 1e-8):
+        raise SingularAtOrigin("lower component needs r >= 1e-8")
+    return consts, partial(kernel or own, consts, n), r
 
 
-def _evaluate(kind: RadialKind, params: ModelParams, n: int, r, energy: float | None = None):
-    """kind's kernel over the whole of r; a Python number for scalar r."""
-    kernel, r = _resolve(kind, params, n, r, energy)
+def _evaluate(kind: RadialKind, params: ModelParams, n: int, r, energy: float | None = None,
+              fn: str | None = None, kernel=None):
+    """_resolve's kernel over the whole of r; a Python number for scalar r."""
+    _, kernel, r = _resolve(kind, params, n, r, energy, fn, kernel)
     out = kernel(r, np.empty_like(r, dtype=_KERNELS[kind][2]))
     return out.item() if out.ndim == 0 else out
 
@@ -313,12 +306,12 @@ def lower_spinor_G(params: ModelParams, n: int, r, energy: float | None = None):
     return _evaluate(RadialKind.LOWER_G, params, n, r, energy)
 
 
-def _lower_G_closed(sc: ShapeConstants, n: int, r):
-    """The printed closed form of the lower component at r."""
+def _lower_G_closed(sc: ShapeConstants, n: int, r, out=None):
+    """The printed closed form of the lower component at r, into out."""
     lam2, envelope, xi, u = sc._spin_factors(r)
     bracket = (-sc.eps1 * u + SymmetryKind.SPIN.kappa / r) * _laguerre(n, 0.0, xi) \
         + 2.0 * lam2 * sc.eps2 * u * _laguerre(n, 1.0, xi)
-    return sc.d0 * envelope * bracket
+    return np.multiply(sc.d0 * envelope, bracket, out=out)
 
 
 def lower_spinor_G_closed_form(params: ModelParams, n: int, r,
@@ -328,10 +321,8 @@ def lower_spinor_G_closed_form(params: ModelParams, n: int, r,
     Carries the polynomial-derivative term as + L_n^(1) of the squared
     argument; compare against lower_spinor_G, do not substitute for it.
     """
-    sc, r = _evaluation("lower_spinor_G_closed_form", RadialKind.LOWER_G,
-                        params, n, r, energy)
-    out = _lower_G_closed(sc, n, r)
-    return float(out) if out.ndim == 0 else out
+    return _evaluate(RadialKind.LOWER_G, params, n, r, energy,
+                     "lower_spinor_G_closed_form", _lower_G_closed)
 
 
 def pseudo_lower_G(params: ModelParams, n: int, r, energy: float | None = None):
@@ -350,8 +341,6 @@ def _density(v):
 
 def _guarded_div(num, den):
     """num / den, and 0 where den is 0."""
-    if np.count_nonzero(den) == den.size:  # the masked loop is several times slower
-        return np.true_divide(num, den)
     return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
 
 
@@ -541,7 +530,7 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
     r = np.linspace(0.0, r_max, samples)
     if kind is RadialKind.LOWER_G:
         r[0] = 1e-8
-    kernel, r = _resolve(kind, params, n, r)  # checks r[1] >= 1e-8 = r[0] for LOWER_G
+    _, kernel, r = _resolve(kind, params, n, r)  # checks r[1] >= 1e-8 = r[0] for LOWER_G
     pair = _pair_weights(*r[:3].tolist()) if kind is RadialKind.LOWER_G else None
     h = float(r_max) / (samples - 1)  # linspace's own step
     # every pass below works through r and values _BLOCK samples at a time;
@@ -599,10 +588,9 @@ class GDeviationReport:
 
 def g_deviation_report(params: ModelParams, n: int) -> GDeviationReport:
     """Compare the two lower-component paths on 200 points of [0.1, 20]."""
-    E = _level_energy(params, n, None)
-    sc, r = _evaluation("lower_spinor_G_closed_form", RadialKind.LOWER_G, params, n,
-                        np.linspace(0.1, 20.0, 200), E)
-    closed = _lower_G_closed(sc, n, r)
+    sc, closed_form, r = _resolve(RadialKind.LOWER_G, params, n, np.linspace(0.1, 20.0, 200),
+                                  fn="g_deviation_report", kernel=_lower_G_closed)
+    closed = closed_form(r)
     numeric = _lower_G(sc, n, r)
     scale = np.maximum(np.maximum(np.abs(numeric), np.abs(closed)), 1e-300)
     rel = np.abs(numeric - closed) / scale

@@ -289,6 +289,15 @@ class TestErrors:
         assert "Traceback" not in err
         assert "--omega0-inv must be nonzero" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("wavefunction", "--kind", "F", "--M", "1.5", "--omega0", "0.4", "--n", "0",
+          "--samples", "2"), "samples must be >= 3, got 2"),
+        (("spectrum", "--symmetry", "spin", "--M", "1.5"),
+         "one of --omega0 / --omega0-inv is required"),
+    ], ids=["wavefunction-samples", "spectrum-no-omega0"])
+    def test_rejected_input_exits_two(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_figure2_negative_n_max_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "figure2", "--M", "1", "--omega0", "1",
                                  "--n-max", "-1")

@@ -2,19 +2,23 @@ import dataclasses
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import mapped_spin_coefficients
+from hostark import spectra
 from hostark.model import ModelParams, SymmetryKind, derived_constants
 from hostark.spectra import (
     Equation,
     NoSignChange,
     Status,
     _bisect,
+    _edges,
     _margin_forms,
     _margins,
+    _refine_near_boundary,
     _residual,
     field_free_closed_form_variant,
     bisection_oracle,
@@ -300,6 +304,12 @@ class TestBisectionOracle:
         with pytest.raises(NoSignChange):
             _bisect(f, 0.0, 1.0)
 
+    def test_pseudospin_residual_is_nan_below_its_domain(self):
+        # below e1 = M + C_ps the depth margin is negative and has no sqrt
+        p = pseudo()
+        f = _residual(p.kappa, 1, p.M, p.C, 0.0, p.M * p.omega0 ** 2)
+        assert math.isnan(f(p.M + p.C - 1.0))
+
     def test_rel_ho_root_past_200_halvings(self):
         # the default bracket [1, 1e201 + 11] holds the root 1.71e133 (50-digit
         # value 1.70997594667669698935e133): ~280 halvings to float resolution
@@ -418,6 +428,70 @@ class TestBisectionOracle:
             assert x == pytest.approx(lvl.E, abs=1e-9)
 
 
+def spin_root_60_digits(p, n, E):
+    """The root of the unsquared spin condition within 1e-9 max(1, |E|) of E,
+    to 60 digits, in exact arithmetic on the float parameters."""
+    with mpmath.workdps(60):
+        M, C, k = mpmath.mpf(p.M), mpmath.mpf(p.C), 2 * n + 1
+        w2 = M * mpmath.mpf(p.omega0) ** 2
+        gp = (p.q * mpmath.mpf(p.eps)) ** 2 / (2 * w2)
+
+        def f(x):  # rising; -inf on and below the gamma = 0 edge
+            m1 = x + M - C
+            return x - M + gp - k * mpmath.sqrt(w2 / (2 * m1)) if m1 > 0 else -mpmath.inf
+
+        d = 1e-9 * max(1.0, abs(E))
+        a, b = mpmath.mpf(E) - d, mpmath.mpf(E) + d
+        assert f(a) < 0 < f(b)
+        for _ in range(240):  # 2^-240 of the bracket is below 60 digits
+            m = (a + b) / 2
+            a, b = (m, b) if f(m) < 0 else (a, m)
+        return (a + b) / 2
+
+
+# E = -693.4733426959593 is the correctly rounded root -693.473342695959358656...
+# of the unsquared condition; the refinement takes it from the gamma = 0 edge
+# e1 = C_s - M, 0.53 below it
+ROUNDED_ROOT = (ModelParams(M=54.402366316082706, omega0=0.17484346323744382,
+                            eps=50.000883966025555, C=-639.5996704949263), 1)
+
+
+class TestRefinementReferee:
+    def test_refined_level_is_the_rounded_root(self):
+        p, n = ROUNDED_ROOT
+        E = solve_level(p, n).E
+        assert E == float(spin_root_60_digits(p, n, E)) == -693.4733426959593
+
+    def test_refined_levels_within_an_ulp(self, monkeypatch):
+        # the cases of test_spin_root_next_to_its_boundary, ROUNDED_ROOT, and
+        # test_grid's "margin refinement fires" and "72 of 121 refine" grids:
+        # 135 levels keep their refinement, the worst 0.99278 ulp off
+        cases = [
+            (ModelParams(M=74.77567318887942, omega0=0.013043113823708468,
+                         eps=52.82410533379526, C=641.6889984585166), 21),
+            (ModelParams(M=0.183988489163116, omega0=0.05051693745206321,
+                         eps=4.077874328872469, C=12.976251141514247), 11),
+            ROUNDED_ROOT,
+        ]
+        for M, omega0, C in ((7.6, 0.06, -13.3),
+                             (0.1009544406678142, 0.3911409727953298, 8.506271269402738)):
+            cases += [(spin(M=M, omega0=omega0, C=C, eps=0.5 * j), n)
+                      for n in range(11) for j in range(11)]
+        refine, calls = spectra._refine_near_boundary, []
+        monkeypatch.setattr(spectra, "_refine_near_boundary",
+                            lambda *args: calls.append(refine(*args)) or calls[-1])
+        worst = kept = 0
+        for p, n in cases:
+            calls.clear()
+            E = solve_level(p, n).E
+            if calls and calls[0] is not None and calls[0][0] == E:
+                kept += 1
+                root = spin_root_60_digits(p, n, E)
+                worst = max(worst, float(abs(mpmath.mpf(E) - root)) / math.ulp(E))
+        assert kept == 135
+        assert worst <= 0.9927834990902161
+
+
 class TestUnsquaredConsistency:
     def test_bound_levels_have_tiny_residuals(self):
         rows = spectrum_grid(pseudo(), 10, [0.0, 0.1, 0.5, 1.0, 1.5])
@@ -459,6 +533,13 @@ class TestUnsquaredConsistency:
             for got, want in zip(margins(t), _margins(p.kappa, E, p.M, p.C, gp)):
                 # the pseudospin form from e2 clips its depth margin at 0
                 assert abs(got - want) <= tol or got == 0.0 > want
+
+    @pytest.mark.parametrize("p", [SPIN_TBL, PSEUDO_TBL])
+    def test_refinement_needs_a_margin(self, p):
+        # E on its nearer edge leaves no margin t0 > 0 to bracket from
+        gp, w2 = derived_constants(p).g_shift, p.M * p.omega0 ** 2
+        for edge in _edges(p.kappa, p.M, p.C, gp):
+            assert _refine_near_boundary(p.kappa, 1, p.M, p.C, gp, w2, edge) is None
 
 
 class TestBreakdownThreshold:

@@ -384,6 +384,15 @@ class TestPseudoLowerG:
         with pytest.raises(ValueError):
             pseudo_lower_G(spin(), 0, 1.0)
 
+    def test_vanishing_gamma_tilde_raises(self):
+        p = pseudo()
+        with pytest.raises(ConstantsUndefined, match="gamma_tilde vanishes"):
+            pseudo_lower_G(p, 0, 1.0, energy=p.M + p.C)
+
+    def test_all_zero_samples(self):
+        assert realness_defect(np.zeros(5)) == 0.0
+        assert count_nodes(np.zeros(5)) == 0
+
 
 class TestSampling:
     def test_norm_metadata(self):
@@ -415,6 +424,10 @@ class TestSampling:
                / exact - 1.0 for samples in (1001, 2001)]
         assert abs(err[0]) <= 2e-8
         assert 15.5 <= err[0] / err[1] <= 16.5
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError, match="^samples must be >= 3, got 2$"):
+            sample_radial(RadialKind.UPPER_F, spin(), 0, samples=2)
 
     def test_node_metadata_matches_count(self):
         rf = sample_radial(RadialKind.NONREL_R, spin(eps=0.5), 3, samples=4001)
@@ -596,3 +609,6 @@ def test_lower_g_requires_spin_params():
         lower_spinor_G(pseudo(), 0, 1.0)
     with pytest.raises(ValueError):
         lower_spinor_G_closed_form(pseudo(), 0, 1.0)
+    # the channel is checked before the level: this one has no bound level
+    with pytest.raises(ValueError, match="^g_deviation_report requires spin-symmetry parameters$"):
+        g_deviation_report(pseudo(eps=2.0), 0)
