@@ -30,7 +30,10 @@ from .spectra import (
 # roots, arccos and cos run through Python's math per element (_map), and
 # Newton steps repeat CPython's complex product and quotient in real
 # arithmetic (_cmul, _cdiv), which at a zero imaginary part reduce to
-# _polish's real steps.
+# _polish's real steps.  _newton_batch runs all four masked steps where
+# _polish stops at a fixed point, whose later steps repeat it, and polishes
+# both members of a complex pair where _cubic_roots conjugates one: with
+# real coefficients _polish(conj z) == conj(_polish(z)) bit for bit.
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:

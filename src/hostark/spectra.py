@@ -175,7 +175,8 @@ def _cbrt(x: float) -> float:
 
 
 def _polish(root: complex, B: float, C: float, D: float) -> complex:
-    """A few Newton steps on the monic cubic; keeps real roots real."""
+    """Up to four Newton steps on the monic cubic, stopping at a fixed point
+    z - step == z, which every later step would repeat; keeps real roots real."""
     is_real = root.imag == 0.0
     z = root.real if is_real else root
     for _ in range(4):
@@ -184,9 +185,10 @@ def _polish(root: complex, B: float, C: float, D: float) -> complex:
         if abs(fp) < 1e-300:
             break
         step = f / fp
-        if abs(step) < 1e-18 * max(1.0, abs(z)):
+        z_next = z - step
+        if z_next == z or abs(step) < 1e-18 * max(1.0, abs(z)):
             break
-        z = z - step
+        z = z_next
     return complex(z)
 
 
@@ -209,25 +211,22 @@ def _cubic_roots(B: float, C: float, D: float):
                                  f"B={B!r}, C={C!r}, D={D!r}")
             y1 = z - d / (3.0 * z)
         e1, b1, disc = _deflate(y1, B, C)
+        sq = math.sqrt(abs(disc))
         if disc >= 0.0:
-            sq = math.sqrt(disc)
-            pair = (complex((-b1 + sq) / 2.0), complex((-b1 - sq) / 2.0))
-        else:
-            sq = math.sqrt(-disc)
-            pair = (complex(-b1 / 2.0, sq / 2.0), complex(-b1 / 2.0, -sq / 2.0))
-        roots = (complex(e1),) + pair
+            pair = [_polish(complex((-b1 + t) / 2.0), B, C, D) for t in (sq, -sq)]
+        else:  # with real B, C, D, polishing conj(z) gives conj(_polish(z))
+            upper = _polish(complex(-b1 / 2.0, sq / 2.0), B, C, D)
+            pair = [upper, upper.conjugate()]
+        roots = [_polish(complex(e1), B, C, D)] + pair
     else:
         # e^2 < 4p forces p > 0, hence d < 0
         u = math.sqrt(-d / 3.0)
         arg = min(1.0, max(-1.0, -e / (2.0 * _power(u, 3))))
         theta = math.acos(arg) / 3.0
-        roots = tuple(
-            complex(2.0 * u * math.cos(theta - 2.0 * math.pi * k / 3.0) - B / 3.0)
-            for k in range(3)
-        )
+        roots = [_polish(complex(2.0 * u * math.cos(theta - 2.0 * math.pi * k / 3.0)
+                                 - B / 3.0), B, C, D) for k in range(3)]
 
-    polished = tuple(sorted((_polish(r, B, C, D) for r in roots),
-                            key=lambda z: (z.real, z.imag)))
+    polished = tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
     if not all(map(math.isfinite, (B, C, D, d, e, p))) or not all(
             map(cmath.isfinite, polished)):
         raise ValueError(
@@ -298,8 +297,17 @@ _MAX_HALVINGS = 2100
 def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
     """Root of f between a and b, where f must change sign, to within tol or
     until the midpoint equals an end of the bracket (at most _MAX_HALVINGS
-    halvings, which any float64 bracket reaches).  The midpoint is
-    0.5 (a + b), or 0.5 a + 0.5 b where a + b overflows."""
+    steps, which any float64 bracket reaches).  The midpoint is 0.5 (a + b),
+    or 0.5 a + 0.5 b where a + b overflows.
+
+    Step j = 0, 1, ... evaluates the ITP point (Oliveira & Takahashi, ACM
+    TOMS 47(1), 2020): regula falsi, truncated towards the midpoint by
+    0.2 (b - a)^2 / (b0 - a0) and projected to within r = tol 2^(n_half - j)
+    - (b - a)/2 of it, n_half = ceil(log2((b0 - a0) / tol)); so it takes at
+    most one step more than halving, and a smooth f far fewer.  A step takes
+    the midpoint where r <= 0 (always at tol = 0) or where regula falsi is
+    not strictly inside the bracket (an end reads +-inf, or it rounds onto one).
+    """
     fa, fb = f(a), f(b)
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         raise NoSignChange(f"no sign change over [{a}, {b}]")
@@ -307,19 +315,33 @@ def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
         return a
     if fb == 0.0:
         return b
+    # s = tol 2^(n_half - j), n_half exact from the exponent of (b0 - a0) / tol;
+    # nan (every step the midpoint) at tol = 0 or where that quotient overflows
+    frac, exp = math.frexp((b - a) / tol) if tol > 0.0 else (math.inf, 0)
+    s = math.ldexp(tol, exp - (frac == 0.5)) if frac < math.inf else math.nan
+    k1 = 0.2 / (b - a)
     for _ in range(_MAX_HALVINGS):
         m = 0.5 * (a + b)
         if math.isinf(m):
             m = 0.5 * a + 0.5 * b
-        if b - a <= tol or m == a or m == b:
+        w = b - a
+        if w <= tol or m == a or m == b:
             break
-        fm = f(m)
-        if fm == 0.0:
-            break
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
+        x, r = m, s - 0.5 * w
+        if r > 0.0:
+            xf = (fb * a - fa * b) / (fb - fa)
+            if a < xf < b:
+                d, delta = m - xf, k1 * w * w
+                xt = xf + math.copysign(delta, d) if delta <= abs(d) else m
+                x = xt if abs(xt - m) <= r else m - math.copysign(r, d)
+        s *= 0.5
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
         else:
-            b, fb = m, fm
+            b, fb = x, fx
     return m
 
 
@@ -480,8 +502,8 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int) -> float:
     when the root is within an ulp of lo.  The pseudospin residual equals
     2n+1 at both ends of its window lo = e1, hi = e2 and is smallest at
     lo + (hi - lo)/3, so the bracket (lo + (hi - lo)/3, hi) holds the
-    tabulated upper root.  Roots are located to 1e-12.  The equation must
-    match params.sym.
+    tabulated upper root.  _bisect locates the root to 1e-12 in ITP steps.
+    The equation must match params.sym.
     """
     n = _check_n(n)
     M, C, omega0 = params.M, params.C, params.omega0
@@ -513,8 +535,8 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int) -> float:
 def relativistic_ho_level(M: float, omega: float, n: int) -> float:
     """Oscillator level with relativistic mass correction (field-free limit).
 
-    Root E > M of sqrt((E + M)/(2M)) (E - M) = (n + 1/2) omega, found by
-    safeguarded bisection on [M, M + 10(n+1) omega + 10], its upper end
+    Root E > M of sqrt((E + M)/(2M)) (E - M) = (n + 1/2) omega, halved to
+    float resolution (tol = 0) on [M, M + 10(n+1) omega + 10], its upper end
     clipped to the largest float.
     """
     if M <= 0 or omega <= 0:
@@ -524,6 +546,7 @@ def relativistic_ho_level(M: float, omega: float, n: int) -> float:
         lambda E: math.sqrt((E + M) / (2.0 * M)) * (E - M) - (n + 0.5) * omega,
         M,
         min(M + 10.0 * (n + 1) * omega + 10.0, sys.float_info.max),
+        tol=0.0,
     )
 
 

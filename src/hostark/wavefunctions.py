@@ -432,14 +432,14 @@ def _peak(parts):
 
 def _phase(v: np.ndarray, blocks):
     """The global phase that makes the first largest-modulus sample of v
-    real and positive."""
+    real and positive (1 for all-zero v)."""
     ref = top = None
     for s in blocks:
         modulus = np.abs(v[s])
         i = np.argmax(modulus)
         if top is None or modulus[i] > top:
             ref, top = v[s][i], modulus[i]
-    return np.conj(ref / abs(ref))
+    return np.conj(ref / abs(ref)) if top else 1.0
 
 
 def realness_defect(values) -> float:

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import referee
 from conftest import mapped_spin_coefficients
 from hostark import spectra
 from hostark.model import ModelParams, SymmetryKind, derived_constants
@@ -18,6 +20,7 @@ from hostark.spectra import (
     _edges,
     _margin_forms,
     _margins,
+    _polish,
     _refine_near_boundary,
     _residual,
     field_free_closed_form_variant,
@@ -42,6 +45,16 @@ PSEUDO_TBL = ModelParams(M=1.5, omega0=1 / 2.4, sym=SymmetryKind.PSEUDOSPIN, C=-
 # frozen 50-digit bisection values for the n = 0 cubics at M=1.5, w0=1/2.4
 SPIN_N0_ROOT = 1.70166541194331
 PSEUDO_N0_ROOTS = (-8.79755497091465, -1.63480480639905, -1.3676402226863)
+
+
+# the wide ranges perfbench's certify draws, and the extreme ones of ROADMAP item 1
+WIDE_OR_EXTREME = st.one_of(
+    st.builds(ModelParams, M=st.floats(0.1, 10.0), omega0=st.floats(0.05, 5.0),
+              eps=st.floats(0.0, 5.0), sym=st.sampled_from(list(SymmetryKind)),
+              C=st.floats(-40.0, 20.0)),
+    st.builds(ModelParams, M=st.floats(0.1, 100.0), omega0=st.floats(0.005, 50.0),
+              q=st.sampled_from([1.0, -1.0, 0.5, 2.0]), eps=st.floats(0.0, 60.0),
+              sym=st.sampled_from(list(SymmetryKind)), C=st.floats(-1000.0, 1000.0)))
 
 
 def pseudo(C=-10.3, eps=0.0):
@@ -316,6 +329,12 @@ class TestBisectionOracle:
         E = relativistic_ho_level(1.0, 1e200, 0)
         assert E == pytest.approx(1.7099759466766970e133, rel=1e-15)
 
+    def test_rel_ho_level_is_the_rounded_root(self):
+        # bisected to float resolution; the 50-digit root is 1.45160596295577664...
+        with mpmath.workdps(50):
+            root = mpmath.findroot(lambda E: mpmath.sqrt((E + 1) / 2) * (E - 1) - 0.5, 1.45)
+        assert relativistic_ho_level(1.0, 1.0, 0) == float(root) == 1.4516059629557767
+
     def test_rel_ho_default_bracket(self):
         assert relativistic_ho_level(GEV.M, GEV.omega0, 2) == pytest.approx(
             2.8110575, abs=1e-6
@@ -428,6 +447,84 @@ class TestBisectionOracle:
             assert x == pytest.approx(lvl.E, abs=1e-9)
 
 
+def oracle_equation(p):
+    return Equation.SPIN_EQ if p.sym is SymmetryKind.SPIN else Equation.PSEUDOSPIN_EQ
+
+
+def ceil_log2(q: Fraction) -> int:
+    """ceil(log2(q)) of a positive rational, exactly: log2(q) lies in (k - 1, k + 1)."""
+    k = q.numerator.bit_length() - q.denominator.bit_length()
+    return k + (Fraction(2) ** k < q)
+
+
+class TestOracleInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(p=WIDE_OR_EXTREME, n=st.integers(0, 30))
+    # the spin level on the gamma = 0 edge (residual nan), a root within an
+    # ulp of that edge, and the nearly double pair the cubic route misses
+    @example(p=ModelParams(M=2.1611926340449954, omega0=0.005491207480256318, q=2.0,
+                           eps=45.04372438439045, C=-281.6172466686213), n=27)
+    @example(p=ModelParams(M=29.818343657747878, omega0=0.007269196263227651, q=-1.0,
+                           eps=48.6370152283438, C=-12.548444060355564), n=0)
+    @example(p=ModelParams(M=0.1, omega0=0.05, eps=4.301528887635381,
+                           C=-25.287487731237853), n=0)
+    # halving stopped 1.008 times the bound from the root
+    @example(p=ModelParams(M=71.72773256677044, omega0=0.5099954538961443, q=-1.0,
+                           eps=52.72658438228243, C=-920.9842290221226), n=1)
+    def test_oracle_roots_within_tol_of_the_50_digit_root(self, p, n):
+        # the oracle stops within tol = 1e-12 of the float residual's sign
+        # change, and so returns the root to tol/2 plus rounding
+        root = referee.level(p, n)
+        try:
+            E = bisection_oracle(oracle_equation(p), p, n)
+        except NoSignChange:
+            assert root is None
+            return
+        assert abs(mpmath.mpf(E) - root) <= 0.5e-12 + 2.0 * math.ulp(E)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=WIDE_OR_EXTREME, n=st.integers(0, 30))
+    def test_oracle_takes_at_most_one_step_more_than_halving(self, p, n):
+        # halving a bracket [a, b] to tol takes ceil(log2((b - a) / tol))
+        # steps, + 1 where rounding keeps a half above tol; ITP adds n0 = 1
+        calls, bisect = [], spectra._bisect
+
+        def counted(f, a, b, tol=1e-12):
+            evals = []
+            root = bisect(lambda x: evals.append(x) or f(x), a, b, tol)
+            calls.append((len(evals) - 2, a, b, tol))  # not the two ends
+            return root
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_bisect", counted)
+            try:
+                bisection_oracle(oracle_equation(p), p, n)
+            except NoSignChange:
+                pass
+        for steps, a, b, tol in calls:
+            assert steps <= ceil_log2((Fraction(b) - Fraction(a)) / Fraction(tol)) + 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=WIDE_OR_EXTREME, n=st.integers(0, 30))
+    def test_polish_commutes_with_conjugation(self, p, n):
+        # _cubic_roots polishes one member of a complex pair and conjugates
+        # it; _newton_batch polishes both, so the grid route relies on this
+        pairs = []
+
+        def recording(root, B, C, D):
+            if root.imag:
+                pairs.append((root, B, C, D))
+            return _polish(root, B, C, D)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_polish", recording)
+            solve_level(p, n)
+        signed = lambda z: [(x, math.copysign(1.0, x)) for x in (z.real, z.imag)]
+        for root, B, C, D in pairs:
+            assert signed(_polish(root.conjugate(), B, C, D)) == signed(
+                _polish(root, B, C, D).conjugate())
+
+
 def spin_root_60_digits(p, n, E):
     """The root of the unsquared spin condition within 1e-9 max(1, |E|) of E,
     to 60 digits, in exact arithmetic on the float parameters."""
@@ -512,16 +609,7 @@ class TestUnsquaredConsistency:
                     assert alt.reason.startswith("fails") or "bound pair" in alt.reason
 
     @settings(max_examples=300, deadline=None)
-    @given(p=st.one_of(
-               st.builds(ModelParams, M=st.floats(0.1, 10.0), omega0=st.floats(0.05, 5.0),
-                         eps=st.floats(0.0, 5.0), sym=st.sampled_from(list(SymmetryKind)),
-                         C=st.floats(-40.0, 20.0)),
-               st.builds(ModelParams, M=st.floats(0.1, 100.0),
-                         omega0=st.floats(0.005, 50.0),
-                         q=st.sampled_from([1.0, -1.0, 0.5, 2.0]), eps=st.floats(0.0, 60.0),
-                         sym=st.sampled_from(list(SymmetryKind)),
-                         C=st.floats(-1000.0, 1000.0))),
-           log_t=st.floats(-40.0, 10.0))
+    @given(p=WIDE_OR_EXTREME, log_t=st.floats(-40.0, 10.0))
     def test_margin_forms_are_the_margins(self, p, log_t):
         # each form writes (m1, m2) in the margin t from its edge; through
         # E = edge + direction t they are the same margins up to rounding

@@ -392,6 +392,7 @@ class TestPseudoLowerG:
     def test_all_zero_samples(self):
         assert realness_defect(np.zeros(5)) == 0.0
         assert count_nodes(np.zeros(5)) == 0
+        assert count_nodes(np.zeros(5, complex)) == 0
 
 
 class TestSampling:
