@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -20,20 +21,23 @@ from .spectra import (
 # equals solve_level's bit for bit.  Every formula comes from spectra
 # (_level_bcd, _depressed, _deflate, _condition, _margins, _margin_forms,
 # _level_scalars, _alternate_code, _REASONS); this module keeps only the
-# array control flow and the emulation of CPython arithmetic.  Every field
-# of a level is a column over all cells; the margin-form refinement bisects
-# all its cells at once (_bisect_batch stops each where _bisect would), and
-# only cells whose cubic is not finite take the scalar stage, which raises
-# for them.  So a grid costs about the same whatever share of its cells
-# needs refinement.  Two kinds of operation are not vectorised, because
-# NumPy's versions can differ from CPython's in the last bit: powers, cube
-# roots, arccos and cos run through Python's math per element (_map), and
-# Newton steps repeat CPython's complex product and quotient in real
-# arithmetic (_cmul, _cdiv), which at a zero imaginary part reduce to
-# _polish's real steps.  _newton_batch runs all four masked steps where
-# _polish stops at a fixed point, whose later steps repeat it, and polishes
-# both members of a complex pair where _cubic_roots conjugates one: with
-# real coefficients _polish(conj z) == conj(_polish(z)) bit for bit.
+# array control flow and the emulation of CPython arithmetic.  Every field of
+# a level is a column over all cells; the margin-form refinement bisects all
+# its cells at once (_bisect_batch stops each where _bisect would), and only
+# cells whose cubic is not finite take the scalar stage, which raises for
+# them.  So a grid costs about the same whatever share of its cells needs
+# refinement.  The records are built with CPython's cyclic collector paused:
+# they all outlive the build, so a collection during it would only walk
+# them, and the one young pass the pause defers runs when spectrum_grid
+# pairs the rows, still inside the call.  Two kinds of operation are not
+# vectorised, because NumPy's versions can differ from CPython's in the last
+# bit: powers, cube roots, arccos and cos run through Python's math per
+# element (_map), and Newton steps repeat CPython's complex product and
+# quotient in real arithmetic (_cmul, _cdiv), which at a zero imaginary part
+# reduce to _polish's real steps.  _newton_batch runs all four masked steps
+# where _polish stops at a fixed point, whose later steps repeat it, and
+# polishes both members of a complex pair where _cubic_roots conjugates one:
+# with real coefficients _polish(conj z) == conj(_polish(z)) bit for bit.
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
@@ -148,23 +152,26 @@ def _select_batch(kappa: int, re, im, M: float, C: float, gp, k, w2: float):
 def _bisect_batch(f, a, b):
     """_bisect with tol=0 over arrays of brackets, each cell stopping where
     _bisect stops (after at most _MAX_HALVINGS halvings).  Returns (roots,
-    found): found is False where _bisect raises NoSignChange."""
+    found): found is False where _bisect raises NoSignChange.  The brackets
+    shrink in place on copies of a and b, f(a) keeps its sign, and a live
+    bracket stays ordered, so its width is checked once."""
+    a, b = a.copy(), b.copy()
     fa, fb = f(a), f(b)
     found = ~(np.isnan(fa) | np.isnan(fb) | ((fa < 0.0) == (fb < 0.0)))
     exact, x = (fa == 0.0) | (fb == 0.0), np.where(fa == 0.0, a, b)
-    live = found & ~exact
+    live, neg = found & ~exact & ~(b - a <= 0.0), fa < 0.0
     for _ in range(_MAX_HALVINGS):
         m = 0.5 * (a + b)
-        live &= ~(b - a <= 0.0) & (m != a) & (m != b)
+        live &= (m != a) & (m != b)
         if not live.any():
             break
         fm = f(m)
-        hit = live & (fm == 0.0)
-        exact, x, live = exact | hit, np.where(hit, m, x), live & ~hit
-        lo = live & ((fm < 0.0) == (fa < 0.0))
-        hi = live & ~lo
-        a, fa = np.where(lo, m, a), np.where(lo, fm, fa)
-        b, fb = np.where(hi, m, b), np.where(hi, fm, fb)
+        if not fm.all():  # some f(m) == 0.0
+            hit = live & (fm == 0.0)
+            exact, x, live = exact | hit, np.where(hit, m, x), live & ~hit
+        lo = live & ((fm < 0.0) == neg)
+        np.copyto(a, m, where=lo)
+        np.copyto(b, m, where=live ^ lo)
     return np.where(exact, x, 0.5 * (a + b)), found
 
 
@@ -175,8 +182,8 @@ def _refine_batch(kappa: int, k, M: float, C: float, gp, w2: float, E, residual)
         kappa, M, C, gp, lambda x: np.where(0.0 > x, 0.0, x))
     first = ~(np.abs(E - b2) < np.abs(E - b1))  # min() keeps the first on ties
     boundary, direction = np.where(first, b1, b2), np.where(first, d1, d2)
-    cond = lambda margins, t: _condition(kappa, k, *margins(t), w2, np.sqrt)
-    f = lambda t: np.where(first, cond(m1, t), cond(m2, t))
+    f = lambda t: _condition(kappa, k, *(np.where(first, x1, x2)
+                                         for x1, x2 in zip(m1(t), m2(t))), w2, np.sqrt)
     t0 = direction * (E - boundary)
     t, found = _bisect_batch(f, t0 / 16.0, t0 * 16.0)
     r = np.abs(f(t))
@@ -228,25 +235,32 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
     values = re[keep].astype(complex)
     values.imag = im[keep]
     reasons = _REASONS[kappa]
-    rejected = tuple(map(RejectedRoot, values.tolist(),
-                         map(reasons.__getitem__, alt[keep].tolist())))
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    # gamma/alpha/v/beta as complex for the Bound rows only, taken in row order
-    scalars = map(ChannelScalars, *(x[bound & finite].astype(complex).tolist()
-                                    for x in (gamma, alpha, v, beta)))
-
-    levels = []
-    start = 0
-    for p, n, end, go_scalar, has, E, res, ccr, boundary in zip(
-            rows, ns, ends, (~finite).tolist(), bound.tolist(), selected.tolist(),
-            residual.tolist(), (~cardano_real).tolist(), flag.tolist()):
-        alternates, start = rejected[start:end], end
-        if go_scalar:
-            levels.append(solve_level(p, n))
-        elif has:
-            levels.append(EnergyLevel(n, kappa, Status.BOUND, E, res, alternates, ccr,
-                                      boundary, next(scalars)))
-        else:
-            levels.append(EnergyLevel(n, kappa, Status.NO_PHYSICAL_ROOT, None, None,
-                                      alternates, ccr))
-    return levels
+    # ~6.7k records on an 11x100 grid; the caller's collector setting is
+    # restored also when a scalar-stage cell raises
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rejected = tuple(map(RejectedRoot, values.tolist(),
+                             map(reasons.__getitem__, alt[keep].tolist())))
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        # gamma/alpha/v/beta as complex for the Bound rows only, taken in row order
+        scalars = map(ChannelScalars, *(x[bound & finite].astype(complex).tolist()
+                                        for x in (gamma, alpha, v, beta)))
+        levels = []
+        start = 0
+        for p, n, end, go_scalar, has, E, res, ccr, boundary in zip(
+                rows, ns, ends, (~finite).tolist(), bound.tolist(), selected.tolist(),
+                residual.tolist(), (~cardano_real).tolist(), flag.tolist()):
+            alternates, start = rejected[start:end], end
+            if go_scalar:
+                levels.append(solve_level(p, n))
+            elif has:
+                levels.append(EnergyLevel(n, kappa, Status.BOUND, E, res, alternates, ccr,
+                                          boundary, next(scalars)))
+            else:
+                levels.append(EnergyLevel(n, kappa, Status.NO_PHYSICAL_ROOT, None, None,
+                                          alternates, ccr))
+        return levels
+    finally:
+        if enabled:
+            gc.enable()

@@ -595,7 +595,8 @@ def spectrum_grid(params: ModelParams, n_max: int,
 
     The whole grid is solved as one NumPy batch (hostark._grid); every row
     equals (p, solve_level(p, n)) field for field.  Rows of one eps share one
-    ModelParams.
+    ModelParams.  The records are built with the cyclic garbage collector
+    paused, process-wide; the caller's setting is restored before pairing.
     """
     from ._grid import _solve_grid
 

@@ -4,6 +4,7 @@ included).  Rows are compared by repr, which unlike == tells 0.0 from -0.0."""
 
 import cmath
 import dataclasses
+import gc
 import math
 import re
 
@@ -50,6 +51,10 @@ def pseudo(M=1.5, omega0=1 / 2.4, C=-10.3):
 def spin(M=1.5, omega0=1 / 2.4, C=0.0, q=1.0):
     return ModelParams(M=M, omega0=omega0, C=C, q=q)
 
+
+# an 11x100 grid where 764 of 1,100 cells refine, 484 from the first margin's
+# edge and 280 from the second's
+REFINING_GRID = (spin(M=6.0, omega0=0.013, C=-940.0, q=0.5), 10, [0.05 * j for j in range(100)])
 
 wide_params = st.builds(
     ModelParams,
@@ -103,6 +108,7 @@ def test_public_wrappers_compose_to_solve_level(params, n, eps):
     (pseudo(M=0.92, omega0=0.13, C=-39.1), 10, [0.5 * j for j in range(11)]),
     (spin(M=0.1009544406678142, omega0=0.3911409727953298,  # 72 of 121 refine
           C=8.506271269402738), 10, [0.5 * j for j in range(11)]),
+    REFINING_GRID,                              # refinement from both edges
 ])
 def test_batch_equals_scalar_route_edge_cases(params, n_max, eps_list):
     rows = same_rows(params, n_max, eps_list)
@@ -169,6 +175,45 @@ def test_overflowing_cells_take_the_scalar_route(sym):
         assert str(batch.value) == str(scalar.value)
 
 
+def test_grid_restores_the_callers_collector_setting():
+    # on a normal grid, and on grids whose overflowing cells raise from the row loop
+    cases = [REFINING_GRID] + [
+        (ModelParams(M=1.5, omega0=0.4, sym=sym, C=-10.3), 2, [0.5, eps, 1.0])
+        for sym in SymmetryKind for eps in (1e75, 1e80, 1e100, 1e160)]
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            for case in cases:
+                (gc.enable if enabled else gc.disable)()
+                try:
+                    spectrum_grid(*case)
+                except ValueError:
+                    pass
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_grid_starts_at_most_one_collection():
+    # The records are built with the cyclic collector paused, so the young
+    # objects they leave take one pass after the pause, still inside the
+    # call (the unpaused build starts about six).  A full collection empties
+    # CPython's tuple free list, after which the 1,100 (p, level) pairs are
+    # new allocations that can start a second young pass; so the young
+    # generations are emptied with gc.collect(1), after a grid whose pairs
+    # went back to the free list.
+    starts = []
+    callback = lambda phase, info: phase == "start" and starts.append(info["generation"])
+    spectrum_grid(*REFINING_GRID)
+    gc.collect(1)
+    gc.callbacks.append(callback)
+    try:
+        rows = spectrum_grid(*REFINING_GRID)
+    finally:
+        gc.callbacks.remove(callback)
+    assert len(rows) == 1100 and len(starts) <= 1, starts
+
+
 def test_negative_eps_mid_list_raises_like_scalar_route():
     message = re.escape("eps must be >= 0, got -0.5")
     with pytest.raises(ValueError, match=message):
@@ -203,6 +248,25 @@ def test_batch_bisection_stops_where_scalar_bisection_stops(cells):
     for i, (ai, ci, si) in enumerate(cells):
         try:
             root = _bisect(lambda t: si * (t * t * t - ci), ai, ai + 4.0, tol=0.0)
+        except NoSignChange:
+            assert not found[i]
+        else:
+            assert found[i] and repr(roots[i].item()) == repr(root)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cells=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+                                st.floats(-10.0, 10.0)), min_size=1, max_size=20))
+def test_batch_bisection_takes_ends_in_either_order_and_keeps_them(cells):
+    # a reversed or empty bracket stops at once on both routes, and the
+    # arrays passed in are left as they were
+    a, b, c = (np.array(x) for x in zip(*cells))
+    a0, b0 = a.copy(), b.copy()
+    roots, found = _bisect_batch(lambda t: t * t * t - c, a, b)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    for i, (ai, bi, ci) in enumerate(cells):
+        try:
+            root = _bisect(lambda t: t * t * t - ci, ai, bi, tol=0.0)
         except NoSignChange:
             assert not found[i]
         else:
