@@ -2,42 +2,36 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
+from collections import deque
+from itertools import repeat, starmap
 
 import numpy as np
 
 from .model import ModelParams
 from .spectra import (
-    _BOUNDARY_TOL, _COMPLEX, _LOWER, _MAX_HALVINGS, _REASONS, ChannelScalars, EnergyLevel,
-    RejectedRoot, Status, _alternate_code, _cbrt, _condition, _deflate, _depressed,
-    _level_bcd, _level_scalars, _margin_forms, _margins, _power, _rhs_squared, solve_level,
+    _BOUNDARY_TOL, _COMPLEX, _LOWER, _MAX_HALVINGS, _REASONS, _RISE, ChannelScalars,
+    EnergyLevel, RejectedRoot, Status, _alternate_code, _cbrt, _condition, _deflate,
+    _depressed, _horner, _level_bcd, _level_scalars, _margin_forms, _margins, _power,
+    _rhs_squared, _term_size, solve_level,
 )
 
 # ---------------------------------------------------------------- batch route
 #
 # _solve_grid repeats the scalar stage (_level_bcd, _cubic_roots, _select)
-# over arrays of cells, operation for operation, so each level it builds
-# equals solve_level's bit for bit.  Every formula comes from spectra
-# (_level_bcd, _depressed, _deflate, _condition, _margins, _margin_forms,
-# _level_scalars, _alternate_code, _REASONS); this module keeps only the
-# array control flow and the emulation of CPython arithmetic.  Every field of
-# a level is a column over all cells; the margin-form refinement bisects all
-# its cells at once (_bisect_batch stops each where _bisect would), and only
-# cells whose cubic is not finite take the scalar stage, which raises for
-# them.  So a grid costs about the same whatever share of its cells needs
-# refinement.  The records are built with CPython's cyclic collector paused:
-# they all outlive the build, so a collection during it would only walk
-# them, and the one young pass the pause defers runs when spectrum_grid
-# pairs the rows, still inside the call.  Two kinds of operation are not
-# vectorised, because NumPy's versions can differ from CPython's in the last
-# bit: powers, cube roots, arccos and cos run through Python's math per
-# element (_map), and Newton steps repeat CPython's complex product and
-# quotient in real arithmetic (_cmul, _cdiv), which at a zero imaginary part
-# reduce to _polish's real steps.  _newton_batch runs all four masked steps
-# where _polish stops at a fixed point, whose later steps repeat it, and
-# polishes both members of a complex pair where _cubic_roots conjugates one:
-# with real coefficients _polish(conj z) == conj(_polish(z)) bit for bit.
+# over arrays of cells, operation for operation, so each level equals
+# solve_level's bit for bit; the formulas come from spectra, and this module
+# keeps the array control flow and the emulation of CPython arithmetic.  The
+# refinement bisects its cells at once, and the records are built column by
+# column with the cyclic collector paused, since they all outlive the build.
+# NumPy's powers, cube roots, arccos, cos and complex product and quotient can
+# differ from CPython's in the last bit, so the first four run through math
+# per element (_map) and the last two are written out (_cmul, _cdiv).  As in
+# _cubic_roots, real roots take _polish's float steps and a complex pair's
+# lower member is its polished upper one's conjugate; the batch runs all four
+# masked steps where _polish stops at a fixed point, which later steps repeat.
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
@@ -58,9 +52,27 @@ def _cdiv(ar, ai, br, bi):
     return re, im
 
 
-def _newton_batch(zr, zi, B, C, D):
-    """_polish over arrays, in CPython's complex arithmetic (a float operand
-    enters as x + 0j): f = ((z + B) z + C) z + D, fp = (3z + 2B) z + C."""
+def _newton_real(z, B, C, D):
+    """_polish of real roots over arrays, in its float steps (_horner),
+    refusing a step that raises |f| as _polish does."""
+    active = np.ones(z.shape, dtype=bool)
+    f, fp = _horner(z, B, C, D)
+    for _ in range(4):
+        step = f / fp
+        active &= ~(np.abs(fp) < 1e-300)
+        active &= ~(np.abs(step) < 1e-18 * np.fmax(np.abs(z), 1.0))  # as max, drops nan
+        z_next = z - step
+        f_next, fp_next = _horner(z_next, B, C, D)
+        active &= ~(np.abs(f_next) - np.abs(f) > _RISE * _term_size(z_next, B, C, D))
+        z = np.where(active, z_next, z)
+        f = np.where(active, f_next, f)
+        fp = np.where(active, fp_next, fp)
+    return z
+
+
+def _newton_complex(zr, zi, B, C, D):
+    """_polish of complex roots over arrays, in CPython's complex arithmetic
+    (a float operand enters as x + 0j) of _horner's f and f'."""
     active = np.ones(zr.shape, dtype=bool)
     for _ in range(4):
         fr, fi = _cmul(zr + B, zi + 0.0, zr, zi)
@@ -70,9 +82,8 @@ def _newton_batch(zr, zi, B, C, D):
         pr, pi = _cmul(pr + 2.0 * B, pi + 0.0, zr, zi)
         pr, pi = pr + C, pi + 0.0
         sr, si = _cdiv(fr, fi, pr, pi)
-        abs_z = np.hypot(zr, zi)
         active &= ~(np.hypot(pr, pi) < 1e-300)
-        active &= ~(np.hypot(sr, si) < 1e-18 * np.where(abs_z > 1.0, abs_z, 1.0))
+        active &= ~(np.hypot(sr, si) < 1e-18 * np.fmax(np.hypot(zr, zi), 1.0))
         zr = np.where(active, zr - sr, zr)
         zi = np.where(active, zi - si, zi)
     return zr, zi
@@ -117,7 +128,11 @@ def _cubic_roots_batch(B, C, D):
         re[t, k] = (2.0 * u * _map(math.cos, theta - 2.0 * math.pi * k / 3.0)
                     - B[t] / 3.0)
 
-    re, im = _newton_batch(re, im, B[:, None], C[:, None], D[:, None])
+    pair = im[:, 1] != 0.0  # a complex pair: polish column 1, conjugate it into 2
+    zr, zi = _newton_complex(re[pair, 1], im[pair, 1], B[pair], C[pair], D[pair])
+    real = im == 0.0
+    re[real] = _newton_real(re[real], *(x[real.nonzero()[0]] for x in (B, C, D)))
+    re[pair, 1], re[pair, 2], im[pair, 1], im[pair, 2] = zr, zr, zi, -zi
     for a, b in ((0, 1), (1, 2), (0, 1)):  # stable sort by (real, imag)
         swap = (re[:, a] > re[:, b]) | ((re[:, a] == re[:, b]) & (im[:, a] > im[:, b]))
         re[swap, a], re[swap, b] = re[swap, b], re[swap, a]
@@ -162,6 +177,7 @@ def _bisect_batch(f, a, b):
     live, neg = found & ~exact & ~(b - a <= 0.0), fa < 0.0
     for _ in range(_MAX_HALVINGS):
         m = 0.5 * (a + b)
+        np.copyto(m, 0.5 * a + 0.5 * b, where=np.isinf(m))  # a + b overflowed
         live &= (m != a) & (m != b)
         if not live.any():
             break
@@ -172,7 +188,7 @@ def _bisect_batch(f, a, b):
         lo = live & ((fm < 0.0) == neg)
         np.copyto(a, m, where=lo)
         np.copyto(b, m, where=live ^ lo)
-    return np.where(exact, x, 0.5 * (a + b)), found
+    return np.where(exact, x, m), found
 
 
 def _refine_batch(kappa: int, k, M: float, C: float, gp, w2: float, E, residual):
@@ -191,6 +207,18 @@ def _refine_batch(kappa: int, k, M: float, C: float, gp, w2: float, E, residual)
     return np.where(keep, boundary + direction * t, E), np.where(keep, r, residual)
 
 
+def _records(cls, count: int, *columns) -> list:
+    """count instances of the slotted dataclass cls, each field's slot set over
+    its column in one C-level pass.  __init__ does not run, so a class with
+    __post_init__, or a column of another length, is refused."""
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} defines __post_init__, which _records skips")
+    records = list(map(object.__new__, repeat(cls, count)))
+    for field, column in zip(dataclasses.fields(cls), columns, strict=True):
+        deque(starmap(getattr(cls, field.name).__set__, zip(records, column, strict=True)), 0)
+    return records
+
+
 def _solve_grid(grid: list[ModelParams], n_max: int,
                 g_shifts: list[float]) -> list[EnergyLevel]:
     """Levels of the cells (n, grid[j]), n outer, as one NumPy batch.
@@ -198,9 +226,9 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
     The parameters differ only in eps; g_shifts[j] is grid[j]'s g_shift.
     Roots, selection, residual, boundary flag, gamma/alpha/v/beta, the
     margin-form refinement and the alternates' values and reasons are
-    columns; records are mapped from them, and the row loop zips each
-    level's scalars with its alternates.  Cells whose cubic is not finite
-    take the scalar stage, which raises for them as solve_level does.
+    columns, and the records are built from them column by column.  Cells
+    whose cubic is not finite take the scalar stage, which raises for them
+    as solve_level does.
     """
     p0 = grid[0]
     kappa = p0.kappa
@@ -234,32 +262,27 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
     keep = alt != 0
     values = re[keep].astype(complex)
     values.imag = im[keep]
-    reasons = _REASONS[kappa]
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    has = bound & finite
     # ~6.7k records on an 11x100 grid; the caller's collector setting is
     # restored also when a scalar-stage cell raises
     enabled = gc.isenabled()
     gc.disable()
     try:
-        rejected = tuple(map(RejectedRoot, values.tolist(),
-                             map(reasons.__getitem__, alt[keep].tolist())))
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
-        # gamma/alpha/v/beta as complex for the Bound rows only, taken in row order
-        scalars = map(ChannelScalars, *(x[bound & finite].astype(complex).tolist()
-                                        for x in (gamma, alpha, v, beta)))
-        levels = []
-        start = 0
-        for p, n, end, go_scalar, has, E, res, ccr, boundary in zip(
-                rows, ns, ends, (~finite).tolist(), bound.tolist(), selected.tolist(),
-                residual.tolist(), (~cardano_real).tolist(), flag.tolist()):
-            alternates, start = rejected[start:end], end
-            if go_scalar:
-                levels.append(solve_level(p, n))
-            elif has:
-                levels.append(EnergyLevel(n, kappa, Status.BOUND, E, res, alternates, ccr,
-                                          boundary, next(scalars)))
-            else:
-                levels.append(EnergyLevel(n, kappa, Status.NO_PHYSICAL_ROOT, None, None,
-                                          alternates, ccr))
+        rejected = tuple(_records(RejectedRoot, len(values), values.tolist(),
+                                  map(_REASONS[kappa].__getitem__, alt[keep].tolist())))
+        # gamma/alpha/v/beta as complex for the Bound rows only, in row order
+        scalars = _records(ChannelScalars, int(has.sum()),
+                           *(x[has].astype(complex).tolist() for x in (gamma, alpha, v, beta)))
+        levels = _records(
+            EnergyLevel, len(rows), ns, repeat(kappa, len(rows)),
+            map((Status.NO_PHYSICAL_ROOT, Status.BOUND).__getitem__, bound.tolist()),
+            np.where(bound, selected, None).tolist(), np.where(bound, residual, None).tolist(),
+            map(rejected.__getitem__, map(slice, [0] + ends, ends)),
+            (~cardano_real).tolist(), (flag & bound).tolist(),
+            map(dict(zip(np.flatnonzero(has).tolist(), scalars)).get, range(len(rows))))
+        for i in np.flatnonzero(~finite).tolist():
+            levels[i] = solve_level(rows[i], ns[i])
         return levels
     finally:
         if enabled:

@@ -174,21 +174,48 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
+def _horner(z, B, C, D):
+    """(f, f') of the monic cubic at z in Horner form (floats, complex or arrays)."""
+    return ((z + B) * z + C) * z + D, (3.0 * z + 2.0 * B) * z + C
+
+
+# Rounding moves a computed |f| by a few 1e-16 of the size of the cubic's terms
+# (_term_size); a real Newton step that raises |f| by more than _RISE of it
+# has left the root for a point where the terms no longer cancel.
+_RISE = 1e-8
+
+
+def _term_size(z, B, C, D):
+    """|z|^3 + |B| z^2 + |C| |z| + |D| in Horner form, the scale of the
+    rounding error of _horner's f (floats or arrays)."""
+    a = abs(z)
+    return ((a + abs(B)) * a + abs(C)) * a + abs(D)
+
+
 def _polish(root: complex, B: float, C: float, D: float) -> complex:
     """Up to four Newton steps on the monic cubic, stopping at a fixed point
-    z - step == z, which every later step would repeat; keeps real roots real."""
+    z - step == z, which every later step would repeat; keeps real roots real.
+
+    A real root also stops before a step that raises |f| by more than _RISE
+    of _term_size.  Near a real extremum of the cubic (a complex pair close to
+    the real axis, which the deflation can round onto it as a near-double
+    real pair) f' ~ 0, and an unguarded step lands far from every root.
+    """
     is_real = root.imag == 0.0
     z = root.real if is_real else root
+    f, fp = _horner(z, B, C, D)
     for _ in range(4):
-        f = ((z + B) * z + C) * z + D
-        fp = (3.0 * z + 2.0 * B) * z + C
         if abs(fp) < 1e-300:
             break
         step = f / fp
         z_next = z - step
         if z_next == z or abs(step) < 1e-18 * max(1.0, abs(z)):
             break
-        z = z_next
+        f_next, fp = _horner(z_next, B, C, D)
+        if is_real and abs(f_next) > abs(f) and (
+                abs(f_next) - abs(f) > _RISE * _term_size(z_next, B, C, D)):
+            break
+        z, f = z_next, f_next
     return complex(z)
 
 

@@ -14,12 +14,16 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 
 from hostark.model import ModelParams, SymmetryKind
-from hostark._grid import _bisect_batch, _newton_batch
+from hostark._grid import _bisect_batch, _newton_real, _records
 from hostark.spectra import (
+    ChannelScalars,
+    Equation,
     NoSignChange,
+    RejectedRoot,
     _bisect,
     _grid_inputs,
     _polish,
+    bisection_oracle,
     cubic_coefficients,
     select_physical_root,
     solve_cubic_cardano,
@@ -39,8 +43,16 @@ def scalar_rows(params, n_max, eps_list):
 
 
 def same_rows(params, n_max, eps_list):
+    """spectrum_grid's rows, checked against scalar_rows one row at a time, so
+    a failure names the first differing (n, eps) cell and shows only it."""
     rows = spectrum_grid(params, n_max, eps_list)
-    assert repr(rows) == repr(scalar_rows(params, n_max, eps_list))
+    expected = scalar_rows(params, n_max, eps_list)
+    assert len(rows) == len(expected)
+    for i, (got, want) in enumerate(zip(rows, expected)):
+        if repr(got) != repr(want):
+            n, j = divmod(i, len(eps_list))
+            pytest.fail(f"row n={n}, eps={eps_list[j]!r} differs:\n"
+                        f"  batch:  {got!r}\n  scalar: {want!r}")
     return rows
 
 
@@ -130,6 +142,17 @@ def test_gamma_zero_edge_cells(params, eps, n, beta):
     assert [repr(x) for x in (scalars.gamma, scalars.v, scalars.beta)] == ["0j", "0j", beta]
 
 
+@pytest.mark.parametrize("C, eps", [(-25.287487731237853, 4.301528887635381),
+                                    (0.0, 1.9375)])
+def test_near_double_pair_cells_refuse_the_far_newton_step(C, eps):
+    # the deflation rounds a complex pair onto the real axis next to an
+    # extremum of the cubic, where f' ~ 0; both routes refuse the real step
+    # that would leave it, so the pair stays below the gamma = 0 edge and the
+    # level is the oracle's root
+    (p, level), = same_rows(spin(M=0.1, omega0=0.05, C=C), 0, [eps])
+    assert level.E == pytest.approx(bisection_oracle(Equation.SPIN_EQ, p, 0), abs=1e-9)
+
+
 def test_lower_pseudospin_root_follows_the_coded_ones():
     # roots ascending: the lower survivor, the selected one, one failing m2;
     # the alternates list the coded root first
@@ -176,7 +199,8 @@ def test_overflowing_cells_take_the_scalar_route(sym):
 
 
 def test_grid_restores_the_callers_collector_setting():
-    # on a normal grid, and on grids whose overflowing cells raise from the row loop
+    # on a normal grid, and on grids whose overflowing cells raise from the
+    # scalar stage
     cases = [REFINING_GRID] + [
         (ModelParams(M=1.5, omega0=0.4, sym=sym, C=-10.3), 2, [0.5, eps, 1.0])
         for sym in SymmetryKind for eps in (1e75, 1e80, 1e100, 1e160)]
@@ -304,16 +328,55 @@ def cubics_at_a_real_root(draw):
 @settings(max_examples=200, deadline=None)
 @given(cases=st.lists(cubics_at_a_real_root(), min_size=1, max_size=8))
 def test_newton_batch_on_real_roots_equals_polish(cases):
-    # the complex iterate at zero imaginary part takes _polish's real steps;
-    # where _polish leaves float64 the cell is not finite either, and the
-    # batch route hands such cells to the scalar stage
+    # the batch's real steps are _polish's; where _polish leaves float64 the
+    # cell is not finite either, and the batch route hands such cells to the
+    # scalar stage
     z, B, C, D = (np.array(x) for x in zip(*cases))
     with np.errstate(all="ignore"):
-        zr, zi = _newton_batch(z, np.zeros_like(z), B, C, D)
+        polished = _newton_real(z, B, C, D)
     for i, case in enumerate(cases):
         want = _polish(complex(case[0]), *case[1:])
-        got = complex(zr[i], zi[i])
+        got = complex(polished[i])
         if cmath.isfinite(want):
             assert repr(got) == repr(want)
         else:
             assert not cmath.isfinite(got)
+
+
+def test_batch_bisection_midpoint_where_the_sum_overflows():
+    # a + b overflows at the top of float64; both routes then halve through
+    # 0.5 a + 0.5 b instead of taking inf as the midpoint
+    f = lambda t: t - 1.5e308
+    root = _bisect(f, 1e307, 1.7e308, tol=0.0)
+    with np.errstate(over="ignore"):
+        roots, found = _bisect_batch(f, np.array([1e307]), np.array([1.7e308]))
+    assert root == 1.5e308
+    assert found[0] and repr(roots[0].item()) == repr(root)
+
+
+def test_records_sets_every_field_from_its_column():
+    got = _records(RejectedRoot, 2, [1j, complex(-0.0, 2.0)], iter(["a", "b"]))
+    assert repr(got) == repr([RejectedRoot(1j, "a"), RejectedRoot(complex(-0.0, 2.0), "b")])
+    assert _records(ChannelScalars, 0, [], [], [], []) == []
+
+
+def test_records_refuses_a_column_of_another_length():
+    for count, columns in ((2, ([1j], ["a", "b"])), (1, ([1j, 2j], ["a"])),
+                           (2, ([1j, 2j], iter(["a"])))):
+        with pytest.raises(ValueError):
+            _records(RejectedRoot, count, *columns)
+    with pytest.raises(ValueError):  # one column per field
+        _records(RejectedRoot, 1, [1j])
+
+
+def test_records_refuses_a_class_with_post_init():
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class Checked:
+        x: float
+
+        def __post_init__(self):
+            if not self.x > 0:
+                raise ValueError("x must be > 0")
+
+    with pytest.raises(TypeError, match="__post_init__"):
+        _records(Checked, 1, [-1.0])

@@ -2,8 +2,10 @@
 RejectedRoot and ChannelScalars are frozen, slotted dataclasses.  Copies
 made by pickle, deepcopy and dataclasses.replace equal the original by repr
 (which unlike == tells 0.0 from -0.0), no field can be assigned, and no
-other name can be stored.  This module needs neither NumPy nor hypothesis,
-so it runs on any supported interpreter."""
+other name can be stored.  The records spectrum_grid builds are covered
+too: they are set field by field and never run __init__.  Those need NumPy
+and are left out without it; the rest of this module needs neither NumPy nor
+hypothesis, so it runs on any supported interpreter."""
 
 import copy
 import dataclasses
@@ -12,7 +14,9 @@ import pickle
 import pytest
 
 from hostark.model import ModelParams, SymmetryKind
-from hostark.spectra import ChannelScalars, EnergyLevel, RejectedRoot, Status, solve_level
+from hostark.spectra import (
+    ChannelScalars, EnergyLevel, RejectedRoot, Status, solve_level, spectrum_grid,
+)
 
 
 def records():
@@ -25,7 +29,21 @@ def records():
     assert bound.status is Status.BOUND and unbound.status is Status.NO_PHYSICAL_ROOT
     return [params, ModelParams(M=2.0, omega0=0.5, eps=-0.0), bound, unbound,
             *bound.alternates, *unbound.alternates, RejectedRoot(complex(1.0, -0.0), "x"),
-            bound.diagnostics, ChannelScalars(-0.0j, 1j, 0j, complex(-0.0, 2.0))]
+            bound.diagnostics, ChannelScalars(-0.0j, 1j, 0j, complex(-0.0, 2.0)),
+            *grid_records()]
+
+
+def grid_records():
+    """A Bound and a NoPhysicalRoot level of spectrum_grid, one of their
+    RejectedRoots and the Bound one's ChannelScalars; none without NumPy."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return []
+    params = ModelParams(M=0.92, omega0=0.13, q=-2.0, sym=SymmetryKind.PSEUDOSPIN, C=-39.1)
+    (_, bound), (_, unbound) = spectrum_grid(params, 10, [0.5, 5.0])[-2:]
+    assert bound.status is Status.BOUND and unbound.status is Status.NO_PHYSICAL_ROOT
+    return [bound, unbound, bound.alternates[0], unbound.alternates[-1], bound.diagnostics]
 
 
 def test_each_record_type_is_covered():

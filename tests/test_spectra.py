@@ -400,12 +400,20 @@ class TestBisectionOracle:
         assert bisection_oracle(Equation.SPIN_EQ, p, 0) == pytest.approx(
             -25.38748773123749, abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="the cubic route deflates a nearly "
-                       "double real pair, Newton polish jumps far off and "
-                       "solve_level returns E = 21527.744 with residual 58534")
-    def test_spin_level_nearly_double_pair(self):
-        p = ModelParams(M=0.1, omega0=0.05, eps=4.301528887635381,
-                        C=-25.287487731237853)
+    # The deflation rounds a complex pair onto the real axis as a nearly
+    # double real pair, next to an extremum of the cubic where f' ~ 0.  An
+    # unguarded Newton step took it far off, past the gamma = 0 edge, and the
+    # level was that point; _polish now refuses the step.
+    @pytest.mark.parametrize("eps, C", [
+        # pair -37006.2 +- 2.5e-4 i: the step went to E = 21527.744 (residual 58534)
+        (4.301528887635381, -25.287487731237853),
+        # pair -7507.7 +- 1.1e-4 i: the step went to E = 36.798 (residual 7,545),
+        # where the oracle's root is -0.09999999999807; TestSolverCertificate's
+        # wide ranges hold this draw
+        (1.9375, 0.0),
+    ])
+    def test_spin_level_nearly_double_pair(self, eps, C):
+        p = ModelParams(M=0.1, omega0=0.05, eps=eps, C=C)
         assert solve_level(p, 0).E == pytest.approx(
             bisection_oracle(Equation.SPIN_EQ, p, 0), abs=1e-9)
 
@@ -418,6 +426,12 @@ class TestBisectionOracle:
     @example(M=2.1611926340449954, omega0=0.005491207480256318, q=2.0,
              eps=45.04372438439045, C=-281.6172466686213, sym=SymmetryKind.SPIN,
              n=27)
+    # a Newton step off a near-double real pair took these spin levels to
+    # -638.1616 and 243359.93, away from every root
+    @example(M=0.5191687081853719, omega0=0.013701744493584541, q=-1.0,
+             eps=15.713717512956132, C=-637.708064887401, sym=SymmetryKind.SPIN, n=29)
+    @example(M=0.13681838929350787, omega0=0.019155111451529275, q=-1.0,
+             eps=16.360012464716057, C=-453.3238699513238, sym=SymmetryKind.SPIN, n=16)
     def test_extreme_range_roots_change_sign(self, M, omega0, q, eps, C, sym, n):
         p = ModelParams(M=M, omega0=omega0, q=q, eps=eps, sym=sym, C=C)
         lvl = solve_level(p, n)
@@ -443,8 +457,11 @@ class TestBisectionOracle:
             return
         delta = 1e-9 * max(1.0, abs(x))
         assert f(x - delta) < 0.0 < f(x + delta)
-        if lvl.status is Status.BOUND and lvl.residual <= 1e-9:
-            assert x == pytest.approx(lvl.E, abs=1e-9)
+        if lvl.status is Status.BOUND:
+            # every Bound level is the oracle's root, whatever its residual
+            assert lvl.E == pytest.approx(x, rel=1e-9, abs=1e-9)
+            if lvl.residual <= 1e-9:
+                assert x == pytest.approx(lvl.E, abs=1e-9)
 
 
 def oracle_equation(p):
@@ -507,8 +524,9 @@ class TestOracleInvariants:
     @settings(max_examples=300, deadline=None)
     @given(p=WIDE_OR_EXTREME, n=st.integers(0, 30))
     def test_polish_commutes_with_conjugation(self, p, n):
-        # _cubic_roots polishes one member of a complex pair and conjugates
-        # it; _newton_batch polishes both, so the grid route relies on this
+        # _cubic_roots and the grid route's _cubic_roots_batch both polish
+        # the upper member of a complex pair and conjugate it; this checks
+        # that polishing the lower member instead would give the same bits
         pairs = []
 
         def recording(root, B, C, D):
