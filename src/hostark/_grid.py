@@ -12,18 +12,19 @@ import numpy as np
 
 from .model import ModelParams
 from .spectra import (
-    _BOUNDARY_TOL, _COMPLEX, _LOWER, _MAX_HALVINGS, _REASONS, _RISE, ChannelScalars,
-    EnergyLevel, RejectedRoot, Status, _alternate_code, _cbrt, _condition, _deflate,
-    _depressed, _horner, _level_bcd, _level_scalars, _margin_forms, _margins, _power,
-    _rhs_squared, _term_size, solve_level,
+    _COMPLEX, _LOWER, _MAX_HALVINGS, _REASONS, _RISE, ChannelScalars, EnergyLevel,
+    RejectedRoot, Status, _alternate_code, _cbrt, _condition, _deflate, _depressed,
+    _horner, _level_bcd, _level_scalars, _margin_forms, _margins, _power, _rhs_squared,
+    _sign_code, _term_size, solve_level,
 )
 
 # ---------------------------------------------------------------- batch route
 #
 # _solve_grid repeats the scalar stage (_level_bcd, _cubic_roots, _select)
 # over arrays of cells, operation for operation, so each level equals
-# solve_level's bit for bit; the formulas come from spectra, and this module
-# keeps the array control flow and the emulation of CPython arithmetic.  The
+# solve_level's bit for bit.  The rules come from spectra (the sign codes, the
+# unsquared condition, the margin forms, the level scalars); this module keeps
+# the array control flow and the emulation of CPython arithmetic.  The
 # refinement bisects its cells at once, and the records are built column by
 # column with the cyclic collector paused, since they all outlive the build.
 # NumPy's powers, cube roots, arccos, cos and complex product and quotient can
@@ -148,10 +149,7 @@ def _select_batch(kappa: int, re, im, M: float, C: float, gp, k, w2: float):
     largest surviving energies, as Python's max picks it.
     """
     complex_ = np.abs(im) > 1e-9 * (1.0 + np.hypot(re, im))
-    abs_E = np.abs(re)
-    tol = _BOUNDARY_TOL * np.where(abs_E > 1.0, abs_E, 1.0)
-    m1, m2 = _margins(kappa, re, M, C, gp[:, None])
-    codes = np.where(complex_, _COMPLEX, (m1 < -tol) + 2 * (m2 < -tol))
+    codes = np.where(complex_, _COMPLEX, _sign_code(kappa, re, M, C, gp[:, None]))
     selected = np.full(gp.shape, np.nan)
     bound = np.zeros(gp.shape, dtype=bool)
     for col in range(3):

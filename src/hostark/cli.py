@@ -317,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="field strength or comma-separated list")
     p.add_argument("--n-max", type=int, default=10, dest="n_max")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("potential", help="sampled V(r) curve")
@@ -325,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=15.0, dest="r_max")
     p.add_argument("--samples", type=int, default=600)
-    p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_potential)
 
     p = sub.add_parser("figure2", help="nonrelativistic spin-branch ladder")
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=str, default="0,0.5,1.0,2.0",
                    help="comma-separated field strengths")
     p.add_argument("--n-max", type=int, default=10, dest="n_max")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_figure2)
 
     p = sub.add_parser("wavefunction", help="sampled radial component")
@@ -347,20 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1001)
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction,
                    default=True)
-    p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_wavefunction)
 
     p = sub.add_parser("nu-check", help="reduction table of built-in instances")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_nu_check)
 
     p = sub.add_parser("verify", help="compare against bundled reference tables")
     p.add_argument("--table", choices=[*_VERIFY_TABLES, "all"], default="all")
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_verify)
 
+    for p in sub.choices.values():  # after the other flags, where each --help lists it
+        p.add_argument("--output", default="-")
     return parser
 
 

@@ -59,16 +59,21 @@ class ReconciliationStatus(Enum):
     UNRECONCILED = "Unreconciled"
 
 
-_SHA256 = {
-    "table1.csv": "129a20749b95b62f32254bfad21b4a1041002762dbf9d2cbcb0b871be8616a49",
-    "table2.csv": "a69fd647bda0ed7bde343604bcad84940d039d7221a417e31dda0ea78906095d",
-    "gev_sequence.csv": "a04bbca56a1320e2e9fbbb8a07492fff0b6d58955186c3af93c4dfc0005c5a7b",
-}
+@dataclass(frozen=True)
+class _Table:  # a bundled table's facts, one row of _TABLES
+    sha256: str               # the pin of its CSV
+    tolerance: float          # compare's default
+    sym: SymmetryKind | None  # the channel of its cells; None: each cell is GEV_PARAMS
+    C_col: str | None         # the column of C in its cells' col
 
-DEFAULT_TOLERANCES = {
-    TableId.TABLE1: 5e-3,
-    TableId.TABLE2: 5e-3,
-    TableId.GEV_SEQUENCE: 1e-6,
+
+_TABLES = {
+    TableId.TABLE1: _Table("129a20749b95b62f32254bfad21b4a1041002762dbf9d2cbcb0b871be8616a49",
+                           5e-3, SymmetryKind.SPIN, "Cs"),
+    TableId.TABLE2: _Table("a69fd647bda0ed7bde343604bcad84940d039d7221a417e31dda0ea78906095d",
+                           5e-3, SymmetryKind.PSEUDOSPIN, "Cps"),
+    TableId.GEV_SEQUENCE: _Table(
+        "a04bbca56a1320e2e9fbbb8a07492fff0b6d58955186c3af93c4dfc0005c5a7b", 1e-6, None, None),
 }
 
 
@@ -86,22 +91,18 @@ class ReferenceTable:
     cells: tuple[RefCell, ...]
 
 
-def _read_csv_text(name: str) -> str:
+def load_reference(table_id: TableId) -> ReferenceTable:
+    """Load a bundled table, verifying its pinned hash."""
     # imported here: every CLI command imports this module, only verify loads a table
     import hashlib
 
-    text = resources.files("hostark.data").joinpath(name).read_text(encoding="ascii")
-    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-    if digest != _SHA256[name]:
-        raise IntegrityError(f"{name}: sha256 {digest} != pinned {_SHA256[name]}")
-    return text
-
-
-def load_reference(table_id: TableId) -> ReferenceTable:
-    """Load a bundled table, verifying its pinned hash."""
     if not isinstance(table_id, TableId):
         raise UnknownTable(f"unknown reference table: {table_id!r}")
-    text = _read_csv_text(f"{table_id.value}.csv")
+    name, pin = f"{table_id.value}.csv", _TABLES[table_id].sha256
+    text = resources.files("hostark.data").joinpath(name).read_text(encoding="ascii")
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    if digest != pin:
+        raise IntegrityError(f"{name}: sha256 {digest} != pinned {pin}")
     cells = []
     lines = text.splitlines()
     assert lines[0] == "row,col,value,flag"
@@ -112,13 +113,12 @@ def load_reference(table_id: TableId) -> ReferenceTable:
 
 
 def _col_params(table_id: TableId, col: str) -> ModelParams:
-    if table_id is TableId.GEV_SEQUENCE:
+    table = _TABLES[table_id]
+    if table.sym is None:
         return GEV_PARAMS
     pairs = dict(kv.split("=") for kv in col.split(";"))
-    sym, key = ((SymmetryKind.PSEUDOSPIN, "Cps") if table_id is TableId.TABLE2
-                else (SymmetryKind.SPIN, "Cs"))
-    return ModelParams(M=TABLE_PARAMS_M, omega0=TABLE_PARAMS_OMEGA0,
-                       eps=float(pairs["eps"]), sym=sym, C=float(pairs[key]))
+    return ModelParams(M=TABLE_PARAMS_M, omega0=TABLE_PARAMS_OMEGA0, eps=float(pairs["eps"]),
+                       sym=table.sym, C=float(pairs[table.C_col]))
 
 
 @dataclass(frozen=True)
@@ -208,10 +208,8 @@ def _compare_cell(table_id: TableId, cell: RefCell, tolerance: float) -> CellCom
             cell.row, cell.col, cell.value, computed, status, delta, None,
             detail=detail,
         )
-    if table_id is TableId.TABLE1:
-        return CellComparison(
-            cell.row, cell.col, cell.value, computed, status, delta, None,
-        )
+    if cell.flag == "Unreconciled":
+        return CellComparison(cell.row, cell.col, cell.value, computed, status, delta, None)
     ok = computed is not None and delta <= tolerance
     return CellComparison(
         cell.row, cell.col, cell.value, computed, status, delta, ok,
@@ -222,25 +220,23 @@ def _compare_cell(table_id: TableId, cell: RefCell, tolerance: float) -> CellCom
 def compare(table_id: TableId, tolerance: float | None = None) -> ComparisonReport:
     """Compare solver output against a bundled table, cell by cell.
 
-    table2 and gev_sequence gate pass/fail; table1 is always Unreconciled
-    and informational.
+    table2 and gev_sequence gate pass/fail; table1, every cell of which is
+    flagged Unreconciled, is always Unreconciled and informational.
     """
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     table = load_reference(table_id)
-    tol = DEFAULT_TOLERANCES[table_id] if tolerance is None else tolerance
+    tol = _TABLES[table_id].tolerance if tolerance is None else tolerance
     cells = tuple(_compare_cell(table_id, c, tol) for c in table.cells)
 
-    gating = table_id is not TableId.TABLE1
+    gating = not all(c.flag == "Unreconciled" for c in table.cells)
     n_pass = sum(1 for c in cells if c.passed is True)
     n_fail = sum(1 for c in cells if c.passed is False)
     n_info = sum(1 for c in cells if c.passed is None)
     deltas = [c.delta for c in cells if c.delta is not None and c.passed is not None]
-    if table_id is TableId.TABLE1:
-        status = ReconciliationStatus.UNRECONCILED
-    else:
-        status = (ReconciliationStatus.RECONCILED if n_fail == 0
-                  else ReconciliationStatus.FAILED)
+    status = (ReconciliationStatus.UNRECONCILED if not gating
+              else ReconciliationStatus.RECONCILED if n_fail == 0
+              else ReconciliationStatus.FAILED)
     return ComparisonReport(
         table=table_id,
         tolerance=tol,

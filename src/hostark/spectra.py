@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import ModelParams, SymmetryKind, _check_n, _stark_shift, derived_constants
+from .model import ModelParams, _check_n, _stark_shift, derived_constants
 
 _BOUNDARY_TOL = 1e-12
 
@@ -280,6 +280,15 @@ def _margins(kappa: int, E, M, C, gp):
     return E - kappa * M - C, -kappa * (E + kappa * M + gp)
 
 
+def _sign_code(kappa: int, E, M, C, gp):
+    """The real root E's sign-condition code (floats or arrays): bit 0 or bit 1
+    is set where E fails the first or second margin by more than 1e-12
+    max(1, |E|), written without max so that arrays take it."""
+    m1, m2 = _margins(kappa, E, M, C, gp)
+    rel = -_BOUNDARY_TOL * abs(E)
+    return ((m1 < -_BOUNDARY_TOL) & (m1 < rel)) + 2 * ((m2 < -_BOUNDARY_TOL) & (m2 < rel))
+
+
 def _edges(kappa: int, M: float, C: float, gp: float) -> tuple[float, float]:
     """The energies (kappa M + C, -kappa M - g') where the two margins vanish."""
     return kappa * M + C, -kappa * M - gp
@@ -464,9 +473,7 @@ def _select(params: ModelParams, kappa: int, n: int, gp: float, roots,
             codes.append(_COMPLEX)
             continue
         E = r.real
-        tol = _BOUNDARY_TOL * max(1.0, abs(E))
-        m1, m2 = _margins(kappa, E, M, C, gp)
-        code = (m1 < -tol) + 2 * (m2 < -tol)
+        code = _sign_code(kappa, E, M, C, gp)
         codes.append(code)
         if not code and (selected is None or E > selected):
             selected = E
@@ -652,7 +659,7 @@ def pseudospin_breakdown_threshold(params: ModelParams, n: int,
     a root satisfying the physical sign conditions.  For this problem the
     two coincide: the bound pair merges and turns complex at the same field.
     """
-    if params.sym is not SymmetryKind.PSEUDOSPIN:
+    if params.kappa < 0:
         raise ValueError("breakdown scan requires pseudospin parameters")
 
     def flip(indicator) -> float:

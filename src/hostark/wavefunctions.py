@@ -50,7 +50,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .model import ModelParams, SymmetryKind, _check_n, _check_r_max, derived_constants
-from .spectra import Status, solve_level
+from .spectra import Status, _power, solve_level
 
 
 # samples per pass of sample_radial: the scratch of a block stays in cache (a
@@ -117,31 +117,34 @@ class ShapeConstants:
 
 
 def shape_constants(params: ModelParams, energy: float) -> ShapeConstants:
-    """Constants entering the closed forms, evaluated at a level energy."""
+    """Constants entering the closed forms, evaluated at a level energy.
+
+    Raises ConstantsUndefined where one of them, or v, is not finite in float64
+    (eps2 is where 2 M v underflows to 0).
+    """
     lam = math.sqrt(params.M * params.omega0)
     b = params.q * params.eps / params.omega0
+    w2 = 0.5 * params.M * _power(params.omega0, 2)  # inf where ** overflows
     gamma = -params.kappa * (energy - params.kappa * params.M - params.C)
     if params.kappa < 0:
         if gamma <= 0.0:
             raise ConstantsUndefined(f"gamma = {gamma} <= 0 at E = {energy}")
-        v = math.sqrt(0.5 * params.M * params.omega0 ** 2 * gamma)
-        return ShapeConstants(
-            lambda_scale=lam,
-            b=b,
-            eps1=math.sqrt(gamma / (2.0 * params.M)),
-            eps2=gamma / (2.0 * params.M * v),
-            d0=1.0 / gamma,
-        )
-    gamma_t = complex(gamma)
-    v_t = cmath.sqrt(0.5 * params.M * params.omega0 ** 2 * gamma_t)
-    if abs(v_t) == 0.0:
-        raise ConstantsUndefined(f"gamma_tilde vanishes at E = {energy}")
-    return ShapeConstants(
-        lambda_scale=lam,
-        b=b,
-        eps1p=cmath.sqrt(gamma_t) / (2.0 * params.M),
-        eps2p=gamma_t / (2.0 * params.M * v_t),
-    )
+        v = math.sqrt(w2 * gamma)
+        two_m_v = 2.0 * params.M * v
+        channel = dict(eps1=math.sqrt(gamma / (2.0 * params.M)),
+                       eps2=gamma / two_m_v if two_m_v else math.inf, d0=1.0 / gamma)
+    else:
+        gamma_t = complex(gamma)
+        v = cmath.sqrt(w2 * gamma_t)
+        if abs(v) == 0.0:
+            raise ConstantsUndefined(f"gamma_tilde vanishes at E = {energy}")
+        two_m_v = 2.0 * params.M * v
+        channel = dict(eps1p=cmath.sqrt(gamma_t) / (2.0 * params.M),
+                       eps2p=gamma_t / two_m_v if two_m_v else math.inf)
+    if not all(map(cmath.isfinite, (lam, b, v, *channel.values()))):
+        raise ConstantsUndefined(f"the shape constants are not finite in float64 at "
+                                 f"E = {energy} for {params}")
+    return ShapeConstants(lambda_scale=lam, b=b, **channel)
 
 
 def hermite(n: int, x):
@@ -226,7 +229,10 @@ def _nr_constants(params: ModelParams, n: int):
         raise ValueError(f"n = {n} is past 150, where 2^n n! in R_n overflows float64")
     lam = math.sqrt(params.M * params.omega0)
     pref = (lam * lam / math.pi) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
-    return lam, derived_constants(params).r0, pref
+    consts = lam, derived_constants(params).r0, pref
+    if not all(map(math.isfinite, consts)):
+        raise ValueError(f"the constants of R_n are not finite in float64 for {params}")
+    return consts
 
 
 def _nr_R(consts, n: int, r, out):

@@ -328,6 +328,22 @@ class TestErrors:
         assert out == ""
         assert target.read_text().startswith("r,V\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--symmetry", "spin", "--M", "1", "--omega0", "1", "--n-max", "2"),
+        ("figure2", "--M", "1", "--omega0", "1", "--n-max", "2"),
+        ("wavefunction", "--kind", "R", "--M", "1", "--omega0", "1", "--n", "0",
+         "--samples", "5"),
+        ("nu-check",),
+        ("verify", "--table", "gev"),
+    ], ids=lambda argv: argv[0])
+    def test_every_command_writes_its_output_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "out"
+        _, printed, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0
+        assert out == ""
+        assert target.read_text(encoding="ascii") == printed
+
 
 # errors of spectrum and potential, each first in the order the commands
 # check their inputs: M, omega0, q and C, the eps list, n_max, each eps, each
@@ -500,6 +516,18 @@ def test_command_output_matches_golden_bytes(capsys, name):
     code, out, _ = run_cli(capsys, *GOLDEN_COMMANDS[name])
     assert code == 0
     assert out.encode("ascii") == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["", "spectrum", "potential", "figure2",
+                                     "wavefunction", "nu-check", "verify"])
+def test_help_matches_golden_bytes(capsys, monkeypatch, command):
+    """tests/data holds each --help text at 80 columns, captured while every
+    subcommand declared its own --output."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode("ascii") == (DATA / f"help_{command or 'hostark'}.txt").read_bytes()
 
 
 GOLDEN_WAVEFUNCTIONS = {

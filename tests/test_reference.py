@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -50,7 +51,9 @@ class TestLoadReference:
             load_reference("table9")
 
     def test_integrity_check(self, monkeypatch):
-        monkeypatch.setitem(reference._SHA256, "gev_sequence.csv", "0" * 64)
+        row = reference._TABLES[TableId.GEV_SEQUENCE]
+        monkeypatch.setitem(reference._TABLES, TableId.GEV_SEQUENCE,
+                            dataclasses.replace(row, sha256="0" * 64))
         with pytest.raises(IntegrityError):
             load_reference(TableId.GEV_SEQUENCE)
 

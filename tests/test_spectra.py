@@ -23,6 +23,7 @@ from hostark.spectra import (
     _polish,
     _refine_near_boundary,
     _residual,
+    _sign_code,
     field_free_closed_form_variant,
     bisection_oracle,
     cubic_coefficients,
@@ -639,6 +640,29 @@ class TestUnsquaredConsistency:
             for got, want in zip(margins(t), _margins(p.kappa, E, p.M, p.C, gp)):
                 # the pseudospin form from e2 clips its depth margin at 0
                 assert abs(got - want) <= tol or got == 0.0 > want
+
+    @pytest.mark.parametrize("kappa", [-1, 1])
+    def test_sign_code_is_the_max_rule(self, kappa):
+        # a margin at -tol, tol = 1e-12 max(1, |E|), or an ulp either side of
+        # it, across the |E| = 1 bend of max; M = +-kappa E zeroes one margin's
+        # E + kappa M or E - kappa M, so C or g' sets it exactly
+        cases, codes = [], set()
+        for a in (0.0, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1e6):
+            tol = 1e-12 * max(1.0, a)
+            for E in (a, -a):
+                for t in (math.nextafter(-tol, -math.inf), -tol, math.nextafter(-tol, 0.0)):
+                    for M, C, gp, exact in ((kappa * E, -t, -2.0 * E - kappa, 0),
+                                            (-kappa * E, 2.0 * E - 1.0, -kappa * t, 1),
+                                            (kappa * E, -t, -2.0 * E - kappa * t, None)):
+                        m = _margins(kappa, E, M, C, gp)
+                        assert exact is None or m[exact] == t
+                        want = (m[0] < -tol) + 2 * (m[1] < -tol)  # the rule with max
+                        assert _sign_code(kappa, E, M, C, gp) == want
+                        cases.append((E, M, C, gp, want))
+                        codes.add(want)
+        assert codes == {0, 1, 2, 3}
+        E, M, C, gp, want = map(np.array, zip(*cases))
+        assert (_sign_code(kappa, E, M, C, gp) == want).all()
 
     @pytest.mark.parametrize("p", [SPIN_TBL, PSEUDO_TBL])
     def test_refinement_needs_a_margin(self, p):

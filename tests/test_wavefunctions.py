@@ -174,6 +174,36 @@ class TestShapeConstants:
         assert sc.eps1p == pytest.approx(1j * math.sqrt(-gamma_t) / 3.0)
 
 
+class TestNonFiniteConstants:
+    """Constants past float64 raise ValueError where they are formed, not an
+    OverflowError from omega0 ** 2 or nan samples with a RuntimeWarning."""
+
+    def test_shape_constants_of_an_overflowing_omega0_squared(self):
+        with pytest.raises(ConstantsUndefined, match="not finite"):
+            shape_constants(ModelParams(M=1.0, omega0=1e200), 5.0)
+
+    @pytest.mark.parametrize("evaluator", [upper_spinor_F, lower_spinor_G])
+    def test_spin_components_of_an_overflowing_omega0_squared(self, evaluator):
+        with pytest.raises(ConstantsUndefined, match="not finite"):
+            evaluator(ModelParams(M=1.0, omega0=1e200), 0, 1.0, energy=5.0)
+
+    @pytest.mark.parametrize("evaluator", [upper_spinor_F, lower_spinor_G])
+    def test_spin_components_of_an_infinite_lambda(self, evaluator):
+        # lambda = sqrt(M omega0) is inf; F read 0.0 and G nan
+        with pytest.raises(ConstantsUndefined, match="not finite"):
+            evaluator(ModelParams(M=1e300, omega0=1e10), 0, 1.0, energy=5.0)
+
+    @pytest.mark.parametrize("kind", [RadialKind.UPPER_F, RadialKind.LOWER_G])
+    def test_spin_components_where_2_M_v_underflows(self, kind):
+        # eps2 = gamma / (2 M v) raised ZeroDivisionError
+        with pytest.raises(ConstantsUndefined, match="not finite"):
+            sample_radial(kind, ModelParams(M=1e-300, omega0=1.0), 0, samples=5)
+
+    def test_nr_radial_R_of_an_infinite_lambda(self):
+        with pytest.raises(ValueError, match="constants of R_n are not finite"):
+            nr_radial_R(ModelParams(M=1e300, omega0=1e300), 0, 1.0)
+
+
 class TestUpperSpinorF:
     def test_zero_field_is_centered_gaussian(self):
         p = spin()
