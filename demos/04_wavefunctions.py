@@ -23,6 +23,7 @@ from hostark import (
     derived_constants,
     g_deviation_report,
     mean_radius,
+    realness_defect,
     sample_radial,
 )
 
@@ -62,7 +63,5 @@ for i in idx:
 
 print("\npseudospin lower component, n = 1 (complex arithmetic as written):")
 rf = sample_radial(RadialKind.PSEUDO_LOWER_G, PSEUDO, 1, samples=801)
-peak = np.max(np.abs(rf.values))
-defect = np.max(np.abs(np.asarray(rf.values).imag)) / peak
-print(f"  residual imaginary part after phase alignment: {defect:.2e}"
+print(f"  residual imaginary part after phase alignment: {realness_defect(rf.values):.2e}"
       " (real up to roundoff for bound levels)")

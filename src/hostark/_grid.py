@@ -12,27 +12,27 @@ import numpy as np
 
 from .model import ModelParams
 from .spectra import (
-    _COMPLEX, _LOWER, _MAX_HALVINGS, _REASONS, _RISE, ChannelScalars, EnergyLevel,
-    RejectedRoot, Status, _alternate_code, _cbrt, _condition, _deflate, _depressed,
-    _horner, _level_bcd, _level_scalars, _margin_forms, _margins, _power, _rhs_squared,
-    _sign_code, _term_size, solve_level,
+    _COMPLEX, _FLAT, _LOWER, _MAX_HALVINGS, _PAIR, _REASONS, _REFINE, _RISE, _STEP,
+    ChannelScalars, EnergyLevel, RejectedRoot, Status, _alternate_code, _cbrt, _condition,
+    _deflate, _depressed, _horner, _level_bcd, _level_scalars, _margin_forms, _margins,
+    _power, _rhs_squared, _sign_code, _term_size, solve_level,
 )
 
 # ---------------------------------------------------------------- batch route
 #
-# _solve_grid repeats the scalar stage (_level_bcd, _cubic_roots, _select)
-# over arrays of cells, operation for operation, so each level equals
-# solve_level's bit for bit.  The rules come from spectra (the sign codes, the
+# _solve_grid repeats the scalar stage (_level_bcd, _cubic_roots, _select) over
+# arrays of cells, operation for operation, so each level equals solve_level's
+# bit for bit.  The rules come from spectra (the thresholds, the sign codes, the
 # unsquared condition, the margin forms, the level scalars); this module keeps
 # the array control flow and the emulation of CPython arithmetic.  The
 # refinement bisects its cells at once, and the records are built column by
 # column with the cyclic collector paused, since they all outlive the build.
 # NumPy's powers, cube roots, arccos, cos and complex product and quotient can
-# differ from CPython's in the last bit, so the first four run through math
-# per element (_map) and the last two are written out (_cmul, _cdiv).  As in
-# _cubic_roots, real roots take _polish's float steps and a complex pair's
-# lower member is its polished upper one's conjugate; the batch runs all four
-# masked steps where _polish stops at a fixed point, which later steps repeat.
+# differ from CPython's in the last bit, so the first four run through math per
+# element (_map) and the last two are written out (_cmul, _cdiv).  As in
+# _cubic_roots, real roots take _polish's float steps and a complex pair's lower
+# member is its polished upper one's conjugate; the batch runs all four masked
+# steps where _polish stops at a fixed point, which later steps repeat.
 
 
 def _map(fn, x: np.ndarray) -> np.ndarray:
@@ -60,8 +60,8 @@ def _newton_real(z, B, C, D):
     f, fp = _horner(z, B, C, D)
     for _ in range(4):
         step = f / fp
-        active &= ~(np.abs(fp) < 1e-300)
-        active &= ~(np.abs(step) < 1e-18 * np.fmax(np.abs(z), 1.0))  # as max, drops nan
+        active &= ~(np.abs(fp) < _FLAT)
+        active &= ~(np.abs(step) < _STEP * np.fmax(np.abs(z), 1.0))  # as max, drops nan
         z_next = z - step
         f_next, fp_next = _horner(z_next, B, C, D)
         active &= ~(np.abs(f_next) - np.abs(f) > _RISE * _term_size(z_next, B, C, D))
@@ -83,8 +83,8 @@ def _newton_complex(zr, zi, B, C, D):
         pr, pi = _cmul(pr + 2.0 * B, pi + 0.0, zr, zi)
         pr, pi = pr + C, pi + 0.0
         sr, si = _cdiv(fr, fi, pr, pi)
-        active &= ~(np.hypot(pr, pi) < 1e-300)
-        active &= ~(np.hypot(sr, si) < 1e-18 * np.fmax(np.hypot(zr, zi), 1.0))
+        active &= ~(np.hypot(pr, pi) < _FLAT)
+        active &= ~(np.hypot(sr, si) < _STEP * np.fmax(np.hypot(zr, zi), 1.0))
         zr = np.where(active, zr - sr, zr)
         zi = np.where(active, zi - si, zi)
     return zr, zi
@@ -148,7 +148,7 @@ def _select_batch(kappa: int, re, im, M: float, C: float, gp, k, w2: float):
     Returns (codes, bound, selected, residual); selected is the first of the
     largest surviving energies, as Python's max picks it.
     """
-    complex_ = np.abs(im) > 1e-9 * (1.0 + np.hypot(re, im))
+    complex_ = np.abs(im) > _PAIR * (1.0 + np.hypot(re, im))
     codes = np.where(complex_, _COMPLEX, _sign_code(kappa, re, M, C, gp[:, None]))
     selected = np.full(gp.shape, np.nan)
     bound = np.zeros(gp.shape, dtype=bool)
@@ -244,7 +244,7 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
         k = 2.0 * np.array(ns) + 1.0
         codes, bound, selected, residual = _select_batch(kappa, re, im, M, C, gp, k, w2)
         alt = _alternate_code(codes, re, selected[:, None])
-        refine = finite & bound & (residual > 1e-9)
+        refine = finite & bound & (residual > _REFINE)
         if refine.any():
             selected[refine], residual[refine] = _refine_batch(
                 kappa, k[refine], M, C, gp[refine], w2, selected[refine], residual[refine])

@@ -53,17 +53,18 @@ def _fmt_root(z: complex) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
+    """text and a closing newline to stdout, or to the file at path."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
     else:
-        Path(path).write_text(text, encoding="ascii")
+        Path(path).write_text(text + "\n", encoding="ascii")
 
 
 def _add_param_flags(p: argparse.ArgumentParser, with_C: bool = True) -> None:
     p.add_argument("--M", type=float, required=True, help="mass (pure number)")
     p.add_argument("--omega0", type=float, default=None,
                    help="oscillator frequency")
-    p.add_argument("--omega0-inv", type=float, default=None, dest="omega0_inv",
+    p.add_argument("--omega0-inv", type=float, default=None,
                    help="set omega0 = 1/VALUE exactly (e.g. --omega0-inv 2.4)")
     p.add_argument("--q", type=float, default=1.0, help="charge (default 1)")
     if with_C:
@@ -95,29 +96,17 @@ def _params(args, sym: SymmetryKind, eps: float) -> ModelParams:
                        eps=eps, sym=sym, C=getattr(args, "C", 0.0))
 
 
-_SPECTRUM_HEADER = ("symmetry,n,kappa,M,omega0,q,eps,C,E,residual,status,"
-                    "root_alt1,root_alt2,discriminant_flag")
+# the CSV header and the JSON keys of spectrum, in the order of _spectrum_row
+_SPECTRUM_COLUMNS = ("symmetry", "n", "kappa", "M", "omega0", "q", "eps", "C", "E",
+                     "residual", "status", "root_alt1", "root_alt2", "discriminant_flag")
 
 
-def _spectrum_row(params: ModelParams, level: spectra.EnergyLevel) -> dict:
+def _spectrum_row(params: ModelParams, level: spectra.EnergyLevel) -> tuple:
     alts = [_fmt_root(a.value) for a in level.alternates[:2]]
     alts += [""] * (2 - len(alts))
-    return {
-        "symmetry": params.sym.value,
-        "n": level.n,
-        "kappa": level.kappa,
-        "M": params.M,
-        "omega0": params.omega0,
-        "q": params.q,
-        "eps": params.eps,
-        "C": params.C,
-        "E": level.E,
-        "residual": level.residual,
-        "status": level.status.value,
-        "root_alt1": alts[0],
-        "root_alt2": alts[1],
-        "discriminant_flag": "CardanoComplexRegime" if level.cardano_complex_regime else "",
-    }
+    return (params.sym.value, level.n, level.kappa, params.M, params.omega0, params.q,
+            params.eps, params.C, level.E, level.residual, level.status.value, *alts,
+            "CardanoComplexRegime" if level.cardano_complex_regime else "")
 
 
 # a row's compact form with newline and indent in its item separator is its
@@ -141,10 +130,10 @@ def _cmd_spectrum(args) -> int:
     rows = [_spectrum_row(p, spectra.solve_level(p, n))
             for n in range(n_max + 1) for p in grid]
     if args.format == "json":
-        _emit(_json_rows(rows) + "\n", args.output)
-        return 0
-    lines = [_SPECTRUM_HEADER] + [",".join(map(_cell, row.values())) for row in rows]
-    _emit("\n".join(lines) + "\n", args.output)
+        _emit(_json_rows([dict(zip(_SPECTRUM_COLUMNS, row)) for row in rows]), args.output)
+    else:
+        _emit("\n".join(",".join(map(_cell, row)) for row in [_SPECTRUM_COLUMNS, *rows]),
+              args.output)
     return 0
 
 
@@ -152,7 +141,7 @@ def _cmd_potential(args) -> int:
     params = _params(args, SymmetryKind.SPIN, args.eps)
     rows = _potential_rows(params, args.r_max, args.samples)
     lines = ["r,V"] + [f"{_fmt(r)},{_fmt(v)}" for r, v in rows]
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -163,7 +152,7 @@ def _cmd_figure2(args) -> int:
         for eps in _eps_list(args.eps):
             params = _params(args, SymmetryKind.SPIN, eps)
             lines.append(f"{n},{_fmt(eps)},{_fmt(spectra.nr_spin_level(params, n))}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -191,7 +180,7 @@ def _cmd_wavefunction(args) -> int:
         lines.append(
             f"{rf.kind.value},{rf.n},{_fmt(r)},{_fmt(z.real)},{_fmt(z.imag)},{flag}"
         )
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -230,7 +219,7 @@ def _cmd_nu_check(args) -> int:
         "spin": _reduction_dump(*nu.oscillator_instance(2.0, 4.0, 1.0)),
         "pseudospin": _reduction_dump(*nu.inverted_oscillator_instance(1.0, 2.0, 0.5)),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
 
@@ -243,10 +232,12 @@ _VERIFY_TABLES = {
 
 
 def _breakdown_section() -> dict:
-    params = ModelParams(M=1.5, omega0=1.0 / 2.4, sym=SymmetryKind.PSEUDOSPIN, C=-10.3)
-    scan = spectra.pseudospin_breakdown_threshold(params, 0, eps_lo=1.5, eps_hi=2.5)
+    n = 0
+    params = ModelParams(M=reference.TABLE_PARAMS_M, omega0=reference.TABLE_PARAMS_OMEGA0,
+                         sym=SymmetryKind.PSEUDOSPIN, C=-10.3)
+    scan = spectra.pseudospin_breakdown_threshold(params, n, eps_lo=1.5, eps_hi=2.5)
     return {
-        "params": {"M": 1.5, "omega0": 1.0 / 2.4, "C_ps": -10.3, "n": 0},
+        "params": {"M": params.M, "omega0": params.omega0, "C_ps": params.C, "n": n},
         "scan_window": [scan.eps_lo, scan.eps_hi],
         "eps_discriminant_flip": scan.eps_discriminant,
         "eps_physical_root_loss": scan.eps_physical,
@@ -255,12 +246,12 @@ def _breakdown_section() -> dict:
 
 
 def _closed_form_variant_section() -> dict:
-    level = spectra.relativistic_ho_level(1.0, 1.0, 0)
-    variant = spectra.field_free_closed_form_variant(1.0, 0.0, 1.0, 0)
+    params, n = reference.GEV_PARAMS, 0
+    variant = spectra.field_free_closed_form_variant(params.M, params.C, params.omega0, n)
     return {
-        "params": {"M": 1.0, "C_s": 0.0, "omega0": 1.0, "n": 0},
+        "params": {"M": params.M, "C_s": params.C, "omega0": params.omega0, "n": n},
         "variant_value": _complex_pair(variant),
-        "depressed_cubic_root": level,
+        "depressed_cubic_root": spectra.solve_level(params, n).E,
         "note": ("the field-free closed-form variant is inconsistent with the "
                  "depressed-cubic route and is reported here only"),
     }
@@ -279,7 +270,7 @@ def _cmd_verify(args) -> int:
         if everything:
             payload.update(pseudospin_breakdown=bd, field_free_closed_form=cf)
         payload["passed"] = not failed
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(json.dumps(payload, indent=2), args.output)
     else:
         chunks = [r.to_text() for r in reports]
         if everything:
@@ -298,7 +289,7 @@ def _cmd_verify(args) -> int:
                 " (inconsistent; reported only)"
             )
         chunks.append("verification " + ("FAILED" if failed else "passed"))
-        _emit("\n".join(chunks) + "\n", args.output)
+        _emit("\n".join(chunks), args.output)
     return 1 if failed else 0
 
 
@@ -315,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry", choices=["spin", "pseudospin"], required=True)
     p.add_argument("--eps", type=str, default="0",
                    help="field strength or comma-separated list")
-    p.add_argument("--n-max", type=int, default=10, dest="n_max")
+    p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("potential", help="sampled V(r) curve")
     _add_param_flags(p, with_C=False)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=15.0, dest="r_max")
+    p.add_argument("--r-max", type=float, default=15.0)
     p.add_argument("--samples", type=int, default=600)
     p.set_defaults(func=_cmd_potential)
 
@@ -330,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p, with_C=False)
     p.add_argument("--eps", type=str, default="0,0.5,1.0,2.0",
                    help="comma-separated field strengths")
-    p.add_argument("--n-max", type=int, default=10, dest="n_max")
+    p.add_argument("--n-max", type=int, default=10)
     p.set_defaults(func=_cmd_figure2)
 
     p = sub.add_parser("wavefunction", help="sampled radial component")
@@ -340,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "Gps: pseudospin lower")
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r-max", type=float, default=None, dest="r_max")
+    p.add_argument("--r-max", type=float, default=None)
     p.add_argument("--samples", type=int, default=1001)
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction,
                    default=True)

@@ -88,14 +88,10 @@ class DerivedConstants:
 
     g_shift : q^2 eps^2 / (2 M w0^2), the Stark shift of the spectrum
     r0      : q eps / (M w0^2), displacement of the well bottom
-    g_eps   : g_shift - M (the constant entering the cubic energy equation)
-    M_s     : M - C, the spin-branch mass constant
     """
 
     g_shift: float
     r0: float
-    g_eps: float
-    M_s: float
 
 
 def _potential(M, omega0, q, eps, r):
@@ -128,19 +124,11 @@ def _stark_shift(M, omega0, q, eps):
 
 
 def derived_constants(params: ModelParams) -> DerivedConstants:
-    """Compute the shifted-well constants for the given parameters.
-
-    g_eps is formed as g_shift - M so that the identity g_eps = g_shift - M
-    holds exactly in floating point.
-    """
+    """Compute the shifted-well constants for the given parameters."""
     m_omega2 = params.M * params.omega0 * params.omega0
-    g_shift = _stark_shift(params.M, params.omega0, params.q, params.eps)
-    r0 = params.q * params.eps / m_omega2
     return DerivedConstants(
-        g_shift=g_shift,
-        r0=r0,
-        g_eps=g_shift - params.M,
-        M_s=params.M - params.C,
+        g_shift=_stark_shift(params.M, params.omega0, params.q, params.eps),
+        r0=params.q * params.eps / m_omega2,
     )
 
 

@@ -86,15 +86,12 @@ class NuReduction:
         return -n * self.tau_slope - 0.5 * n * (n - 1) * (2.0 * self.sigma.c2)
 
 
-def _k_candidates(sigma: Poly2, sigma_tilde: Poly2, u: Poly2) -> list[complex]:
+def _k_candidates(sigma: Poly2, q: Poly2) -> list[complex]:
     """Solve disc_r(Q(r; k)) = 0 for k; the discriminant is <= quadratic in k."""
-    q2_0 = u.c1 * u.c1 - sigma_tilde.c2
-    q1_0 = 2.0 * u.c1 * u.c0 - sigma_tilde.c1
-    q0_0 = u.c0 * u.c0 - sigma_tilde.c0
-    # disc(k) = (q1_0 + k s1)^2 - 4 (q2_0 + k s2)(q0_0 + k s0)
+    # disc(k) = (q1 + k s1)^2 - 4 (q2 + k s2)(q0 + k s0), q = Q(r; 0)
     a = sigma.c1 * sigma.c1 - 4.0 * sigma.c2 * sigma.c0
-    b = 2.0 * q1_0 * sigma.c1 - 4.0 * (q2_0 * sigma.c0 + q0_0 * sigma.c2)
-    c = q1_0 * q1_0 - 4.0 * q2_0 * q0_0
+    b = 2.0 * q.c1 * sigma.c1 - 4.0 * (q.c2 * sigma.c0 + q.c0 * sigma.c2)
+    c = q.c1 * q.c1 - 4.0 * q.c2 * q.c0
     scale = max(abs(a), abs(b), abs(c))
     if abs(a) > _EPS * scale:
         rt = cmath.sqrt(b * b - 4.0 * a * c)
@@ -113,11 +110,9 @@ def _k_candidates(sigma: Poly2, sigma_tilde: Poly2, u: Poly2) -> list[complex]:
     raise NonPolynomialRoot("no k makes the root in pi collapse to a polynomial")
 
 
-def _collapse_root(sigma: Poly2, sigma_tilde: Poly2, u: Poly2, k: complex) -> Poly2:
-    """Write Q(r; k) = (s1 r + s0)^2 and return s1 r + s0."""
-    q2 = u.c1 * u.c1 - sigma_tilde.c2 + k * sigma.c2
-    q1 = 2.0 * u.c1 * u.c0 - sigma_tilde.c1 + k * sigma.c1
-    q0 = u.c0 * u.c0 - sigma_tilde.c0 + k * sigma.c0
+def _collapse_root(sigma: Poly2, q: Poly2, k: complex) -> Poly2:
+    """Write Q(r; k) = q + k sigma, q = Q(r; 0), as (s1 r + s0)^2; return s1 r + s0."""
+    q2, q1, q0 = q.c2 + k * sigma.c2, q.c1 + k * sigma.c1, q.c0 + k * sigma.c0
     scale = max(abs(q2), abs(q1), abs(q0))
     if abs(q2) > _EPS * scale:
         s1 = cmath.sqrt(q2)
@@ -143,10 +138,12 @@ def reduce(sigma: Poly2, sigma_tilde: Poly2, tau_tilde: Poly2) -> list[NuReducti
         raise NuError("sigma must not vanish identically")
     sp = sigma.derivative()
     u = Poly2((sp.c0 - tau_tilde.c0) / 2.0, (sp.c1 - tau_tilde.c1) / 2.0, 0.0)
+    q = Poly2(u.c0 * u.c0 - sigma_tilde.c0, 2.0 * u.c1 * u.c0 - sigma_tilde.c1,
+              u.c1 * u.c1 - sigma_tilde.c2)  # Q(r; 0) = u^2 - sigma_tilde
 
     branches: list[NuReduction] = []
-    for i, k in enumerate(_k_candidates(sigma, sigma_tilde, u)):
-        root = _collapse_root(sigma, sigma_tilde, u, k)
+    for i, k in enumerate(_k_candidates(sigma, q)):
+        root = _collapse_root(sigma, q, k)
         for sign, tag in ((+1.0, "+"), (-1.0, "-")):
             pi = Poly2(u.c0 + sign * root.c0, u.c1 + sign * root.c1, 0.0)
             tau = Poly2(

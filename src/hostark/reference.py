@@ -189,32 +189,23 @@ class ComparisonReport:
 
 
 def _compare_cell(table_id: TableId, cell: RefCell, tolerance: float) -> CellComparison:
-    params = _col_params(table_id, cell.col)
-    level = solve_level(params, cell.row)
+    level = solve_level(_col_params(table_id, cell.col), cell.row)
     computed = level.E
-    status = level.status.value
+    delta = None if None in (computed, cell.value) else abs(computed - cell.value)
     if cell.flag == "Blank":
-        ok = level.status is not Status.BOUND
-        return CellComparison(
-            cell.row, cell.col, None, computed, status, None, ok,
-            detail="" if ok else "reference blank but solver found a bound level",
-        )
-    delta = None if computed is None else abs(computed - cell.value)
-    if cell.flag == "SuspectedTypo":
-        detail = "SuspectedTypo: breaks the column's monotone trend"
+        passed = level.status is not Status.BOUND
+        detail = "" if passed else "reference blank but solver found a bound level"
+    elif cell.flag == "SuspectedTypo":
+        passed, detail = None, "SuspectedTypo: breaks the column's monotone trend"
         if computed is not None:
             detail += f"; solver gives {computed:.4f}"
-        return CellComparison(
-            cell.row, cell.col, cell.value, computed, status, delta, None,
-            detail=detail,
-        )
-    if cell.flag == "Unreconciled":
-        return CellComparison(cell.row, cell.col, cell.value, computed, status, delta, None)
-    ok = computed is not None and delta <= tolerance
-    return CellComparison(
-        cell.row, cell.col, cell.value, computed, status, delta, ok,
-        detail="" if ok else "outside tolerance",
-    )
+    elif cell.flag == "Unreconciled":
+        passed, detail = None, ""
+    else:
+        passed = computed is not None and delta <= tolerance
+        detail = "" if passed else "outside tolerance"
+    return CellComparison(cell.row, cell.col, cell.value, computed, level.status.value,
+                          delta, passed, detail)
 
 
 def compare(table_id: TableId, tolerance: float | None = None) -> ComparisonReport:

@@ -88,7 +88,6 @@ class CubicSolution:
     roots: tuple[complex, complex, complex]
     depressed: tuple[float, float]
     p: float
-    cardano_real: bool
     method: CubicMethod
 
 
@@ -183,6 +182,10 @@ def _horner(z, B, C, D):
 # (_term_size); a real Newton step that raises |f| by more than _RISE of it
 # has left the root for a point where the terms no longer cancel.
 _RISE = 1e-8
+# Newton also stops where |f'| < _FLAT or |step| < _STEP max(1, |z|); a root with
+# |Im| > _PAIR (1 + |z|) is a complex pair member; a level whose residual is
+# above _REFINE takes the margin-form refinement.
+_FLAT, _STEP, _PAIR, _REFINE = 1e-300, 1e-18, 1e-9, 1e-9
 
 
 def _term_size(z, B, C, D):
@@ -205,11 +208,11 @@ def _polish(root: complex, B: float, C: float, D: float) -> complex:
     z = root.real if is_real else root
     f, fp = _horner(z, B, C, D)
     for _ in range(4):
-        if abs(fp) < 1e-300:
+        if abs(fp) < _FLAT:
             break
         step = f / fp
         z_next = z - step
-        if z_next == z or abs(step) < 1e-18 * max(1.0, abs(z)):
+        if z_next == z or abs(step) < _STEP * max(1.0, abs(z)):
             break
         f_next, fp = _horner(z_next, B, C, D)
         if is_real and abs(f_next) > abs(f) and (
@@ -272,7 +275,7 @@ def solve_cubic_cardano(c: CubicCoefficients) -> CubicSolution:
         raise DegenerateCubic("leading coefficient is zero")
     roots, d, e, p, cardano_real = _cubic_roots(c.B / c.A, c.C / c.A, c.D / c.A)
     method = CubicMethod.CARDANO_REAL if cardano_real else CubicMethod.TRIGONOMETRIC
-    return CubicSolution(roots, (d, e), p, cardano_real, method)
+    return CubicSolution(roots, (d, e), p, method)
 
 
 def _margins(kappa: int, E, M, C, gp):
@@ -409,7 +412,11 @@ def _refine_near_boundary(kappa: int, k: int, M: float, C: float, gp: float,
     """
     boundary, direction, margins = min(_margin_forms(kappa, M, C, gp),
                                        key=lambda c: abs(E - c[0]))
-    f = lambda t: _condition(kappa, k, *margins(t), w2)
+    def f(t):  # the spin w2 / (2 m1) takes its IEEE value at m1 = 0, as in _refine_batch
+        m1, m2 = margins(t)
+        if kappa < 0 and m1 == 0.0:
+            return m2 - k * (math.inf if w2 else math.nan)
+        return _condition(kappa, k, m1, m2, w2)
     t0 = direction * (E - boundary)
     if not 0.0 < t0 < math.inf:
         return None
@@ -462,14 +469,14 @@ def _select(params: ModelParams, kappa: int, n: int, gp: float, roots,
     """Classify the roots against the sign conditions and build the level.
 
     roots are sorted by (real, imag).  The largest surviving energy is
-    selected, and a residual above 1e-9 there triggers the margin-form
+    selected, and a residual above _REFINE there triggers the margin-form
     refinement.  The alternates are the coded roots, then the lower roots.
     """
     M, C = params.M, params.C
     codes = []
     selected = None
     for r in roots:
-        if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
+        if abs(r.imag) > _PAIR * (1.0 + abs(r)):
             codes.append(_COMPLEX)
             continue
         E = r.real
@@ -487,7 +494,7 @@ def _select(params: ModelParams, kappa: int, n: int, gp: float, roots,
                  if _alternate_code(c, r.real, selected) == _LOWER]
     w2 = M * _power(params.omega0, 2)
     residual = abs(_residual(kappa, 2 * n + 1, M, C, gp, w2)(selected))
-    if residual > 1e-9:
+    if residual > _REFINE:
         refined = _refine_near_boundary(kappa, 2 * n + 1, M, C, gp, w2, selected)
         if refined is not None and refined[1] < residual:
             selected, residual = refined
@@ -509,7 +516,8 @@ def select_physical_root(sol: CubicSolution, params: ModelParams, n: int) -> Ene
     set the boundary flag.
     """
     gp = _stark_shift(params.M, params.omega0, params.q, params.eps)
-    return _select(params, params.kappa, n, gp, sol.roots, sol.cardano_real)
+    return _select(params, params.kappa, n, gp, sol.roots,
+                   sol.method is CubicMethod.CARDANO_REAL)
 
 
 def solve_level(params: ModelParams, n: int) -> EnergyLevel:

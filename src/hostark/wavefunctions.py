@@ -285,11 +285,19 @@ def _resolve(kind: RadialKind, params: ModelParams, n: int, r, energy: float | N
     return consts, partial(kernel or own, consts, n), r
 
 
+def _overflow(kind: RadialKind, n: int) -> ValueError:
+    return ValueError(f"{kind.value} at n={n} has non-finite samples (float64 overflow)")
+
+
 def _evaluate(kind: RadialKind, params: ModelParams, n: int, r, energy: float | None = None,
               fn: str | None = None, kernel=None):
-    """_resolve's kernel over the whole of r; a Python number for scalar r."""
+    """_resolve's kernel over the whole of r; a Python number for scalar r.
+    Raises sample_radial's ValueError where a sample is not finite."""
     _, kernel, r = _resolve(kind, params, n, r, energy, fn, kernel)
-    out = kernel(r, np.empty_like(r, dtype=_KERNELS[kind][2]))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples raise below
+        out = kernel(r, np.empty_like(r, dtype=_KERNELS[kind][2]))
+    if not np.isfinite(out).all():
+        raise _overflow(kind, n)
     return out.item() if out.ndim == 0 else out
 
 
@@ -559,7 +567,7 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
             norm = _norm_sq(values, h, pair)
         peak = float(_peak(values[s] for s in blocks))
     if not math.isfinite(peak):
-        raise ValueError(f"{kind.value} at n={n} has non-finite samples (float64 overflow)")
+        raise _overflow(kind, n)
     return RadialFunction(
         kind=kind,
         n=n,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hostark.cli import _SPECTRUM_HEADER, _json_rows, _spectrum_row, build_parser, main
+from hostark.cli import _SPECTRUM_COLUMNS, _json_rows, _spectrum_row, build_parser, main
 from hostark.model import ModelParams, SymmetryKind, eval_potential, potential_curve
 from hostark.reference import TableId, load_reference
 from hostark.spectra import nr_spin_level, solve_level, spectrum_grid
@@ -478,15 +478,15 @@ def test_spectrum_output_matches_golden_bytes(capsys, name, fmt):
 
 def spectrum_rows(sym, n, **params):
     p = ModelParams(sym=sym, **params)
-    return [_spectrum_row(p, solve_level(p, n))]
+    return [dict(zip(_SPECTRUM_COLUMNS, _spectrum_row(p, solve_level(p, n))))]
 
 
 SPECTRUM_CELL = st.one_of(st.none(), st.integers(), st.floats(), st.text())
 
 
 @settings(max_examples=50, deadline=None)
-@given(rows=st.lists(st.fixed_dictionaries(dict.fromkeys(_SPECTRUM_HEADER.split(","),
-                                                         SPECTRUM_CELL)), max_size=4))
+@given(rows=st.lists(st.fixed_dictionaries(dict.fromkeys(_SPECTRUM_COLUMNS, SPECTRUM_CELL)),
+                     max_size=4))
 @example(rows=[])  # spectrum --eps ","
 # null E and residual: an unbound pseudospin cell of spectrum_pseudospin_wide
 @example(rows=spectrum_rows(SymmetryKind.PSEUDOSPIN, 10, M=0.92, omega0=0.13, eps=5.0, C=-39.1))

@@ -30,8 +30,7 @@ class TestKnownCubics:
     def test_factored_construction(self):
         sol = solve_cubic_cardano(CubicCoefficients(1, -6, 11, -6))
         assert roots_sorted(sol) == pytest.approx([1, 2, 3], abs=1e-12)
-        assert sol.cardano_real is False  # three distinct real roots
-        assert sol.method is CubicMethod.TRIGONOMETRIC
+        assert sol.method is CubicMethod.TRIGONOMETRIC  # three distinct real roots
 
     def test_pure_cube(self):
         sol = solve_cubic_cardano(CubicCoefficients(1, 0, 0, -8))
@@ -40,7 +39,6 @@ class TestKnownCubics:
             key=lambda z: (z.real, z.imag),
         )
         assert roots_sorted(sol) == pytest.approx(expect, abs=1e-12)
-        assert sol.cardano_real is True
         assert sol.method is CubicMethod.CARDANO_REAL
 
     def test_spin_instance_complex_regime(self):
@@ -52,7 +50,6 @@ class TestKnownCubics:
         assert e == pytest.approx(1.8697916666666667, abs=1e-12)
         assert sol.p == pytest.approx(1.0, abs=1e-12)
         assert e * e < 4 * sol.p
-        assert sol.cardano_real is False
         assert sol.method is CubicMethod.TRIGONOMETRIC
         # frozen 50-digit bisection values
         assert roots_sorted(sol) == pytest.approx(
@@ -89,12 +86,12 @@ def test_cardano_vs_trigonometric_agreement():
     # dispatching solver vs the all-complex alternative, both regimes
     rng = np.random.default_rng(990)
     coeffs = rng.uniform(-10, 10, size=(1000, 3))
-    regimes = {True: 0, False: 0}
+    regimes = dict.fromkeys(CubicMethod, 0)
     for B, C, D in coeffs:
         sol = solve_cubic_cardano(CubicCoefficients(1, B, C, D))
-        regimes[sol.cardano_real] += 1
+        regimes[sol.method] += 1
         assert_multiset_close(sol.roots, cardano_complex_roots(B, C, D), 1e-9)
-    assert regimes[True] > 100 and regimes[False] > 100
+    assert min(regimes.values()) > 100
 
 
 def test_residual_invariant_fuzz():

@@ -5,6 +5,7 @@ included).  Rows are compared by repr, which unlike == tells 0.0 from -0.0."""
 import cmath
 import dataclasses
 import gc
+import itertools
 import math
 import re
 
@@ -196,6 +197,31 @@ def test_overflowing_cells_take_the_scalar_route(sym):
         with pytest.raises(ValueError, match="not finite in float64") as batch:
             spectrum_grid(params, 2, eps_list)
         assert str(batch.value) == str(scalar.value)
+
+
+def level_or_value_error(solve):
+    """repr of the level solve() returns, or "ValueError"; any other exception escapes."""
+    try:
+        return repr(solve())
+    except ValueError:
+        return "ValueError"
+
+
+SCALES = [5e-324, 1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300]
+
+
+def test_routes_agree_from_the_smallest_subnormal_to_1e300():
+    # 3,072 cells, most of which raise ValueError on both routes; at M = 5e-324
+    # the margin-form refinement of three spin cells bisects from t = 0, where
+    # the spin condition's w2 / (2 m1) reads inf as IEEE division gives it
+    for M, omega0, eps, C, sym, n in itertools.product(
+            SCALES, SCALES, (0.0, 1.0, 1e100), (-1e300, -10.0, 0.0, 1e300), SymmetryKind,
+            (0, 3)):
+        params = ModelParams(M=M, omega0=omega0, sym=sym, C=C)
+        scalar = level_or_value_error(
+            lambda: solve_level(dataclasses.replace(params, eps=eps), n))
+        batch = level_or_value_error(lambda: spectrum_grid(params, n, [eps])[-1][1])
+        assert batch == scalar, (M, omega0, eps, C, sym, n)
 
 
 def test_grid_restores_the_callers_collector_setting():

@@ -103,8 +103,6 @@ class TestDerivedConstants:
         dc = derived_constants(params(eps=0.0, C=0.7))
         assert dc.g_shift == 0.0
         assert dc.r0 == 0.0
-        assert dc.g_eps == -1.5
-        assert dc.M_s == 1.5 - 0.7
 
     def test_unit_field(self):
         dc = derived_constants(params(eps=1.0))
@@ -116,11 +114,6 @@ class TestDerivedConstants:
         dc = derived_constants(params(eps=2.0))
         assert dc.g_shift == pytest.approx(7.68, rel=1e-12)
         assert dc.r0 == pytest.approx(7.68, rel=1e-12)
-
-    def test_g_eps_identity_is_exact(self):
-        for eps in (0.0, 0.3, 1.7):
-            dc = derived_constants(params(eps=eps))
-            assert dc.g_eps == dc.g_shift - 1.5
 
 
 class TestPotentialCurve:

@@ -278,7 +278,12 @@ def test_evaluators_match_reference_and_leave_r_alone(kind_and_params, n, u, sam
     for r in (point, np.float64(point), np.asarray(point), grid, grid[::-1]):
         before = bits(r)
         with np.errstate(all="ignore"):
-            assert bits(ours(p, n, r, E)) == bits(ref(p, n, r, E))
+            want = ref(p, n, r, E)
+        if np.isfinite(want).all():
+            assert bits(ours(p, n, r, E)) == bits(want)
+        else:
+            with pytest.raises(ValueError, match=f"at n={n} has non-finite samples"):
+                ours(p, n, r, E)
         assert bits(r) == before
 
 

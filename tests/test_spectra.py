@@ -97,7 +97,7 @@ class TestCubicCoefficients:
             n = int(rng.integers(0, 6))
             dc = derived_constants(p)
             if sym is SymmetryKind.SPIN:
-                lin, quad = dc.M_s, dc.g_eps
+                lin, quad = p.M - p.C, dc.g_shift - p.M
             else:
                 lin, quad = -(p.M + p.C), p.M + dc.g_shift
             expanded = np.polymul([1.0, lin], np.polymul([1.0, quad], [1.0, quad]))

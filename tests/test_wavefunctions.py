@@ -204,6 +204,20 @@ class TestNonFiniteConstants:
             nr_radial_R(ModelParams(M=1e300, omega0=1e300), 0, 1.0)
 
 
+@pytest.mark.parametrize("evaluator", [upper_spinor_F, lower_spinor_G, lower_spinor_G_closed_form,
+                                       pseudo_lower_G, nr_radial_R], ids=lambda f: f.__name__)
+def test_evaluators_raise_where_samples_overflow(evaluator):
+    """Finite constants whose samples overflow raise sample_radial's ValueError,
+    not inf or nan samples with a RuntimeWarning."""
+    if evaluator is nr_radial_R:  # the Hermite factor overflows at r = 1e200
+        args = (ModelParams(M=1.0, omega0=1.0), 2, [0.5, 1e200])
+    else:
+        sym = SymmetryKind.PSEUDOSPIN if evaluator is pseudo_lower_G else SymmetryKind.SPIN
+        args = (ModelParams(M=1e-150, omega0=1e-20, eps=1e100, sym=sym), 1, [0.5, 1.0], 5.0)
+    with pytest.raises(ValueError, match=f"at n={args[1]} has non-finite samples"):
+        evaluator(*args)
+
+
 class TestUpperSpinorF:
     def test_zero_field_is_centered_gaussian(self):
         p = spin()
