@@ -175,11 +175,8 @@ def _cmd_wavefunction(args) -> int:
     )
     lines = ["kind,n,r,value_real,value_imag,normalized"]
     flag = "1" if rf.normalized else "0"
-    for r, v in zip(rf.r, rf.values):
-        z = complex(v)
-        lines.append(
-            f"{rf.kind.value},{rf.n},{_fmt(r)},{_fmt(z.real)},{_fmt(z.imag)},{flag}"
-        )
+    for r, v in zip(rf.r.tolist(), rf.values.tolist()):
+        lines.append(f"{rf.kind.value},{rf.n},{_fmt(r)},{_fmt(v)},0,{flag}")
     _emit("\n".join(lines), args.output)
     return 0
 

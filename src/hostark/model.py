@@ -117,10 +117,13 @@ def _stark_shift(M, omega0, q, eps):
     Raises ValueError where float64 cannot hold it.
     """
     try:
-        return (q * eps) ** 2 / (2.0 * (M * omega0 * omega0))
+        g_shift = (q * eps) ** 2 / (2.0 * (M * omega0 * omega0))
     except (OverflowError, ZeroDivisionError):
+        g_shift = math.inf
+    if not math.isfinite(g_shift):  # the quotient overflows without raising
         raise ValueError(f"g_shift is not finite in float64 at "
-                         f"{M=}, {omega0=}, {q=}, {eps=}") from None
+                         f"{M=}, {omega0=}, {q=}, {eps=}")
+    return g_shift
 
 
 def derived_constants(params: ModelParams) -> DerivedConstants:

@@ -29,10 +29,10 @@ The nonrelativistic radial function is the displaced-oscillator solution
 
 which is the authoritative shape for node-count and orthogonality checks.
 
-The pseudospin lower component is evaluated over complex arithmetic as
-printed; for bound levels (gamma_tilde < 0) the imaginary prefactors
-combine to a real function, and the residual imaginary part after global
-phase alignment is reported as a diagnostic.
+The pseudospin lower component is printed with imaginary prefactors,
+exp[i eps1' (lambda^2 r^2/2 - b r)] H_n(-i eps2' (lambda^2 r - b)^2); at a
+bound level (gamma_tilde < 0) i eps1' and -i eps2' are exactly real, so it is
+evaluated in real arithmetic over the spin components' envelope and argument.
 
 None of the closed forms vanish at r = 0 once eps > 0 (they are full-line
 oscillator solutions used on the half line); the origin value relative to
@@ -41,7 +41,6 @@ the peak is reported as a defect rather than corrected.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -59,7 +58,7 @@ _BLOCK = 8192
 
 
 class ConstantsUndefined(ValueError):
-    """Shape constants are not defined at this energy (e.g. gamma <= 0)."""
+    """Shape constants are not defined at this energy (e.g. m1 = E - kappa M - C <= 0)."""
 
 
 class SingularAtOrigin(ValueError):
@@ -84,22 +83,21 @@ class RadialKind(Enum):
 class ShapeConstants:
     """Envelope and polynomial-argument constants at a solved level.
 
-    Spin levels fill eps1, eps2, d0; pseudospin levels fill the complex
-    eps1p, eps2p instead (gamma_tilde < 0 for bound states, so square roots
-    land on the imaginary axis).
+    Both channels fill eps1 and eps2 from the margin m1 = E - kappa M - C > 0
+    (gamma for spin, -gamma_tilde for pseudospin): eps1 = sqrt(m1/(2M)) for
+    spin and sqrt(m1)/(2M), the printed -i eps1', for pseudospin;
+    eps2 = m1/(2Mv) = -i eps2' in both.  Only spin levels fill d0.
     """
 
     lambda_scale: float
     b: float
-    eps1: float | None = None
-    eps2: float | None = None
-    eps1p: complex | None = None
-    eps2p: complex | None = None
+    eps1: float
+    eps2: float
     d0: float | None = None
 
-    def _spin_factors(self, r):
-        """lambda^2, the envelope exp[-eps1 (lambda^2 r^2/2 - b r)], the Laguerre
-        argument eps2 u^2 of the spin components and u = lambda^2 r - b, as new arrays."""
+    def _factors(self, r):
+        """lambda^2, the envelope exp[-eps1 (lambda^2 r^2/2 - b r)], the polynomial
+        argument eps2 u^2 of both channels and u = lambda^2 r - b, as new arrays."""
         lam2 = self.lambda_scale ** 2
         envelope = np.multiply(0.5 * lam2, r, out=np.empty_like(r))
         envelope *= r
@@ -119,32 +117,27 @@ class ShapeConstants:
 def shape_constants(params: ModelParams, energy: float) -> ShapeConstants:
     """Constants entering the closed forms, evaluated at a level energy.
 
-    Raises ConstantsUndefined where one of them, or v, is not finite in float64
-    (eps2 is where 2 M v underflows to 0).
+    Raises ConstantsUndefined where the margin m1 = E - kappa M - C is <= 0
+    (no bound level lies there) or one of the constants, or v, is not finite
+    in float64 (eps2 is where 2 M v underflows to 0).
     """
     lam = math.sqrt(params.M * params.omega0)
     b = params.q * params.eps / params.omega0
     w2 = 0.5 * params.M * _power(params.omega0, 2)  # inf where ** overflows
-    gamma = -params.kappa * (energy - params.kappa * params.M - params.C)
+    m1 = energy - params.kappa * params.M - params.C
+    if m1 <= 0.0:
+        raise ConstantsUndefined(f"m1 = E - kappa M - C = {m1} <= 0 at E = {energy}")
+    v = math.sqrt(w2 * m1)
+    two_m_v = 2.0 * params.M * v
+    eps2 = m1 / two_m_v if two_m_v else math.inf
     if params.kappa < 0:
-        if gamma <= 0.0:
-            raise ConstantsUndefined(f"gamma = {gamma} <= 0 at E = {energy}")
-        v = math.sqrt(w2 * gamma)
-        two_m_v = 2.0 * params.M * v
-        channel = dict(eps1=math.sqrt(gamma / (2.0 * params.M)),
-                       eps2=gamma / two_m_v if two_m_v else math.inf, d0=1.0 / gamma)
+        channel = dict(eps1=math.sqrt(m1 / (2.0 * params.M)), d0=1.0 / m1)
     else:
-        gamma_t = complex(gamma)
-        v = cmath.sqrt(w2 * gamma_t)
-        if abs(v) == 0.0:
-            raise ConstantsUndefined(f"gamma_tilde vanishes at E = {energy}")
-        two_m_v = 2.0 * params.M * v
-        channel = dict(eps1p=cmath.sqrt(gamma_t) / (2.0 * params.M),
-                       eps2p=gamma_t / two_m_v if two_m_v else math.inf)
-    if not all(map(cmath.isfinite, (lam, b, v, *channel.values()))):
+        channel = dict(eps1=math.sqrt(m1) / (2.0 * params.M))
+    if not all(map(math.isfinite, (lam, b, v, eps2, *channel.values()))):
         raise ConstantsUndefined(f"the shape constants are not finite in float64 at "
                                  f"E = {energy} for {params}")
-    return ShapeConstants(lambda_scale=lam, b=b, **channel)
+    return ShapeConstants(lambda_scale=lam, b=b, eps2=eps2, **channel)
 
 
 def hermite(n: int, x):
@@ -195,7 +188,7 @@ def _upper_F(sc: ShapeConstants, n: int, r, out=None, slope=False):
     """F = e L_n(xi) at r, into out: the spin envelope e times L_n of the spin
     argument xi.  With slope, (F, dF/dr) from the same factors, since
     L_n' = -L_{n-1}^(1):  dF/dr = e u (-eps1 L_n(xi) - 2 eps2 lambda^2 L_{n-1}^(1)(xi))."""
-    lam2, envelope, xi, u = sc._spin_factors(r)
+    lam2, envelope, xi, u = sc._factors(r)
     total = np.empty_like(xi) if slope else None
     L = _laguerre(n, 0.0, xi, total)
     F = np.multiply(envelope, L, out=out)
@@ -215,11 +208,10 @@ def _lower_G(sc: ShapeConstants, n: int, r, out=None):
 
 
 def _pseudo_G(sc: ShapeConstants, n: int, r, out=None):
-    """The pseudospin lower component at r, into out."""
-    lam2 = sc.lambda_scale ** 2
-    arg = -1j * sc.eps2p * (lam2 * r - sc.b) ** 2
-    return np.multiply(np.exp(1j * sc.eps1p * (-sc.b * r + 0.5 * lam2 * r * r)),
-                       hermite(n, arg), out=out)
+    """The pseudospin lower component e H_n(xi) at r, into out: the envelope e
+    and argument xi of the spin components, at the pseudospin constants."""
+    _, envelope, xi, _ = sc._factors(r)
+    return np.multiply(envelope, hermite(n, xi), out=out)
 
 
 def _nr_constants(params: ModelParams, n: int):
@@ -248,12 +240,12 @@ def _nr_R(consts, n: int, r, out):
     return out
 
 
-# kind -> (its public evaluator, named in errors; its kernel; the dtype of its samples)
+# kind -> (its public evaluator, named in errors; its kernel)
 _KERNELS = {
-    RadialKind.UPPER_F: ("upper_spinor_F", _upper_F, float),
-    RadialKind.LOWER_G: ("lower_spinor_G", _lower_G, float),
-    RadialKind.NONREL_R: ("nr_radial_R", _nr_R, float),
-    RadialKind.PSEUDO_LOWER_G: ("pseudo_lower_G", _pseudo_G, complex),
+    RadialKind.UPPER_F: ("upper_spinor_F", _upper_F),
+    RadialKind.LOWER_G: ("lower_spinor_G", _lower_G),
+    RadialKind.NONREL_R: ("nr_radial_R", _nr_R),
+    RadialKind.PSEUDO_LOWER_G: ("pseudo_lower_G", _pseudo_G),
 }
 
 
@@ -264,7 +256,7 @@ def _resolve(kind: RadialKind, params: ModelParams, n: int, r, energy: float | N
     params are of kind's channel, n, the level is bound (energy, if given,
     stands for it), the constants exist, and r >= 1e-8 for the lower spin
     component.  NONREL_R has no channel and no level, only its own n check."""
-    name, own, _ = _KERNELS[kind]
+    name, own = _KERNELS[kind]
     if kind is RadialKind.NONREL_R:
         consts = _nr_constants(params, n)
     else:
@@ -295,7 +287,7 @@ def _evaluate(kind: RadialKind, params: ModelParams, n: int, r, energy: float | 
     Raises sample_radial's ValueError where a sample is not finite."""
     _, kernel, r = _resolve(kind, params, n, r, energy, fn, kernel)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples raise below
-        out = kernel(r, np.empty_like(r, dtype=_KERNELS[kind][2]))
+        out = kernel(r, np.empty_like(r))
     if not np.isfinite(out).all():
         raise _overflow(kind, n)
     return out.item() if out.ndim == 0 else out
@@ -322,7 +314,7 @@ def lower_spinor_G(params: ModelParams, n: int, r, energy: float | None = None):
 
 def _lower_G_closed(sc: ShapeConstants, n: int, r, out=None):
     """The printed closed form of the lower component at r, into out."""
-    lam2, envelope, xi, u = sc._spin_factors(r)
+    lam2, envelope, xi, u = sc._factors(r)
     bracket = (-sc.eps1 * u + SymmetryKind.SPIN.kappa / r) * _laguerre(n, 0.0, xi) \
         + 2.0 * lam2 * sc.eps2 * u * _laguerre(n, 1.0, xi)
     return np.multiply(sc.d0 * envelope, bracket, out=out)
@@ -340,17 +332,12 @@ def lower_spinor_G_closed_form(params: ModelParams, n: int, r,
 
 
 def pseudo_lower_G(params: ModelParams, n: int, r, energy: float | None = None):
-    """Pseudospin lower component, evaluated over complex arithmetic.
+    """Pseudospin lower component at the solved pseudospin level.
 
-    For bound levels the result is real up to floating-point noise; use
-    realness_defect to quantify the residual imaginary part.
+    The printed form's imaginary prefactors are exactly real at a bound
+    level, so it is evaluated in real arithmetic and returns float samples.
     """
     return _evaluate(RadialKind.PSEUDO_LOWER_G, params, n, r, energy)
-
-
-def _density(v):
-    """|v|^2, the integrand of the norm; v^2 for real v, which has the same bits."""
-    return np.square(np.abs(v) if v.dtype.kind == "c" else v)
 
 
 def _guarded_div(num, den):
@@ -397,10 +384,10 @@ def _pair_weights(x0: float, x1: float, x2: float):
 
 
 def _norm_sq(values, h: float, pair) -> float:
-    """Simpson integral of |values|^2 on sample_radial's grid of step h.
+    """Simpson integral of values^2 on sample_radial's grid of step h.
 
     Weights h/3 (1, 4, 2, ..., 4, 1) on the odd-length run values[lo:hi + 1],
-    whose interior enters as two strided sums of |values|^2 per block; an even
+    whose interior enters as two strided sums of values^2 per block; an even
     count adds simpson's last-interval correction with h0 = h1 = h (5h/12, 2h/3,
     -h/12).  A pair of _pair_weights weighs the first two intervals instead.
     """
@@ -409,10 +396,10 @@ def _norm_sq(values, h: float, pair) -> float:
     four = two = 0.0
     inner = values[lo + 1:hi]
     for s in _blocks(len(inner)):
-        d = _density(inner[s])
+        d = np.square(inner[s])
         four += d[::2].sum()
         two += d[1::2].sum()
-    y0, y1, y_lo, y_hi, y_n3, y_n1 = _density(values[[0, 1, lo, hi, n - 3, n - 1]]).tolist()
+    y0, y1, y_lo, y_hi, y_n3, y_n1 = np.square(values[[0, 1, lo, hi, n - 3, n - 1]]).tolist()
     total = h / 3.0 * (y_lo + 4.0 * four + 2.0 * two + y_hi) if hi > lo else 0.0
     if pair is not None:
         w, a, b, c = pair
@@ -428,7 +415,7 @@ def mean_radius(rf: "RadialFunction") -> float:
     Reported as a diagnostic only; no sign convention is asserted on the
     displacement (the closed forms place the density center at +r0).
     """
-    w = np.abs(rf.values) ** 2
+    w = rf.values ** 2
     return float(simpson(rf.r * w, rf.r) / simpson(w, rf.r))
 
 
@@ -444,37 +431,11 @@ def _peak(parts):
     return reduce(np.maximum, [np.maximum.reduce(np.abs(p)) for p in parts])
 
 
-def _phase(v: np.ndarray, blocks):
-    """The global phase that makes the first largest-modulus sample of v
-    real and positive (1 for all-zero v)."""
-    ref = top = None
-    for s in blocks:
-        modulus = np.abs(v[s])
-        i = np.argmax(modulus)
-        if top is None or modulus[i] > top:
-            ref, top = v[s][i], modulus[i]
-    return np.conj(ref / abs(ref)) if top else 1.0
-
-
-def realness_defect(values) -> float:
-    """Max |Im| after aligning the global phase, relative to the peak."""
-    v = np.asarray(values, dtype=complex)
-    peak = np.max(np.abs(v))
-    if peak == 0.0:
-        return 0.0
-    return float(np.max(np.abs((v * _phase(v, _blocks(len(v)))).imag)) / peak)
-
-
 def _count_nodes(v: np.ndarray, blocks, peak=None) -> int:
-    """count_nodes of the 1-D v over blocks; peak is max |v|, if the caller
-    has it (complex v count against the peak of their aligned real part)."""
-    if v.dtype.kind == "c":
-        phase = _phase(v, blocks)
-        parts = [(v[s] * phase).real.copy() for s in blocks]  # frees the complex product
-        peak = _peak(parts)
-    else:
-        parts = [v[s] for s in blocks]
-        peak = _peak(parts) if peak is None else peak
+    """count_nodes of the real 1-D v over blocks; peak is max |v|, if the
+    caller has it."""
+    parts = [v[s] for s in blocks]
+    peak = _peak(parts) if peak is None else peak
     if peak == 0.0:
         return 0
     nodes, last = 0, None
@@ -488,12 +449,14 @@ def _count_nodes(v: np.ndarray, blocks, peak=None) -> int:
 
 
 def count_nodes(values) -> int:
-    """Interior sign changes, ignoring samples below 1e-9 of the peak.
+    """Interior sign changes of real values, ignoring samples below 1e-9 of
+    the peak; complex values raise ValueError.
 
-    Complex values are counted on the real part after global phase alignment.
     Runs a block at a time, carrying the last kept sign across block edges.
     """
     v = np.asarray(values).reshape(-1)
+    if v.dtype.kind == "c":
+        raise ValueError("count_nodes takes real values, got a complex array")
     return _count_nodes(v, _blocks(len(v)))
 
 
@@ -547,9 +510,8 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
     _, kernel, r = _resolve(kind, params, n, r)  # checks r[1] >= 1e-8 = r[0] for LOWER_G
     pair = _pair_weights(*r[:3].tolist()) if kind is RadialKind.LOWER_G else None
     h = float(r_max) / (samples - 1)  # linspace's own step
-    # every pass below works through r and values _BLOCK samples at a time;
-    # the only other full-length arrays are the real parts of complex values
-    values, blocks = np.empty(samples, _KERNELS[kind][2]), _blocks(samples)
+    # every pass below works through r and values _BLOCK samples at a time
+    values, blocks = np.empty_like(r), _blocks(samples)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples raise below
         for s in blocks:
             kernel(r[s], values[s])

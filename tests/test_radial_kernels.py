@@ -95,12 +95,12 @@ def ref_nr_R(params, n, r, E=None):
 
 
 def ref_pseudo_G(params, n, r, E):
-    sc = wf.shape_constants(params, E)
+    """The printed exp[i eps1' (...)] H_n(-i eps2' (...)^2) with the real
+    products i eps1' = -eps1 and -i eps2' = eps2 of a bound level."""
     r = np.asarray(r, dtype=float)
-    lam2 = sc.lambda_scale ** 2
-    arg = -1j * sc.eps2p * (lam2 * r - sc.b) ** 2
-    out = np.exp(1j * sc.eps1p * (-sc.b * r + 0.5 * lam2 * r * r)) * ref_hermite(n, arg)
-    return complex(out) if out.ndim == 0 else out
+    _, envelope, xi = ref_spin_factors(wf.shape_constants(params, E), r)
+    out = envelope * ref_hermite(n, xi)
+    return float(out) if out.ndim == 0 else out
 
 
 def ref_blocks(size):
@@ -161,9 +161,6 @@ def ref_sample_radial(kind, params, n, samples, normalize, E):
 def ref_count_nodes(values):
     """count_nodes over the whole vector at once."""
     v = np.asarray(values)
-    if np.iscomplexobj(v):
-        ref = v[np.argmax(np.abs(v))]
-        v = (v * np.conj(ref / abs(ref))).real
     peak = np.max(np.abs(v))
     if peak == 0.0:
         return 0
@@ -293,7 +290,7 @@ def test_spin_factors_match_reference():
     sc = wf.shape_constants(p, solve_level(p, 2).E)
     grid = np.linspace(0.0, 30.0, 20001)
     for r in [grid, *map(np.asarray, grid)]:
-        lam2, envelope, xi, u = sc._spin_factors(r)
+        lam2, envelope, xi, u = sc._factors(r)
         assert bits(np.asarray(u))[1:] == bits(np.asarray(lam2 * r - sc.b))[1:]
         for got, want in zip((lam2, envelope, xi), ref_spin_factors(sc, r)):
             assert bits(np.asarray(got))[1:] == bits(np.asarray(want))[1:]
@@ -390,21 +387,14 @@ def node_cases():
 def test_count_nodes_across_blocks_matches_whole_vector(name):
     v = node_cases()[name]
     assert wf.count_nodes(v) == ref_count_nodes(v)
-    assert wf.count_nodes(v * (0.6 - 0.8j)) == ref_count_nodes(v * (0.6 - 0.8j)) \
-        == ref_count_nodes(v)
-    if name == "tied":
-        # the first of two tied maxima sets the phase: with it the first block
-        # is real, with the second only the later ones would be
-        rot = v * (0.6 - 0.8j)
-        rot[BLOCK:] *= 1j
-        assert wf.count_nodes(rot) == ref_count_nodes(rot) == ref_count_nodes(v[:BLOCK])
+    with pytest.raises(ValueError, match="real values"):
+        wf.count_nodes(v * (0.6 - 0.8j))
 
 
 # upper bounds on the float64 sample arrays (of N = 100,001) that sample_radial
-# holds at once: r, the values (two for complex ones), the aligned real parts
-# that count_nodes keeps of complex values, and block-sized scratch
+# holds at once: r, the values and block-sized scratch
 PEAK_ARRAYS = {wf.RadialKind.UPPER_F: 5.5, wf.RadialKind.LOWER_G: 5.5,
-               wf.RadialKind.NONREL_R: 5.5, wf.RadialKind.PSEUDO_LOWER_G: 6.5}
+               wf.RadialKind.NONREL_R: 5.5, wf.RadialKind.PSEUDO_LOWER_G: 5.5}
 
 
 @pytest.mark.parametrize("kind", list(wf.RadialKind), ids=lambda kind: kind.value)
