@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import math
-from collections import deque
-from itertools import repeat, starmap
+from itertools import repeat
 
 import numpy as np
 
 from .model import ModelParams
 from .spectra import (
     _COMPLEX, _FLAT, _LOWER, _MAX_HALVINGS, _PAIR, _REASONS, _REFINE, _RISE, _STEP,
-    ChannelScalars, EnergyLevel, RejectedRoot, Status, _alternate_code, _cbrt, _condition,
-    _deflate, _depressed, _horner, _level_bcd, _level_scalars, _margin_forms, _margins,
-    _power, _rhs_squared, _sign_code, _term_size, solve_level,
+    ChannelScalars, EnergyLevel, RejectedRoot, Status, _alternate_code, _condition,
+    _deflate, _depressed, _horner, _in_domain, _level_bcd, _level_scalars, _margin_forms,
+    _margins, _power, _records, _rhs_squared, _sign_code, _term_size, solve_level,
 )
 
 # ---------------------------------------------------------------- batch route
@@ -28,15 +26,34 @@ from .spectra import (
 # refinement bisects its cells at once, and the records are built column by
 # column with the cyclic collector paused, since they all outlive the build.
 # NumPy's powers, cube roots, arccos, cos and complex product and quotient can
-# differ from CPython's in the last bit, so the first four run through math per
-# element (_map) and the last two are written out (_cmul, _cdiv).  As in
+# differ from CPython's in the last bit, so the first four call CPython's pow
+# and math per element and the last two are written out (_cmul, _cdiv).  _map
+# maps a builtin over a column with no Python frame per element: the cubes
+# (_cubes) map pow, and _power only where a cube could overflow; the cube roots
+# (_cbrts) map pow over |x| and take the sign with NumPy's copysign.  As in
 # _cubic_roots, real roots take _polish's float steps and a complex pair's lower
 # member is its polished upper one's conjugate; the batch runs all four masked
 # steps where _polish stops at a fixed point, which later steps repeat.
 
 
-def _map(fn, x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
+def _map(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn(x_i, *args) per element, in Python floats."""
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, len(x))
+
+
+# Where |x| < _CUBE_SAFE, x^3 is finite in float64 (5e102^3 = 1.25e308), so
+# pow(x, 3) cannot raise the OverflowError that _power handles.
+_CUBE_SAFE = 5e102
+
+
+def _cubes(x: np.ndarray) -> np.ndarray:
+    """_power(x, 3) per element, as pow(x, 3) where every |x| < _CUBE_SAFE."""
+    return _map(pow if (np.abs(x) < _CUBE_SAFE).all() else _power, x, 3)
+
+
+def _cbrts(x: np.ndarray) -> np.ndarray:
+    """_cbrt per element: pow(|x|, 1/3), which cannot raise, with the sign of x."""
+    return np.copysign(_map(pow, np.abs(x), 1.0 / 3.0), x)
 
 
 def _cmul(ar, ai, br, bi):
@@ -98,7 +115,7 @@ def _cubic_roots_batch(B, C, D):
     cells that _cubic_roots does not reject.
     """
     d, e = _depressed(B, C, D)
-    p = -_map(lambda x: _power(x, 3), d / 3.0)
+    p = -_cubes(d / 3.0)
     cardano_real = e * e >= 4.0 * p
     re = np.empty((len(B), 3))
     im = np.zeros((len(B), 3))
@@ -108,7 +125,7 @@ def _cubic_roots_batch(B, C, D):
     x = ec * ec - 4.0 * p[c]
     s = np.sqrt(np.where(0.0 > x, 0.0, x))  # max(x, 0.0)
     z3 = np.where(ec > 0.0, -ec / 2.0 - s / 2.0, -ec / 2.0 + s / 2.0)
-    z = _map(_cbrt, np.where(dc == 0.0, -ec, z3))
+    z = _cbrts(np.where(dc == 0.0, -ec, z3))
     y1 = np.where(dc == 0.0, z, z - dc / (3.0 * z))
     e1, b1, disc = _deflate(y1, Bc, Cc)
     real_pair = disc >= 0.0
@@ -121,7 +138,7 @@ def _cubic_roots_batch(B, C, D):
 
     t = ~cardano_real
     u = np.sqrt(-d[t] / 3.0)
-    arg = -e[t] / (2.0 * _map(lambda x: _power(x, 3), u))
+    arg = -e[t] / (2.0 * _cubes(u))
     arg = np.where(arg > -1.0, arg, -1.0)  # min(1.0, max(-1.0, arg))
     arg = np.where(arg < 1.0, arg, 1.0)
     theta = _map(math.acos, arg) / 3.0
@@ -134,10 +151,10 @@ def _cubic_roots_batch(B, C, D):
     real = im == 0.0
     re[real] = _newton_real(re[real], *(x[real.nonzero()[0]] for x in (B, C, D)))
     re[pair, 1], re[pair, 2], im[pair, 1], im[pair, 2] = zr, zr, zi, -zi
-    for a, b in ((0, 1), (1, 2), (0, 1)):  # stable sort by (real, imag)
-        swap = (re[:, a] > re[:, b]) | ((re[:, a] == re[:, b]) & (im[:, a] > im[:, b]))
-        re[swap, a], re[swap, b] = re[swap, b], re[swap, a]
-        im[swap, a], im[swap, b] = im[swap, b], im[swap, a]
+    roots = np.empty(re.shape, complex)
+    roots.real, roots.imag = re, im
+    roots.sort(axis=1, kind="stable")  # NumPy orders complex by (real, imag)
+    re, im = roots.real, roots.imag
     finite = np.isfinite(np.column_stack((B, C, D, d, e, p, re, im))).all(axis=1)
     return re, im, cardano_real, finite
 
@@ -157,8 +174,8 @@ def _select_batch(kappa: int, re, im, M: float, C: float, gp, k, w2: float):
         selected = np.where(take, re[:, col], selected)
         bound |= take
     m1, m2 = _margins(kappa, selected, M, C, gp)
-    domain = m1 > 0.0 if kappa < 0 else m1 >= 0.0
-    residual = np.where(domain, _condition(kappa, k, m1, m2, w2, np.sqrt), np.nan)
+    residual = np.where(_in_domain(kappa, m1), _condition(kappa, k, m1, m2, w2, np.sqrt),
+                        np.nan)
     return codes, bound, selected, np.abs(residual)
 
 
@@ -203,18 +220,6 @@ def _refine_batch(kappa: int, k, M: float, C: float, gp, w2: float, E, residual)
     r = np.abs(f(t))
     keep = (0.0 < t0) & (t0 < math.inf) & found & (r < residual)
     return np.where(keep, boundary + direction * t, E), np.where(keep, r, residual)
-
-
-def _records(cls, count: int, *columns) -> list:
-    """count instances of the slotted dataclass cls, each field's slot set over
-    its column in one C-level pass.  __init__ does not run, so a class with
-    __post_init__, or a column of another length, is refused."""
-    if hasattr(cls, "__post_init__"):
-        raise TypeError(f"{cls.__name__} defines __post_init__, which _records skips")
-    records = list(map(object.__new__, repeat(cls, count)))
-    for field, column in zip(dataclasses.fields(cls), columns, strict=True):
-        deque(starmap(getattr(cls, field.name).__set__, zip(records, column, strict=True)), 0)
-    return records
 
 
 def _solve_grid(grid: list[ModelParams], n_max: int,
@@ -269,16 +274,16 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
     try:
         rejected = tuple(_records(RejectedRoot, len(values), values.tolist(),
                                   map(_REASONS[kappa].__getitem__, alt[keep].tolist())))
-        # gamma/alpha/v/beta as complex for the Bound rows only, in row order
-        scalars = _records(ChannelScalars, int(has.sum()),
-                           *(x[has].astype(complex).tolist() for x in (gamma, alpha, v, beta)))
+        # gamma/alpha/v/beta as complex for the Bound rows only, placed by row
+        diagnostics = np.full(len(rows), None, dtype=object)
+        diagnostics[has] = _records(ChannelScalars, int(has.sum()), *(
+            x[has].astype(complex).tolist() for x in (gamma, alpha, v, beta)))
         levels = _records(
             EnergyLevel, len(rows), ns, repeat(kappa, len(rows)),
             map((Status.NO_PHYSICAL_ROOT, Status.BOUND).__getitem__, bound.tolist()),
             np.where(bound, selected, None).tolist(), np.where(bound, residual, None).tolist(),
             map(rejected.__getitem__, map(slice, [0] + ends, ends)),
-            (~cardano_real).tolist(), (flag & bound).tolist(),
-            map(dict(zip(np.flatnonzero(has).tolist(), scalars)).get, range(len(rows))))
+            (~cardano_real).tolist(), (flag & bound).tolist(), diagnostics.tolist())
         for i in np.flatnonzero(~finite).tolist():
             levels[i] = solve_level(rows[i], ns[i])
         return levels

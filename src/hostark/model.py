@@ -127,12 +127,16 @@ def _stark_shift(M, omega0, q, eps):
 
 
 def derived_constants(params: ModelParams) -> DerivedConstants:
-    """Compute the shifted-well constants for the given parameters."""
-    m_omega2 = params.M * params.omega0 * params.omega0
-    return DerivedConstants(
-        g_shift=_stark_shift(params.M, params.omega0, params.q, params.eps),
-        r0=params.q * params.eps / m_omega2,
-    )
+    """Compute the shifted-well constants for the given parameters.
+
+    Raises ValueError where float64 cannot hold g_shift or r0.
+    """
+    M, omega0, q, eps = params.M, params.omega0, params.q, params.eps
+    g_shift = _stark_shift(M, omega0, q, eps)  # raises where M w0^2 is 0
+    r0 = q * eps / (M * omega0 * omega0)
+    if not math.isfinite(r0):  # the quotient overflows without raising
+        raise ValueError(f"r0 is not finite in float64 at {M=}, {omega0=}, {q=}, {eps=}")
+    return DerivedConstants(g_shift=g_shift, r0=r0)
 
 
 def _check_r_max(r_max: float, note: str = "") -> None:

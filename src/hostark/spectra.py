@@ -38,10 +38,13 @@ import cmath
 import dataclasses
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat, starmap
+from operator import attrgetter
 
-from .model import ModelParams, _check_n, _stark_shift, derived_constants
+from .model import ModelParams, _check_n, _stark_shift
 
 _BOUNDARY_TOL = 1e-12
 
@@ -91,6 +94,12 @@ class CubicSolution:
     method: CubicMethod
 
 
+# The result records.  Neither solver route runs their generated __init__,
+# which calls object.__setattr__ once per field in a frame entered from C:
+# solve_level builds each record with a _slot_record function, spectrum_grid
+# builds them column by column with _records, both through the slots' member
+# descriptors (_slot_setters).  So no record may define __post_init__.
+
 @dataclass(frozen=True, slots=True)
 class RejectedRoot:
     value: complex
@@ -124,6 +133,45 @@ class EnergyLevel:
     cardano_complex_regime: bool
     boundary: bool = False
     diagnostics: ChannelScalars | None = None
+
+
+def _slot_setters(cls) -> tuple:
+    """The __set__ of each field's slot descriptor of the slotted dataclass
+    cls, in field order.  Setting the slots skips __init__, so a class with
+    __post_init__ is refused."""
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} defines __post_init__, which setting slots skips")
+    return tuple(getattr(cls, field.name).__set__ for field in dataclasses.fields(cls))
+
+
+def _slot_record(cls):
+    """A function of one value per field of cls, in field order (defaults
+    included), that returns the record with each slot set (_slot_setters).
+    Its body is generated, as dataclasses generates __init__, so that it
+    calls each setter once with no loop; a call with another count of values
+    raises TypeError."""
+    setters = _slot_setters(cls)
+    values = ", ".join(f"v{i}" for i in range(len(setters)))
+    body = "".join(f"    s{i}(record, v{i})\n" for i in range(len(setters)))
+    namespace = {f"s{i}": s for i, s in enumerate(setters)}
+    namespace.update(new=object.__new__, cls=cls)
+    exec(f"def build({values}):\n    record = new(cls)\n{body}    return record\n", namespace)
+    return namespace["build"]
+
+
+def _records(cls, count: int, *columns) -> list:
+    """count instances of the slotted dataclass cls, one column per field,
+    each field's slot set over its column in one C-level pass (_slot_setters);
+    a column of another length, or a count of columns other than the field
+    count, is refused."""
+    records = list(map(object.__new__, repeat(cls, count)))
+    for set_slot, column in zip(_slot_setters(cls), columns, strict=True):
+        deque(starmap(set_slot, zip(records, column, strict=True)), 0)
+    return records
+
+
+_rejected_root, _channel_scalars, _energy_level = map(
+    _slot_record, (RejectedRoot, ChannelScalars, EnergyLevel))
 
 
 def _power(x: float, k: int) -> float:
@@ -222,6 +270,9 @@ def _polish(root: complex, B: float, C: float, D: float) -> complex:
     return complex(z)
 
 
+_REAL_IMAG = attrgetter("real", "imag")
+
+
 def _cubic_roots(B: float, C: float, D: float):
     """solve_cubic_cardano on plain floats: (sorted roots, d, e, p, cardano_real)."""
     d, e = _depressed(B, C, D)
@@ -256,7 +307,7 @@ def _cubic_roots(B: float, C: float, D: float):
         roots = [_polish(complex(2.0 * u * math.cos(theta - 2.0 * math.pi * k / 3.0)
                                  - B / 3.0), B, C, D) for k in range(3)]
 
-    polished = tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
+    polished = tuple(sorted(roots, key=_REAL_IMAG))
     if not all(map(math.isfinite, (B, C, D, d, e, p))) or not all(
             map(cmath.isfinite, polished)):
         raise ValueError(
@@ -304,6 +355,11 @@ def _condition(kappa: int, k, m1, m2, w2: float, sqrt=math.sqrt):
     if kappa < 0:
         return m2 - k * sqrt(w2 / (2.0 * m1))
     return k - m2 * sqrt(2.0 * m1 / w2)
+
+
+def _in_domain(kappa: int, m1):
+    """Where _condition is defined: spin m1 > 0, pseudospin m1 >= 0 (floats or arrays)."""
+    return m1 > 0.0 if kappa < 0 else m1 >= 0.0
 
 
 def _residual(kappa: int, k: int, M: float, C: float, gp: float, w2: float,
@@ -473,37 +529,40 @@ def _select(params: ModelParams, kappa: int, n: int, gp: float, roots,
     refinement.  The alternates are the coded roots, then the lower roots.
     """
     M, C = params.M, params.C
-    codes = []
+    reasons = _REASONS[kappa]
+    codes, rejected = [], []
     selected = None
     for r in roots:
         if abs(r.imag) > _PAIR * (1.0 + abs(r)):
-            codes.append(_COMPLEX)
-            continue
-        E = r.real
-        code = _sign_code(kappa, E, M, C, gp)
+            code = _COMPLEX
+        else:
+            E = r.real
+            code = _sign_code(kappa, E, M, C, gp)
+            if not code and (selected is None or E > selected):
+                selected = E
         codes.append(code)
-        if not code and (selected is None or E > selected):
-            selected = E
-    reasons = _REASONS[kappa]
-    rejected = [RejectedRoot(r, reasons[c]) for r, c in zip(roots, codes) if c]
+        if code:
+            rejected.append(_rejected_root(r, reasons[code]))
     if selected is None:
-        return EnergyLevel(n, kappa, Status.NO_PHYSICAL_ROOT, None, None,
-                           tuple(rejected), not cardano_real)
-    rejected += [RejectedRoot(complex(r.real), reasons[_LOWER])
+        return _energy_level(n, kappa, Status.NO_PHYSICAL_ROOT, None, None,
+                             tuple(rejected), not cardano_real, False, None)
+    rejected += [_rejected_root(complex(r.real), reasons[_LOWER])
                  for r, c in zip(roots, codes)
                  if _alternate_code(c, r.real, selected) == _LOWER]
     w2 = M * _power(params.omega0, 2)
-    residual = abs(_residual(kappa, 2 * n + 1, M, C, gp, w2)(selected))
+    k = 2 * n + 1
+    m1, m2 = _margins(kappa, selected, M, C, gp)
+    residual = abs(_condition(kappa, k, m1, m2, w2)) if _in_domain(kappa, m1) else math.nan
     if residual > _REFINE:
-        refined = _refine_near_boundary(kappa, 2 * n + 1, M, C, gp, w2, selected)
+        refined = _refine_near_boundary(kappa, k, M, C, gp, w2, selected)
         if refined is not None and refined[1] < residual:
             selected, residual = refined
     boundary, gamma, alpha, v2, beta = _level_scalars(
         kappa, selected, M, C, gp, w2, params.q * params.eps)
-    scalars = ChannelScalars(complex(gamma), complex(alpha),
-                             cmath.sqrt(complex(v2)), complex(beta))
-    return EnergyLevel(n, kappa, Status.BOUND, selected, residual, tuple(rejected),
-                       not cardano_real, boundary, scalars)
+    scalars = _channel_scalars(complex(gamma), complex(alpha),
+                               cmath.sqrt(complex(v2)), complex(beta))
+    return _energy_level(n, kappa, Status.BOUND, selected, residual,
+                         tuple(rejected), not cardano_real, boundary, scalars)
 
 
 def select_physical_root(sol: CubicSolution, params: ModelParams, n: int) -> EnergyLevel:
@@ -598,7 +657,8 @@ def nr_spin_level(params: ModelParams, n: int) -> float:
     The whole oscillator ladder is rigidly shifted down by g_shift.
     """
     n = _check_n(n)
-    return params.omega0 * (n + 0.5) - derived_constants(params).g_shift
+    return params.omega0 * (n + 0.5) - _stark_shift(params.M, params.omega0, params.q,
+                                                    params.eps)
 
 
 def nr_pseudospin_level(params: ModelParams, n: int) -> float:

@@ -144,6 +144,15 @@ class TestFigure2:
             p = ModelParams(M=1.5, omega0=1 / 2.4, eps=float(row["eps"]))
             assert float(row["E"]) == nr_spin_level(p, int(row["n"]))
 
+    def test_prints_rows_where_only_r0_overflows(self, capsys):
+        # the ladder needs g_shift = 5.0e299 alone, not r0 = 1e310
+        code, out, _ = run_cli(capsys, "figure2", "--M", "1e-300", "--omega0", "1e-10",
+                               "--eps", "0,1e-10", "--n-max", "1")
+        assert code == 0
+        assert [row["E"] for row in parse_csv(out)] == [
+            "5.0000000000000002e-11", "-5.0000556647062903e+299",
+            "1.5e-10", "-5.0000556647062903e+299"]
+
 
 class TestWavefunction:
     def test_spin_upper_csv(self, capsys):
@@ -297,7 +306,12 @@ class TestErrors:
         (("figure2", "--M", "1e-300", "--omega0", "1e-3", "--eps", "1e10", "--n-max", "1"),
          "g_shift is not finite in float64 at M=1e-300, omega0=0.001, q=1.0, "
          "eps=10000000000.0"),
-    ], ids=["wavefunction-samples", "spectrum-no-omega0", "figure2-g-shift-overflow"])
+        # q eps / (M w0^2) overflows while g_shift stays finite
+        (("wavefunction", "--kind", "R", "--M", "1e-300", "--omega0", "1e-10",
+          "--eps", "1e-10", "--n", "0"),
+         "r0 is not finite in float64 at M=1e-300, omega0=1e-10, q=1.0, eps=1e-10"),
+    ], ids=["wavefunction-samples", "spectrum-no-omega0", "figure2-g-shift-overflow",
+            "wavefunction-r0-overflow"])
     def test_rejected_input_exits_two(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 

@@ -15,15 +15,22 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 
 from hostark.model import ModelParams, SymmetryKind
-from hostark._grid import _bisect_batch, _newton_real, _records
+from hostark import _grid
+from hostark._grid import _CUBE_SAFE, _bisect_batch, _cbrts, _cubes, _newton_real, _records
 from hostark.spectra import (
     ChannelScalars,
     Equation,
     NoSignChange,
     RejectedRoot,
+    Status,
     _bisect,
+    _cbrt,
+    _depressed,
     _grid_inputs,
+    _level_bcd,
     _polish,
+    _power,
+    _rhs_squared,
     bisection_oracle,
     cubic_coefficients,
     select_physical_root,
@@ -197,6 +204,49 @@ def test_overflowing_cells_take_the_scalar_route(sym):
         with pytest.raises(ValueError, match="not finite in float64") as batch:
             spectrum_grid(params, 2, eps_list)
         assert str(batch.value) == str(scalar.value)
+
+
+CUBE_EDGE = 5.643803094122361e102  # the largest x whose x^3 is finite in float64
+HELPER_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1.5, -2.0e-100] + [
+    s * x for x in (_CUBE_SAFE, CUBE_EDGE) for s in (1.0, -1.0)
+    for x in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))] + [
+    math.inf, -math.inf, math.nan, -math.nan]
+
+
+def float_bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+def test_cube_and_cube_root_columns_equal_the_scalar_helpers():
+    assert _power(CUBE_EDGE, 3) < math.inf == _power(math.nextafter(CUBE_EDGE, math.inf), 3)
+    # each point alone, then all at once: below _CUBE_SAFE the column maps pow,
+    # at and above it _power, whose OverflowError handler gives the cube's inf
+    columns = [np.array([x]) for x in HELPER_POINTS] + [np.array(HELPER_POINTS)]
+    for x in columns:
+        assert float_bits(_cubes(x)) == float_bits(_power(v, 3) for v in x.tolist())
+        assert float_bits(_cbrts(x)) == float_bits(_cbrt(v) for v in x.tolist())
+
+
+def test_cubes_past_the_safe_bound_take_power(monkeypatch):
+    # spin cells whose depressed-cubic d / 3 lies on both sides of _CUBE_SAFE
+    # (d = -(g - a)^2 / 3 and e = 2 ((a - g) / 3)^3 - R, so this R puts e near
+    # 0: the n = 0 cells take the trigonometric form); the n = 1 cells overflow
+    # in e^2 and raise on both routes
+    X = 2.28e51
+    params = ModelParams(M=1.5, omega0=math.sqrt(2.0 * X ** 3 / 0.75), C=3.0 - 3.0 * X)
+    eps_list = [0.0, 3e102, 1e103]
+    thirds = [abs(_depressed(*_level_bcd(-1, p.M, p.C, gp, _rhs_squared(p.M, p.omega0, 0)))[0])
+              / 3.0 for p, gp in zip(*_grid_inputs(params, 0, eps_list)[1:])]
+    assert min(thirds) < _CUBE_SAFE <= max(thirds) < CUBE_EDGE
+    exponents = []
+    monkeypatch.setattr(_grid, "_power", lambda x, k: exponents.append(k) or _power(x, k))
+    rows = same_rows(params, 0, eps_list)
+    assert 3 in exponents and all(level.status is Status.BOUND for _, level in rows)
+    with pytest.raises(ValueError, match="not finite in float64") as scalar:
+        scalar_rows(params, 1, eps_list)
+    with pytest.raises(ValueError, match="not finite in float64") as batch:
+        spectrum_grid(params, 1, eps_list)
+    assert str(batch.value) == str(scalar.value)
 
 
 def level_or_value_error(solve):

@@ -115,6 +115,12 @@ class TestDerivedConstants:
         assert dc.g_shift == pytest.approx(7.68, rel=1e-12)
         assert dc.r0 == pytest.approx(7.68, rel=1e-12)
 
+    def test_rejects_an_overflowing_r0(self):
+        # q eps / (M w0^2) = 1e310 overflows while g_shift = 5.0e299 does not
+        with pytest.raises(ValueError, match="^r0 is not finite in float64 at M=1e-300, "
+                                             "omega0=1e-10, q=1.0, eps=1e-10$"):
+            derived_constants(params(M=1e-300, omega0=1e-10, eps=1e-10))
+
 
 class TestPotentialCurve:
     def test_monotone_without_field(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -752,3 +753,54 @@ def test_bisection_stays_finite_in_the_top_binade():
     assert root == pytest.approx(0.999 * top, rel=1e-15)
     # below the top binade the midpoint is 0.5 (a + b), as before
     assert _bisect(lambda x: x - 1.0, 0.0, 3.0, tol=0.0) == 1.0
+
+
+def slot_record_draws():
+    """Table-2 cells of both channels, then wide and extreme draws (the ranges
+    of WIDE_OR_EXTREME), with n below 30."""
+    rng = random.Random(26)
+    cells = [(dataclasses.replace(p, eps=eps), n) for p in (SPIN_TBL, PSEUDO_TBL)
+             for eps in (0.0, 0.1, 0.5, 1.0, 1.5) for n in range(11)]
+    for _ in range(1000):
+        sym = rng.choice(list(SymmetryKind))
+        cells.append((ModelParams(M=rng.uniform(0.1, 10.0), omega0=rng.uniform(0.05, 5.0),
+                                  eps=rng.uniform(0.0, 5.0), sym=sym,
+                                  C=rng.uniform(-40.0, 20.0)), rng.randrange(30)))
+        cells.append((ModelParams(M=rng.uniform(0.1, 100.0), omega0=rng.uniform(0.005, 50.0),
+                                  q=rng.choice([1.0, -1.0, 0.5, 2.0]), eps=rng.uniform(0.0, 60.0),
+                                  sym=sym, C=rng.uniform(-1000.0, 1000.0)), rng.randrange(30)))
+    return cells
+
+
+def test_solve_level_never_runs_the_record_constructors(monkeypatch):
+    cells = slot_record_draws()
+    expected = [repr(solve_level(p, n)) for p, n in cells]
+    levels = [solve_level(p, n) for p, n in cells]
+    assert {level.status for level in levels} == set(Status)
+    assert any(level.alternates and level.diagnostics for level in levels)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__}.__init__ ran")
+
+    for cls in (spectra.RejectedRoot, spectra.ChannelScalars, spectra.EnergyLevel):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert [repr(solve_level(p, n)) for p, n in cells] == expected
+
+
+def test_slot_records_refuse_post_init_and_a_wrong_value_count():
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class Checked:
+        x: float
+
+        def __post_init__(self):
+            if not self.x > 0:
+                raise ValueError("x must be > 0")
+
+    with pytest.raises(TypeError, match="__post_init__"):
+        spectra._slot_record(Checked)
+    build = spectra._slot_record(spectra.RejectedRoot)
+    assert repr(build(complex(-0.0, 1.0), "r")) == repr(
+        spectra.RejectedRoot(complex(-0.0, 1.0), "r"))
+    for values in ((1j,), (1j, "r", "extra")):
+        with pytest.raises(TypeError):
+            build(*values)
