@@ -363,17 +363,17 @@ def _in_domain(kappa: int, m1):
 
 
 def _residual(kappa: int, k: int, M: float, C: float, gp: float, w2: float,
-              below: float = math.nan, lo: float = -math.inf):
+              lo: float = -math.inf):
     """_condition as a function of E, nan outside its domain; the spin
-    residual reads below on and under its gamma = 0 edge, and on and under
-    lo, instead.  The oracle's bisection calls it once per evaluation, so it
-    writes the margins out and precomputes kappa M."""
+    residual reads -inf, its limit, on and under its gamma = 0 edge, and on
+    and under lo, instead.  The oracle's bisection calls it once per
+    evaluation, so it writes the margins out and precomputes kappa M."""
     kM = kappa * M
     if kappa < 0:
         def f(E):
             m1 = E - kM - C
             if E <= lo or m1 <= 0.0:
-                return below
+                return -math.inf
             return _condition(kappa, k, m1, E + kM + gp, w2)
     else:
         def f(E):
@@ -626,7 +626,7 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int) -> float:
     e1, e2 = _edges(kappa, M, C, gp)
     if kappa < 0:
         lo = max(e1, e2)
-        return _bisect(_residual(kappa, k, M, C, gp, w2, -math.inf, lo),
+        return _bisect(_residual(kappa, k, M, C, gp, w2, lo),
                        lo, lo + 2.0 * rhs ** (1.0 / 3.0))
     if e1 >= e2:
         raise NoSignChange("pseudospin sign conditions define an empty window")

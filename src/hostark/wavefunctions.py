@@ -2,18 +2,18 @@
 
 Shape constants (hbar = c = 1):
 
-    lambda = sqrt(M w0),   b = q eps / w0,   b / lambda^2 = r0,
+    lambda = sqrt(M w0),   b = q eps / w0,   b / lambda^2 = r0.
 
-so the Gaussian envelopes are centered on the displaced well bottom.  The
-relativistic upper component is evaluated exactly as its closed form is
-written,
+The relativistic upper component is printed as
 
-    F_n(r) = N exp[-eps1 (lambda^2 r^2/2 - b r)] L_n[eps2 (lambda^2 r - b)^2],
+    F_n(r) = N exp[-eps1 (lambda^2 r^2/2 - b r)] L_n[eps2 (lambda^2 r - b)^2]
 
-with eps1 = sqrt(gamma/(2M)), eps2 = gamma/(2Mv) taken at the solved level
-energy (gamma = E + M - C_s).  The printed lower-component closed form is
-reproduced verbatim as well, but the authoritative lower component is the
-derivative relation
+with eps1 = sqrt(gamma/(2M)), eps2 = gamma/(2Mv) = eps1/lambda^2 at the solved
+level energy (gamma = E + M - C_s).  Each spinor takes N = exp(-eps1 b^2 /
+(2 lambda^2)), which centres its Gaussian envelope exp[-eps1 u^2/(2 lambda^2)],
+u = lambda^2 r - b, on the well: F_n = exp(-xi/2) L_n(xi), xi = eps2 u^2, and
+|F_n| <= 1 at every level.  The printed lower-component closed form is
+reproduced as well; the authoritative lower component is the derivative relation
 
     G(r) = d0 (d/dr + kappa/r) F(r),      d0 = 1/gamma,
 
@@ -55,6 +55,7 @@ from .spectra import Status, _power, solve_level
 # samples per pass of sample_radial: the scratch of a block stays in cache (a
 # shorter remainder than _BLOCK // 2 joins the pass before it)
 _BLOCK = 8192
+_G_R_MIN = 1e-8  # the smallest r of the lower spin component, whose kappa/r diverges at 0
 
 
 class ConstantsUndefined(ValueError):
@@ -96,16 +97,14 @@ class ShapeConstants:
     d0: float | None = None
 
     def _factors(self, r):
-        """lambda^2, the envelope exp[-eps1 (lambda^2 r^2/2 - b r)], the polynomial
-        argument eps2 u^2 of both channels and u = lambda^2 r - b, as new arrays."""
+        """lambda^2, the envelope exp[-eps1 u^2/(2 lambda^2)] (the printed one times
+        exp(-eps1 b^2/(2 lambda^2)), so spin |F| <= 1), the polynomial argument
+        eps2 u^2 of both channels and u = lambda^2 r - b, as new arrays."""
         lam2 = self.lambda_scale ** 2
-        envelope = np.multiply(0.5 * lam2, r, out=np.empty_like(r))
-        envelope *= r
-        envelope -= self.b * r
-        envelope *= -self.eps1
         u = lam2 * r  # a scalar for 0-d r: there ** 2 is C pow, not np.square
         u -= self.b
         xi = u ** 2
+        envelope = np.multiply(-0.5 * self.eps1 / lam2, xi, out=np.empty_like(r))
         xi *= self.eps2
         return lam2, np.exp(envelope, out=envelope), xi, u
 
@@ -272,8 +271,9 @@ def _resolve(kind: RadialKind, params: ModelParams, n: int, r, energy: float | N
             energy = level.E
         consts = shape_constants(params, energy)
     r = np.asarray(r, dtype=float)
-    if kind is RadialKind.LOWER_G and np.any(r < 1e-8):
-        raise SingularAtOrigin("lower component needs r >= 1e-8")
+    if kind is RadialKind.LOWER_G and np.any(r < _G_R_MIN):
+        raise SingularAtOrigin("lower component needs r >= "
+                               + np.format_float_scientific(_G_R_MIN, trim="-", exp_digits=1))
     return consts, partial(kernel or own, consts, n), r
 
 
@@ -294,7 +294,7 @@ def _evaluate(kind: RadialKind, params: ModelParams, n: int, r, energy: float | 
 
 
 def upper_spinor_F(params: ModelParams, n: int, r, energy: float | None = None):
-    """Unnormalized upper spinor component at the solved spin level."""
+    """The printed F at the solved spin level times exp(-eps1 b^2/(2 lambda^2)): |F| <= 1."""
     return _evaluate(RadialKind.UPPER_F, params, n, r, energy)
 
 
@@ -306,8 +306,8 @@ def nr_radial_R(params: ModelParams, n: int, r):
 def lower_spinor_G(params: ModelParams, n: int, r, energy: float | None = None):
     """Lower spinor component from the derivative relation (authoritative).
 
-    dF/dr is taken in closed form from F's own factors, in one pass with F;
-    r must stay >= 1e-8 because of the kappa/r term.
+    The printed relation times exp(-eps1 b^2/(2 lambda^2)), as upper_spinor_F;
+    dF/dr in closed form from F's factors, in F's pass; r >= 1e-8 (kappa/r).
     """
     return _evaluate(RadialKind.LOWER_G, params, n, r, energy)
 
@@ -322,7 +322,7 @@ def _lower_G_closed(sc: ShapeConstants, n: int, r, out=None):
 
 def lower_spinor_G_closed_form(params: ModelParams, n: int, r,
                                energy: float | None = None):
-    """Printed closed form of the lower component, reproduced verbatim.
+    """Printed closed form of the lower component times exp(-eps1 b^2/(2 lambda^2)).
 
     Carries the polynomial-derivative term as + L_n^(1) of the squared
     argument; compare against lower_spinor_G, do not substitute for it.
@@ -334,8 +334,8 @@ def lower_spinor_G_closed_form(params: ModelParams, n: int, r,
 def pseudo_lower_G(params: ModelParams, n: int, r, energy: float | None = None):
     """Pseudospin lower component at the solved pseudospin level.
 
-    The printed form's imaginary prefactors are exactly real at a bound
-    level, so it is evaluated in real arithmetic and returns float samples.
+    The printed form times exp(-eps1 b^2/(2 lambda^2)); its imaginary prefactors
+    are exactly real at a bound level, so it returns real float samples.
     """
     return _evaluate(RadialKind.PSEUDO_LOWER_G, params, n, r, energy)
 
@@ -506,8 +506,8 @@ def sample_radial(kind: RadialKind, params: ModelParams, n: int,
         _check_r_max(r_max)
     r = np.linspace(0.0, r_max, samples)
     if kind is RadialKind.LOWER_G:
-        r[0] = 1e-8
-    _, kernel, r = _resolve(kind, params, n, r)  # checks r[1] >= 1e-8 = r[0] for LOWER_G
+        r[0] = _G_R_MIN
+    _, kernel, r = _resolve(kind, params, n, r)  # checks r[1] >= r[0] for LOWER_G
     pair = _pair_weights(*r[:3].tolist()) if kind is RadialKind.LOWER_G else None
     h = float(r_max) / (samples - 1)  # linspace's own step
     # every pass below works through r and values _BLOCK samples at a time

@@ -548,8 +548,9 @@ def test_help_matches_golden_bytes(capsys, monkeypatch, command):
 
 
 GOLDEN_WAVEFUNCTIONS = {
-    # |F|^2 overflows, so sample_radial normalizes the peak-scaled samples;
-    # 400 samples: the last interval takes the even-N correction
+    # a well at r0 = 22.9, where the printed |F|^2 overflowed (the centred
+    # envelope peaks at 1); 400 samples: the last interval takes the even-N
+    # correction
     "F": ("--n", "3", "--M", "4.0638", "--omega0", "0.08247", "--eps", "1.2905",
           "--C", "-36.985", "--samples", "400"),
     # the LOWER_G grid starts at r = 1e-8
@@ -576,10 +577,10 @@ def test_wavefunction_output_matches_golden_bytes(capsys, kind):
 # sha256 of the stdout of 20,001-sample runs, which sample_radial works through
 # in several blocks (the golden files above are one block each)
 MULTI_BLOCK_WAVEFUNCTIONS = {
-    "F": "fff4f1b8af14cf3ce9cb3f54ad2444d99d96de4af6be04911b68109c68fb86c0",
-    "G": "f5247525356e52ef2f9b84264777c32884e4446c8887e35a20b236817238f974",
+    "F": "7884f89ff3b486c554ce831004be87b13de360fe9c58828e430f5659c39bd412",
+    "G": "e41f7f9c45f378d64a8c7f98cc829e08b9a7e72c0632059e60cd966dd74f221f",
     "R": "56102b2311ae5462fc26ddbbb1029bf936f266cc459f9dce1a4fd13cf0cfab3f",
-    "Gps": "3b381a1ba42353760ccce6b0c78f85734d2576018567da72ca3d70fe329acba3",
+    "Gps": "b3eaeb0950bb5339f786c7cfd69980ebc462a465a749c24cd72a49f8f06b15fb",
 }
 
 

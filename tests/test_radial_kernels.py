@@ -1,6 +1,6 @@
 """The radial kernels against a frozen copy of their out-of-place formulas.
 
-hostark evaluates the polynomial recurrences and the spin envelope in
+hostark evaluates the polynomial recurrences and the centred envelope in
 buffers it reuses, and sums |values|^2 block by block.  The reference below
 writes the same operations as plain NumPy expressions, one new array per
 step, exactly as the closed forms read, and adds the norm's block sums in
@@ -59,8 +59,9 @@ def ref_assoc_laguerre(n, alpha, x):
 
 
 def ref_spin_factors(sc, r):
+    """lambda^2, the envelope exp[-eps1 u^2/(2 lambda^2)] and eps2 u^2, u = lambda^2 r - b."""
     lam2 = sc.lambda_scale ** 2
-    return (lam2, np.exp(-sc.eps1 * (0.5 * lam2 * r * r - sc.b * r)),
+    return (lam2, np.exp(-0.5 * sc.eps1 / lam2 * (lam2 * r - sc.b) ** 2),
             sc.eps2 * (lam2 * r - sc.b) ** 2)
 
 
@@ -312,21 +313,33 @@ EDGE_PARAMS = {
     SymmetryKind.PSEUDOSPIN: ModelParams(M=1.5, omega0=0.4, eps=0.5, C=-10.3,
                                          sym=SymmetryKind.PSEUDOSPIN),
 }
-# |F|^2 overflows here, so the peak-scaled samples are normalized
+# the printed |F|^2 overflowed here (raw peak 8.7e216, r0 = 22.9); the centred
+# envelope keeps F's raw peak at 0.999
 OVERFLOW_F = ModelParams(M=4.0638, omega0=0.08247, eps=1.2905, C=-36.985)
+# |Gps|^2 overflows at n = 60 here (raw peak 6.1e155), so the peak-scaled samples
+# are normalized
+OVERFLOW_GPS = ModelParams(M=10.0, omega0=0.4, eps=0.5, C=-103.0, sym=SymmetryKind.PSEUDOSPIN)
 
 
 @pytest.mark.parametrize("samples", EDGE_COUNTS)
-@pytest.mark.parametrize("kind, p", [(kind, EDGE_PARAMS[REFERENCE[kind][2]])
-                                     for kind in wf.RadialKind]
-                         + [(wf.RadialKind.UPPER_F, OVERFLOW_F)],
-                         ids=[kind.value for kind in wf.RadialKind] + ["UpperF-overflow"])
-def test_block_edges_match_reference(kind, p, samples):
-    E = bound_energy(kind, p, 3)
+@pytest.mark.parametrize("kind, p, n", [(kind, EDGE_PARAMS[REFERENCE[kind][2]], 3)
+                                        for kind in wf.RadialKind]
+                         + [(wf.RadialKind.UPPER_F, OVERFLOW_F, 3),
+                            (wf.RadialKind.PSEUDO_LOWER_G, OVERFLOW_GPS, 60)],
+                         ids=[kind.value for kind in wf.RadialKind]
+                         + ["UpperF-overflow", "PseudoLowerG-overflow"])
+def test_block_edges_match_reference(kind, p, n, samples):
+    E = bound_energy(kind, p, n)
     for normalize in (True, False):
         with np.errstate(all="ignore"):
-            r, values, norm, peak, defect = ref_sample_radial(kind, p, 3, samples, normalize, E)
-            rf = wf.sample_radial(kind, p, 3, samples=samples, normalize=normalize)
+            r, values, norm, peak, defect = ref_sample_radial(kind, p, n, samples, normalize, E)
+            rf = wf.sample_radial(kind, p, n, samples=samples, normalize=normalize)
+        if p is OVERFLOW_GPS and not normalize:
+            # so normalizing takes the peak-scaled path; nan for even counts, whose
+            # end correction takes inf - inf
+            assert (rf.norm == math.inf) if samples % 2 else math.isnan(rf.norm)
+        if p is OVERFLOW_F and not normalize:
+            assert peak <= 1.0
         assert bits(rf.r) == bits(r)
         assert bits(rf.values) == bits(values)
         assert repr(rf.norm) == repr(norm)

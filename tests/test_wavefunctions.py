@@ -89,16 +89,19 @@ def envelope_width(sc):
 
 
 def mp_upper_F(sc, n):
-    """The printed F_n at mpmath's working precision, from the float shape constants."""
+    """The printed F_n times exp(-eps1 b^2/(2 lambda^2)), the scale of
+    upper_spinor_F, at mpmath's working precision, from the float shape constants."""
     lam2 = mpmath.mpf(sc.lambda_scale) ** 2
     b, eps1, eps2 = (mpmath.mpf(c) for c in (sc.b, sc.eps1, sc.eps2))
     return lambda r: (mpmath.exp(-eps1 * (lam2 * r * r / 2 - b * r))
-                      * mpmath.laguerre(n, 0, eps2 * (lam2 * r - b) ** 2))
+                      * mpmath.laguerre(n, 0, eps2 * (lam2 * r - b) ** 2)
+                      * mpmath.exp(-eps1 * b * b / (2 * lam2)))
 
 
 def mp_pseudo_G(p, n, E):
     """The printed pseudospin G_n, exp[i eps1' (lambda^2 r^2/2 - b r)]
-    H_n(-i eps2' (lambda^2 r - b)^2), in complex arithmetic at mpmath's working
+    H_n(-i eps2' (lambda^2 r - b)^2), times exp(i eps1' b^2/(2 lambda^2)), the
+    scale of pseudo_lower_G, in complex arithmetic at mpmath's working
     precision, its constants formed there from the float parameters and level
     energy: eps1' = sqrt(gamma_tilde)/(2M), eps2' = gamma_tilde/(2Mv),
     v = sqrt(w2 gamma_tilde), gamma_tilde = M + C - E and w2 = M w0^2 / 2."""
@@ -107,12 +110,13 @@ def mp_pseudo_G(p, n, E):
     eps1p = mpmath.sqrt(gamma_t) / (2 * M)
     eps2p = gamma_t / (2 * M * mpmath.sqrt(M * omega0 ** 2 / 2 * gamma_t))
     lam2, b = M * omega0, q * eps / omega0
+    scale = mpmath.exp(1j * eps1p * b * b / (2 * lam2))
 
     def G(r):
         z, h, h_prev = -1j * eps2p * (lam2 * r - b) ** 2, mpmath.mpc(1), mpmath.mpc(0)
         for k in range(n):
             h, h_prev = 2 * z * h - 2 * k * h_prev, h
-        return mpmath.exp(1j * eps1p * (lam2 * r * r / 2 - b * r)) * h
+        return mpmath.exp(1j * eps1p * (lam2 * r * r / 2 - b * r)) * h * scale
     return G
 
 
@@ -379,12 +383,14 @@ class TestLowerSpinorG:
 
     def test_referee_40_digit_derivative(self):
         """lower_spinor_G against d0 (F' + kappa F / r), F' the mpmath.diff of
-        the printed F at 40 digits, on 20 points across +-4 sqrt(2n+1) envelope
-        widths about r0 for each Bound level of 40 wide draws (n <= 10).  The
-        error relative to |d0| (|F'| + |F / r|) on these 800 points, measured:
-        closed-form dF/dr median 1.3e-15, max 4.0e-14; the central difference
-        of step 1e-6 max(1, r), three F evaluations, median 1.7e-10 and max
-        2.6e-8.  upper_spinor_F is within 9.3e-15 of its peak on the points."""
+        F at 40 digits (the printed F times exp(-eps1 b^2/(2 lambda^2)), the
+        evaluators' scale), on 20 points across +-4 sqrt(2n+1) envelope widths
+        about r0 for each Bound level of 40 wide draws (n <= 10).  The error
+        relative to |d0| (|F'| + |F / r|) on these 800 points, measured:
+        closed-form dF/dr median 1.23e-15, max 3.9e-14; the central difference
+        of step 1e-6 max(1, r), three F evaluations, median 1.6e-10 and max
+        2.6e-8.  upper_spinor_F is within 7.0e-15 of its peak on the points
+        (9.3e-15 with the printed envelope, whose terms grow as r0^2)."""
         kappa = SymmetryKind.SPIN.kappa
         closed, central, upper = [], [], []
         for p, n, E, sc in bound_levels(certify_draws(17, 40, 10)):
@@ -430,7 +436,9 @@ class TestPseudoLowerG:
         r = np.linspace(0, 6, 30)
         vals = pseudo_lower_G(p, 0, r, E)
         eps1p = cmath.sqrt(complex(p.M + p.C - E)) / (2.0 * p.M)
-        exponent = 1j * eps1p * (-sc.b * r + 0.5 * sc.lambda_scale**2 * r**2)
+        # the printed exponent, plus that of the scale exp(i eps1' b^2/(2 lambda^2))
+        exponent = 1j * eps1p * (-sc.b * r + 0.5 * sc.lambda_scale**2 * r**2
+                                 + 0.5 * sc.b**2 / sc.lambda_scale**2)
         assert vals.dtype == np.float64
         assert np.abs(vals) == pytest.approx(np.exp(exponent.real), rel=1e-12)
         # above the margin's edge (gamma_tilde > 0) the printed form does not
@@ -450,12 +458,13 @@ class TestPseudoLowerG:
         assert np.abs(vals) == pytest.approx(expect, rel=1e-12)
 
     def test_referee_40_digit_printed_form(self):
-        """pseudo_lower_G against the printed complex form at 40 digits, on 201
-        points of the default window, for the Bound levels of 24 wide draws
+        """pseudo_lower_G against the printed complex form times
+        exp(i eps1' b^2/(2 lambda^2)), the evaluators' scale, at 40 digits, on
+        201 points of the default window, for the Bound levels of 24 wide draws
         and the n = 10 draw of the CI's multi-block step.  The error relative
-        to the peak of |G|, measured over the 151 Bound levels of 300 such
-        draws: max 4.6e-14 for both the complex evaluation of the printed form
-        and the real one, median 1.2e-15 and 1.3e-15."""
+        to the peak of |G|, measured over the 143 Bound levels of 300 such
+        draws: median 8.3e-16, max 8.7e-15 (1.1e-15 and 1.0e-13 with the
+        printed envelope, whose terms grow as r0^2)."""
         rng = random.Random(29)
         draws = [(ModelParams(M=rng.uniform(0.1, 10.0), omega0=rng.uniform(0.05, 5.0),
                               eps=rng.uniform(0.0, 5.0), C=rng.uniform(-40.0, -20.0),
@@ -500,6 +509,17 @@ class TestPseudoLowerG:
         assert count_nodes(np.zeros(5)) == 0
         with pytest.raises(ValueError, match="real values"):
             count_nodes(np.zeros(5, complex))
+
+
+# Bound levels far from the origin: a spin draw of the defect ledger's sampling
+# recipe and a pseudospin draw, whose printed envelopes overflow float64
+FAR_WELLS = {
+    SymmetryKind.SPIN: (ModelParams(M=0.32655985658297415, omega0=2.220269524615326,
+                                    eps=35.78797839179613, C=-413.12930703052575), 1),
+    SymmetryKind.PSEUDOSPIN: (ModelParams(M=0.13619691459387595, omega0=0.19999342799276731,
+                                          eps=0.452672169323069, C=-36.593321039820744,
+                                          sym=SymmetryKind.PSEUDOSPIN), 0),
+}
 
 
 class TestSampling:
@@ -547,12 +567,28 @@ class TestSampling:
         assert rf.nodes == count_nodes(rf.values)
 
     def test_normalizes_when_norm_integral_overflows(self):
-        # raw peak ~8.7e216, so |F|^2 overflows and the raw Simpson integral is inf
-        p = spin(eps=1.2905, M=4.0638, omega0=0.08247, C=-36.985)
-        rf = sample_radial(RadialKind.UPPER_F, p, 3, samples=7986)
+        # raw peak ~6.1e155, so |Gps|^2 overflows and the raw Simpson integral is inf
+        p = ModelParams(M=10.0, omega0=0.4, eps=0.5, C=-103.0, sym=SymmetryKind.PSEUDOSPIN)
+        raw = sample_radial(RadialKind.PSEUDO_LOWER_G, p, 60, samples=2001, normalize=False)
+        assert raw.norm == math.inf
+        rf = sample_radial(RadialKind.PSEUDO_LOWER_G, p, 60, samples=2001)
         assert np.all(np.isfinite(rf.values))
         assert rf.norm == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(rf.values)) > 0.0
+
+    @pytest.mark.parametrize("samples", [201, 2001])
+    @pytest.mark.parametrize("kind", [RadialKind.UPPER_F, RadialKind.LOWER_G,
+                                      RadialKind.PSEUDO_LOWER_G], ids=lambda kind: kind.value)
+    def test_far_displaced_well_is_sampled(self, kind, samples):
+        # the printed envelope peaks at exp(eps1 b^2/(2 lambda^2)), past float64 at these
+        # Bound levels: exp(904) for the spin draw (r0 = 22.2) and exp(1444) for the
+        # pseudospin one (r0 = 83.1); the centred envelope peaks at 1
+        p, n = FAR_WELLS[kind.sym]
+        raw = sample_radial(kind, p, n, samples=samples, normalize=False)
+        assert 0.0 < np.max(np.abs(raw.values)) <= 1.0
+        rf = sample_radial(kind, p, n, samples=samples)
+        assert np.all(np.isfinite(rf.values))
+        assert rf.norm == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("kind", [RadialKind.UPPER_F, RadialKind.LOWER_G])
@@ -651,9 +687,9 @@ class TestRadialEquations:
         draws = edge_free(bound_levels((p, n) for p, _ in certify_draws(2026, 100, 0)))
         assert len(draws) >= 95
         worst = max(spin_equation_residual(*draw) for draw in draws)
-        # measured at n = 0: median 4.9e-10, max 7.06e-8, where F's float rounding, ~1e-14
-        # of F with r0 = 12, is what the difference quotient amplifies
-        assert worst <= 8e-8, worst
+        # measured at n = 0: median 4.84e-10, max 2.17e-9; with the printed envelope, whose
+        # two terms grow as r0^2, F's rounding at r0 = 12 made the max 7.06e-8
+        assert worst <= 2.5e-9, worst
 
 
 def same_float(a, b) -> bool:
