@@ -29,7 +29,7 @@ def show(tag, sigma, sigma_tilde, tau_tilde):
         mark = "admissible" if b.admissible else "not admissible"
         print(f"  branch {b.branch:<4} ({mark}):")
         print(f"    pi = ({b.pi.c1})*r + ({b.pi.c0}),  k = {b.k}")
-        print(f"    tau' = {b.tau_slope},  lambda = {b.lambda_},"
+        print(f"    tau' = {b.tau.c1},  lambda = {b.lambda_},"
               f"  lambda_n: {[complex(b.lambda_n(n)) for n in range(3)]}")
 
 

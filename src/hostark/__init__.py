@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "wavefunctions": (
         "ConstantsUndefined", "RadialFunction", "RadialKind", "ShapeConstants",
-        "SingularAtOrigin", "assoc_laguerre", "count_nodes", "g_deviation_report",
+        "SingularAtOrigin", "count_nodes", "g_deviation_report",
         "hermite", "lower_spinor_G", "lower_spinor_G_closed_form", "mean_radius",
         "nr_radial_R", "pseudo_lower_G", "sample_radial", "shape_constants",
         "upper_spinor_F",

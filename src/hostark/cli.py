@@ -186,7 +186,7 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _reduction_dump(sigma, sigma_tilde, tau_tilde, n_levels: int = 6) -> dict:
+def _reduction_dump(sigma, sigma_tilde, tau_tilde) -> dict:
     from . import nu
 
     branches = []
@@ -197,9 +197,9 @@ def _reduction_dump(sigma, sigma_tilde, tau_tilde, n_levels: int = 6) -> dict:
             "pi": [_complex_pair(c) for c in b.pi.coeffs[:2]],
             "k": _complex_pair(b.k),
             "tau": [_complex_pair(c) for c in b.tau.coeffs[:2]],
-            "tau_slope": _complex_pair(b.tau_slope),
+            "tau_slope": _complex_pair(b.tau.c1),
             "lambda": _complex_pair(b.lambda_),
-            "lambda_n": [_complex_pair(b.lambda_n(n)) for n in range(n_levels)],
+            "lambda_n": [_complex_pair(b.lambda_n(n)) for n in range(6)],
         })
     return {
         "sigma": [_complex_pair(c) for c in sigma.coeffs],

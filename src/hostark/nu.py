@@ -55,9 +55,6 @@ class Poly2:
     c1: complex = 0.0
     c2: complex = 0.0
 
-    def derivative(self) -> "Poly2":
-        return Poly2(self.c1, 2.0 * self.c2, 0.0)
-
     @property
     def coeffs(self) -> tuple[complex, complex, complex]:
         return (self.c0, self.c1, self.c2)
@@ -67,14 +64,13 @@ class Poly2:
 class NuReduction:
     """One (k, sign) branch of the reduction.
 
-    tau equals tau_tilde + 2 pi coefficientwise by construction and
-    lambda_ equals k + pi' exactly.
+    tau equals tau_tilde + 2 pi coefficientwise by construction (tau.c1 is
+    the slope tau') and lambda_ equals k + pi' exactly.
     """
 
     pi: Poly2
     k: complex
     tau: Poly2
-    tau_slope: complex
     lambda_: complex
     sigma: Poly2
     branch: str
@@ -83,7 +79,7 @@ class NuReduction:
     def lambda_n(self, n: int) -> complex:
         """Level-n eigenvalue of the quantization sequence."""
         n = _check_n(n)
-        return -n * self.tau_slope - 0.5 * n * (n - 1) * (2.0 * self.sigma.c2)
+        return -n * self.tau.c1 - 0.5 * n * (n - 1) * (2.0 * self.sigma.c2)
 
 
 def _k_candidates(sigma: Poly2, q: Poly2) -> list[complex]:
@@ -118,8 +114,8 @@ def _collapse_root(sigma: Poly2, q: Poly2, k: complex) -> Poly2:
         s1 = cmath.sqrt(q2)
         return Poly2(q1 / (2.0 * s1), s1, 0.0)
     if abs(q1) > _EPS * scale:
-        # zero discriminant with q2 = 0 forces q1 = 0; reaching here means
-        # the k root was inconsistent
+        # a zero discriminant forces only q1^2 = 4 q2 q0, so q1 can pass the
+        # threshold q2 falls under (|q1| up to 2 sqrt(_EPS) scale)
         raise NonPolynomialRoot("Q is linear in r and cannot be a perfect square")
     return Poly2(cmath.sqrt(q0), 0.0, 0.0)
 
@@ -136,8 +132,8 @@ def reduce(sigma: Poly2, sigma_tilde: Poly2, tau_tilde: Poly2) -> list[NuReducti
     """
     if all(abs(c) <= _EPS for c in sigma.coeffs):
         raise NuError("sigma must not vanish identically")
-    sp = sigma.derivative()
-    u = Poly2((sp.c0 - tau_tilde.c0) / 2.0, (sp.c1 - tau_tilde.c1) / 2.0, 0.0)
+    # (sigma' - tau_tilde)/2, with sigma' = sigma1 + 2 sigma2 r
+    u = Poly2((sigma.c1 - tau_tilde.c0) / 2.0, (2.0 * sigma.c2 - tau_tilde.c1) / 2.0, 0.0)
     q = Poly2(u.c0 * u.c0 - sigma_tilde.c0, 2.0 * u.c1 * u.c0 - sigma_tilde.c1,
               u.c1 * u.c1 - sigma_tilde.c2)  # Q(r; 0) = u^2 - sigma_tilde
 
@@ -151,21 +147,19 @@ def reduce(sigma: Poly2, sigma_tilde: Poly2, tau_tilde: Poly2) -> list[NuReducti
                 tau_tilde.c1 + 2.0 * pi.c1,
                 tau_tilde.c2,
             )
-            tau_slope = tau.c1
             branches.append(
                 NuReduction(
                     pi=pi,
                     k=k,
                     tau=tau,
-                    tau_slope=tau_slope,
                     lambda_=k + pi.c1,
                     sigma=sigma,
                     branch=f"k{i}{tag}",
-                    admissible=complex(tau_slope).real < 0.0,
+                    admissible=complex(tau.c1).real < 0.0,
                 )
             )
 
-    slopes = [complex(b.tau_slope) for b in branches]
+    slopes = [complex(b.tau.c1) for b in branches]
     if all(abs(s.imag) <= _EPS * max(1.0, abs(s)) and s.real >= 0.0 for s in slopes):
         raise NoAdmissibleBranch("every branch has tau' >= 0")
 

@@ -27,6 +27,7 @@ The CSV files are hash-pinned; any edit fails the integrity check.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from importlib import resources
@@ -221,12 +222,10 @@ def compare(table_id: TableId, tolerance: float | None = None) -> ComparisonRepo
     cells = tuple(_compare_cell(table_id, c, tol) for c in table.cells)
 
     gating = not all(c.flag == "Unreconciled" for c in table.cells)
-    n_pass = sum(1 for c in cells if c.passed is True)
-    n_fail = sum(1 for c in cells if c.passed is False)
-    n_info = sum(1 for c in cells if c.passed is None)
+    counts = Counter(c.passed for c in cells)  # True, False or None per cell
     deltas = [c.delta for c in cells if c.delta is not None and c.passed is not None]
     status = (ReconciliationStatus.UNRECONCILED if not gating
-              else ReconciliationStatus.RECONCILED if n_fail == 0
+              else ReconciliationStatus.RECONCILED if counts[False] == 0
               else ReconciliationStatus.FAILED)
     return ComparisonReport(
         table=table_id,
@@ -234,8 +233,8 @@ def compare(table_id: TableId, tolerance: float | None = None) -> ComparisonRepo
         gating=gating,
         reconciliation_status=status,
         cells=cells,
-        n_pass=n_pass,
-        n_fail=n_fail,
-        n_informational=n_info,
+        n_pass=counts[True],
+        n_fail=counts[False],
+        n_informational=counts[None],
         max_abs_delta=max(deltas) if deltas else None,
     )

@@ -155,14 +155,6 @@ def hermite(n: int, x):
     return h[()] if h.ndim == 0 else h
 
 
-def assoc_laguerre(n: int, alpha: float, x):
-    """Associated Laguerre polynomial via the three-term recurrence."""
-    n = _check_n(n)
-    if alpha <= -1:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
-    return _laguerre(n, alpha, x)
-
-
 def _laguerre(n: int, alpha: float, x, total=None):
     """L_n^(alpha)(x); total, a buffer shaped like x, if given, gets
     sum_{k<n} L_k^(alpha)(x) = L_{n-1}^(alpha+1)(x), added up in the recurrence."""
@@ -390,6 +382,7 @@ def _norm_sq(values, h: float, pair) -> float:
     whose interior enters as two strided sums of values^2 per block; an even
     count adds simpson's last-interval correction with h0 = h1 = h (5h/12, 2h/3,
     -h/12).  A pair of _pair_weights weighs the first two intervals instead.
+    Every term is a square, so where they overflow the integral is inf.
     """
     n = len(values)
     lo, hi = 0 if pair is None else 2, n - 1 - (n % 2 == 0)
@@ -404,7 +397,7 @@ def _norm_sq(values, h: float, pair) -> float:
     if pair is not None:
         w, a, b, c = pair
         total += w * (y0 * a + y1 * b + y_lo * c)
-    if n % 2 == 0:
+    if n % 2 == 0 and total < math.inf:  # past an overflow it adds inf - inf
         total += 5.0 / 12.0 * h * y_n1 + 2.0 / 3.0 * h * y_hi - h / 12.0 * y_n3
     return float(total)
 

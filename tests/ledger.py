@@ -1,46 +1,43 @@
 """The defect ledger: each known defect, counted over a committed recipe.
 
 Every entry draws its inputs from a seeded random.Random in the order its
-docstring gives, so its counts move only when the program does.  Run the
-whole ledger at full size, which prints one JSON object, with
+docstring gives, or takes the one input its docstring names, so its counts
+move only when the program does.  Run the whole ledger, which prints one
+JSON object, with
 
     PYTHONPATH=src:tests python -m ledger
 
-tests/test_ledger.py recomputes each entry on SUBSET, which still shows every
-defect that exists today, and holds each count to its pin in PINS.  The pins
-only go down: a change that lowers a count lowers its pin and says so in
-CHANGES.md, and no change raises one.
+tests/test_ledger.py recomputes the whole ledger and holds each count to its
+pin in PINS.  The pins only go down: a change that lowers a count lowers its
+pin and says so in CHANGES.md, and no change raises one.
 """
 
 import json
 import math
 import random
 
+import mpmath
+
 from hostark.model import ModelParams, SymmetryKind
 from hostark.spectra import Equation, Status, bisection_oracle, solve_level
-from hostark.wavefunctions import ConstantsUndefined, RadialKind, sample_radial
+from hostark.wavefunctions import (ConstantsUndefined, RadialKind, default_r_max,
+                                   sample_radial, shape_constants)
 
 CHANNELS = {"spin": SymmetryKind.SPIN, "pseudospin": SymmetryKind.PSEUDOSPIN}
 SAMPLED_KINDS = {"spin": (RadialKind.UPPER_F, RadialKind.LOWER_G),
                  "pseudospin": (RadialKind.PSEUDO_LOWER_G,)}
 
-# draws per channel of each entry: at full size, and on the tier-1 subset
-FULL = {"sampling_failures": 600, "level_defects": 20_000}
-SUBSET = {"sampling_failures": 600, "level_defects": 4_000}
-
-# (entry, channel, count) -> the largest count the tier-1 subset may show; a
-# count not listed here is pinned at 0, and "bound", the denominator, is not
-# pinned.  At full size: the same sampling counts, and spin 1,366 nan residuals,
-# 278 residuals above 1e-9 and 1,470 levels with m1 <= 0, pseudospin 5 residuals
-# above 1e-9, of 20,000 and 4,334 Bound levels.
+# (entry, channel, count) -> the largest value the ledger may show; a count
+# not listed here is pinned at 0, and "bound", the denominator, is not pinned
 PINS = {
     ("sampling_failures", "spin", "m1 <= 0"): 12,
     ("sampling_failures", "spin", "UpperF: ConstantsUndefined (m1 <= 0)"): 12,
     ("sampling_failures", "spin", "LowerG: ConstantsUndefined (m1 <= 0)"): 12,
-    ("level_defects", "spin", "nan residual"): 284,
-    ("level_defects", "spin", "residual above 1e-9"): 59,
-    ("level_defects", "spin", "m1 <= 0"): 309,
-    ("level_defects", "pseudospin", "residual above 1e-9"): 1,
+    ("level_defects", "spin", "nan residual"): 1366,
+    ("level_defects", "spin", "residual above 1e-9"): 278,
+    ("level_defects", "spin", "m1 <= 0"): 1470,
+    ("level_defects", "pseudospin", "residual above 1e-9"): 5,
+    ("lower_g_norm", "spin", "norm / exact"): 4.66e5,  # 465,053 measured
 }
 
 
@@ -49,21 +46,19 @@ def _m1(p: ModelParams, E: float) -> float:
     return E - p.kappa * p.M - p.C
 
 
-def sampling_draws(count: int):
-    """{channel: [(params, n)]}: one random.Random(11) draws FULL's spin
-    inputs, then as many pseudospin ones, each in this order:
-    M = 10^U(-1, 1), omega0 = 10^U(log10 0.05, log10 5), eps = U(0, 60),
-    C = U(-1000, 1000), n = randint(0, 4); q = 1.  The first count of each
-    channel are kept, so a subset takes the same draws as the full run."""
+def sampling_draws():
+    """{channel: [(params, n)]}: one random.Random(11) draws 600 spin inputs,
+    then 600 pseudospin ones, each in this order: M = 10^U(-1, 1),
+    omega0 = 10^U(log10 0.05, log10 5), eps = U(0, 60), C = U(-1000, 1000),
+    n = randint(0, 4); q = 1."""
     rng, draws = random.Random(11), {}
     for channel, sym in CHANNELS.items():
         draws[channel] = []
-        for _ in range(FULL["sampling_failures"]):
+        for _ in range(600):
             M = 10 ** rng.uniform(-1, 1)
             omega0 = 10 ** rng.uniform(math.log10(0.05), math.log10(5))
             eps, C, n = rng.uniform(0, 60), rng.uniform(-1000, 1000), rng.randint(0, 4)
             draws[channel].append((ModelParams(M=M, omega0=omega0, eps=eps, C=C, sym=sym), n))
-        draws[channel] = draws[channel][:count]
     return draws
 
 
@@ -75,7 +70,7 @@ def _cause(exc: ValueError, m1: float) -> str:
     return type(exc).__name__
 
 
-def sampling_failures(count: int) -> dict:
+def sampling_failures() -> dict:
     """sample_radial failures on Bound levels, per kind and cause.
 
     Each Bound level of sampling_draws is sampled at 501 samples: spin
@@ -84,7 +79,7 @@ def sampling_failures(count: int) -> dict:
     (m1 <= 0)", or the type of any other ValueError.  Per channel, also the
     number of Bound levels and of those with m1 <= 0."""
     out = {}
-    for channel, draws in sampling_draws(count).items():
+    for channel, draws in sampling_draws().items():
         counts = {"bound": 0, "m1 <= 0": 0}
         for p, n in draws:
             level = solve_level(p, n)
@@ -103,13 +98,13 @@ def sampling_failures(count: int) -> dict:
     return out
 
 
-def level_draws(sym: SymmetryKind, count: int):
-    """count (params, n) of the extreme ranges, from random.Random(7) for
+def level_draws(sym: SymmetryKind):
+    """20,000 (params, n) of the extreme ranges, from random.Random(7) for
     each channel, in this order: M = 10^U(-1, 2),
     omega0 = 10^U(log10 0.005, log10 50), eps = U(0, 60), C = U(-1000, 1000),
     q = choice((1, -1, 0.5, 2)), n = randint(0, 30)."""
     rng = random.Random(7)
-    for _ in range(count):
+    for _ in range(20_000):
         M = 10 ** rng.uniform(-1, 2)
         omega0 = 10 ** rng.uniform(math.log10(0.005), math.log10(50))
         eps, C = rng.uniform(0, 60), rng.uniform(-1000, 1000)
@@ -117,7 +112,7 @@ def level_draws(sym: SymmetryKind, count: int):
         yield ModelParams(M=M, omega0=omega0, eps=eps, C=C, q=q, sym=sym), n
 
 
-def level_defects(count: int) -> dict:
+def level_defects() -> dict:
     """Per channel, over the Bound levels of level_draws: wrong roots (the
     oracle finds no root, or one more than 1e-9 max(1, |E|) away), nan
     residuals, residuals above 1e-9, and levels with m1 <= 0, where the
@@ -127,7 +122,7 @@ def level_defects(count: int) -> dict:
         equation = Equation.SPIN_EQ if sym is SymmetryKind.SPIN else Equation.PSEUDOSPIN_EQ
         counts = dict.fromkeys(("bound", "wrong root", "nan residual",
                                 "residual above 1e-9", "m1 <= 0"), 0)
-        for p, n in level_draws(sym, count):
+        for p, n in level_draws(sym):
             level = solve_level(p, n)
             if level.status is not Status.BOUND:
                 continue
@@ -145,13 +140,38 @@ def level_defects(count: int) -> dict:
     return out
 
 
-ENTRIES = {"sampling_failures": sampling_failures, "level_defects": level_defects}
+def lower_g_norm() -> dict:
+    """The spin LOWER_G norm that sample_radial computes, over the exact
+    integral of G^2 on the same [1e-8, r_max]: M = 1.5, omega0 = 0.4,
+    eps = 0.5, C = -10.3, n = 1, 2,001 samples, unnormalized.  The exact
+    integral is mpmath.quad at 20 digits, split at the decades from 1e-8, of
+    G = d0 (F' - F/r) with F' by mpmath.diff and F the centred form
+    exp(-eps1 u^2/(2 lambda^2)) L_n(eps2 u^2), u = lambda^2 r - b, at the
+    float shape constants."""
+    p, n = ModelParams(M=1.5, omega0=0.4, eps=0.5, C=-10.3), 1
+    norm = sample_radial(RadialKind.LOWER_G, p, n, samples=2001, normalize=False).norm
+    sc = shape_constants(p, solve_level(p, n).E)
+    with mpmath.workdps(20):
+        lam2 = mpmath.mpf(sc.lambda_scale) ** 2
+        b, eps1, eps2, d0 = (mpmath.mpf(c) for c in (sc.b, sc.eps1, sc.eps2, sc.d0))
+
+        def F(r):
+            u = lam2 * r - b
+            return mpmath.exp(-eps1 * u * u / (2 * lam2)) * mpmath.laguerre(n, 0, eps2 * u * u)
+
+        ends = [mpmath.mpf(10) ** k for k in range(-8, 2)] + [mpmath.mpf(default_r_max(p))]
+        exact = mpmath.quad(lambda r: (d0 * (mpmath.diff(F, r) - F(r) / r)) ** 2, ends)
+    return {"spin": {"norm / exact": norm / float(exact)}}
 
 
-def ledger(sizes: dict) -> dict:
-    """{entry: {channel: counts}} with sizes[entry] draws per channel."""
-    return {name: entry(sizes[name]) for name, entry in ENTRIES.items()}
+ENTRIES = {"sampling_failures": sampling_failures, "level_defects": level_defects,
+           "lower_g_norm": lower_g_norm}
+
+
+def ledger() -> dict:
+    """{entry: {channel: counts}} of every entry."""
+    return {name: entry() for name, entry in ENTRIES.items()}
 
 
 if __name__ == "__main__":
-    print(json.dumps(ledger(FULL), indent=2))
+    print(json.dumps(ledger(), indent=2))

@@ -648,7 +648,7 @@ def test_wavefunction_caps_an_unset_blas_pool(preset, numpy_first, expect):
 
 
 # the names `hostark` exported when its __init__ imported every submodule,
-# less the removed combined_potential
+# less the removed combined_potential and assoc_laguerre
 EXPORTS = {
     "model": "DerivedConstants ModelParams SymmetryKind derived_constants "
              "eval_potential potential_curve",
@@ -662,7 +662,7 @@ EXPORTS = {
                "pseudospin_breakdown_threshold relativistic_ho_level "
                "select_physical_root solve_cubic_cardano solve_level spectrum_grid",
     "wavefunctions": "ConstantsUndefined RadialFunction RadialKind ShapeConstants "
-                     "SingularAtOrigin assoc_laguerre count_nodes g_deviation_report "
+                     "SingularAtOrigin count_nodes g_deviation_report "
                      "hermite lower_spinor_G lower_spinor_G_closed_form mean_radius "
                      "nr_radial_R pseudo_lower_G sample_radial "
                      "shape_constants upper_spinor_F",
@@ -707,6 +707,16 @@ def test_input_errors_are_value_errors():
     assert not issubclass(IntegrityError, ValueError)
     assert not [v for v in vars(model).values()
                 if isinstance(v, type) and issubclass(v, BaseException)]
+
+
+def test_dir_lists_the_exports_not_yet_loaded(monkeypatch):
+    import hostark
+
+    for name in hostark.__all__:  # as before any export is first read
+        monkeypatch.delitem(vars(hostark), name, raising=False)
+    listed = dir(hostark)
+    assert listed == sorted(listed)
+    assert set(hostark.__all__) | {"__version__"} <= set(listed)
 
 
 def test_cli_imports_numpy_only_where_used():

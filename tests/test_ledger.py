@@ -1,4 +1,4 @@
-"""The defect ledger on its tier-1 subset: every count at or below its pin."""
+"""The defect ledger at full size: every count at or below its pin."""
 
 import pytest
 
@@ -7,7 +7,7 @@ import ledger
 
 @pytest.fixture(scope="module")
 def counts():
-    return ledger.ledger(ledger.SUBSET)
+    return ledger.ledger()
 
 
 def test_every_defect_count_is_at_or_below_its_pin(counts):
@@ -18,7 +18,7 @@ def test_every_defect_count_is_at_or_below_its_pin(counts):
     over = {key: (count, ledger.PINS.get(key, 0)) for key, count in found.items()
             if count > ledger.PINS.get(key, 0)}
     assert not over, over
-    # the subset shows every defect pinned above 0, so a pin cannot go stale unseen
+    # every defect pinned above 0 still shows, so a pin cannot go stale unseen
     assert {key for key, count in found.items() if count} == set(ledger.PINS)
 
 

@@ -35,7 +35,7 @@ class TestOscillatorInstance:
         assert b.k == pytest.approx(0.0, abs=1e-12)
         assert_poly(b.pi, 1.0, -2.0)
         assert_poly(b.tau, 2.0, -4.0)
-        assert b.tau_slope == pytest.approx(-4.0)
+        assert b.tau.c1 == pytest.approx(-4.0)
         assert b.lambda_ == pytest.approx(-2.0)
         assert [b.lambda_n(n) for n in range(4)] == pytest.approx([0, 4, 8, 12])
 
@@ -88,13 +88,21 @@ class TestInvertedInstance:
         # preferred branch carries pi = -i(r - 1)
         assert b.pi.c1 == pytest.approx(-1j, abs=1e-12)
         assert b.pi.c0 == pytest.approx(1j, abs=1e-12)
-        assert b.tau_slope == pytest.approx(-2j, abs=1e-12)
+        assert b.tau.c1 == pytest.approx(-2j, abs=1e-12)
         assert b.lambda_ == pytest.approx(-1.5 - 1j, abs=1e-12)
 
     def test_both_orientations_present(self):
         branches = nu.reduce(*inverted_oscillator_instance(1.0, 2.0, 0.5))
-        slopes = sorted(complex(b.tau_slope).imag for b in branches)
+        slopes = sorted(complex(b.tau.c1).imag for b in branches)
         assert slopes == pytest.approx([-2.0, 2.0])
+
+
+class TestDoubleRoot:
+    def test_one_k_for_a_double_root(self):
+        # sigma = r, sigma_tilde = 2r - r^2, tau_tilde = 1: disc(k) = (k - 2)^2
+        branches = nu.reduce(Poly2(0.0, 1.0), Poly2(0.0, 2.0, -1.0), Poly2(1.0))
+        assert sorted(b.branch for b in branches) == ["k0+", "k0-"]
+        assert all(b.k == 2.0 for b in branches)
 
 
 class TestStructuralInvariants:
@@ -181,6 +189,17 @@ class TestErrors:
     def test_non_polynomial_root(self):
         with pytest.raises(NonPolynomialRoot):
             nu.reduce(Poly2(1.0), Poly2(0.0, 1.0, 1.0), Poly2(0.0, 2.0))
+
+    def test_linear_q_is_not_a_square(self):
+        # sigma = r^2, tau_tilde = 2r: k = 2.5e-15 gives Q = 2.5e-15 r^2 + 1e-7 r + 1,
+        # whose r^2 coefficient is below the threshold while its r coefficient is not
+        with pytest.raises(NonPolynomialRoot, match="Q is linear in r"):
+            nu.reduce(Poly2(0.0, 0.0, 1.0), Poly2(-1.0, -1e-7), Poly2(0.0, 2.0))
+
+    def test_unconstrained_k(self):
+        # sigma = 1, tau_tilde = 0: Q(r; k) = k - 2 is a constant for every k
+        with pytest.raises(NuError, match="discriminant vanishes identically"):
+            nu.reduce(Poly2(1.0), Poly2(2.0), Poly2())
 
     def test_vanishing_sigma(self):
         with pytest.raises(NuError):

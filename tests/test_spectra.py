@@ -319,6 +319,13 @@ class TestBisectionOracle:
         with pytest.raises(NoSignChange):
             _bisect(f, 0.0, 1.0)
 
+    def test_root_on_an_end_of_the_bracket(self):
+        # a zero at either end is the root, found by the two end evaluations
+        for f, root in ((lambda x: 1.0 - x, 1.0), (lambda x: x - 2.0, 2.0)):
+            calls = []
+            assert _bisect(lambda x: calls.append(x) or f(x), 1.0, 2.0) == root
+            assert calls == [1.0, 2.0]
+
     def test_pseudospin_residual_is_nan_below_its_domain(self):
         # below e1 = M + C_ps the depth margin is negative and has no sqrt
         p = pseudo()

@@ -15,7 +15,7 @@ from hostark.wavefunctions import (
     ConstantsUndefined,
     RadialKind,
     SingularAtOrigin,
-    assoc_laguerre,
+    _laguerre,
     count_nodes,
     default_r_max,
     g_deviation_report,
@@ -136,11 +136,11 @@ class TestPolynomials:
         assert hermite(n, x) == pytest.approx(expect, rel=1e-10, abs=1e-10)
 
     def test_laguerre_base_cases(self):
-        assert assoc_laguerre(0, 2.5, 1.7) == 1.0
-        assert assoc_laguerre(1, 1.0, 0.5) == pytest.approx(1.5)  # 2 - x
+        assert _laguerre(0, 2.5, 1.7) == 1.0
+        assert _laguerre(1, 1.0, 0.5) == pytest.approx(1.5)  # 2 - x
 
     def test_laguerre_frozen_value(self):
-        assert assoc_laguerre(4, 0.0, 2.3) == pytest.approx(
+        assert _laguerre(4, 0.0, 2.3) == pytest.approx(
             0.72467083333333333, rel=1e-12
         )
 
@@ -148,22 +148,18 @@ class TestPolynomials:
     @settings(max_examples=200)
     def test_laguerre_matches_series(self, n, alpha, x):
         expect = laguerre_series(n, alpha, x)
-        assert assoc_laguerre(n, alpha, x) == pytest.approx(
+        assert _laguerre(n, alpha, x) == pytest.approx(
             expect, rel=1e-10, abs=1e-10
         )
 
     def test_vectorized(self):
         x = np.linspace(-2, 2, 9)
         assert hermite(3, x).shape == x.shape
-        assert assoc_laguerre(3, 1.0, x).shape == x.shape
+        assert _laguerre(3, 1.0, x).shape == x.shape
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             hermite(-1, 0.0)
-        with pytest.raises(ValueError):
-            assoc_laguerre(-1, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            assoc_laguerre(2, -1.0, 0.0)
 
 
 class TestShapeConstants:
@@ -565,6 +561,14 @@ class TestSampling:
     def test_node_metadata_matches_count(self):
         rf = sample_radial(RadialKind.NONREL_R, spin(eps=0.5), 3, samples=4001)
         assert rf.nodes == count_nodes(rf.values)
+
+    def test_identically_zero_samples_are_not_normalized(self):
+        # the well sits at r0 = 100, so every R sample on [0, 10] underflows to 0
+        p = spin(M=1.0, omega0=1.0, eps=100.0)
+        with pytest.raises(ValueError, match="cannot normalize an identically zero function"):
+            sample_radial(RadialKind.NONREL_R, p, 0, r_max=10.0)
+        raw = sample_radial(RadialKind.NONREL_R, p, 0, r_max=10.0, normalize=False)
+        assert raw.norm == 0.0 and not raw.values.any()
 
     def test_normalizes_when_norm_integral_overflows(self):
         # raw peak ~6.1e155, so |Gps|^2 overflows and the raw Simpson integral is inf
