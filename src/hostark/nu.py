@@ -110,12 +110,15 @@ def _collapse_root(sigma: Poly2, q: Poly2, k: complex) -> Poly2:
     """Write Q(r; k) = q + k sigma, q = Q(r; 0), as (s1 r + s0)^2; return s1 r + s0."""
     q2, q1, q0 = q.c2 + k * sigma.c2, q.c1 + k * sigma.c1, q.c0 + k * sigma.c0
     scale = max(abs(q2), abs(q1), abs(q0))
-    if abs(q2) > _EPS * scale:
+    if q2 != 0.0:
+        # a zero discriminant forces only q1^2 = 4 q2 q0, so q1 can reach
+        # 2 sqrt(_EPS) scale while q2 falls under the threshold: such a Q is
+        # still a square where s0 = q1 / (2 s1) squares back to q0
         s1 = cmath.sqrt(q2)
-        return Poly2(q1 / (2.0 * s1), s1, 0.0)
+        s0 = q1 / (2.0 * s1)
+        if abs(q2) > _EPS * scale or abs(s0 * s0 - q0) <= _EPS * scale:
+            return Poly2(s0, s1, 0.0)
     if abs(q1) > _EPS * scale:
-        # a zero discriminant forces only q1^2 = 4 q2 q0, so q1 can pass the
-        # threshold q2 falls under (|q1| up to 2 sqrt(_EPS) scale)
         raise NonPolynomialRoot("Q is linear in r and cannot be a perfect square")
     return Poly2(cmath.sqrt(q0), 0.0, 0.0)
 

@@ -1,10 +1,11 @@
 """A 50-digit referee for the levels of hostark.spectra.
 
 level(params, n) solves the unsquared quantization condition in mpmath, with
-the float parameters taken as exact, inside the closed-form bracket that
-bisection_oracle uses (written out here again at 50 digits), and certifies
-the root by a sign change of the condition at 50 digits.  It shares no code
-with the package, so it can say which last digit of a float level is right.
+the float parameters taken as exact, inside bisection_oracle's closed-form
+bracket (for spin, the wider one it falls back to), written out here again at
+50 digits, and certifies the root by a sign change of the condition at 50
+digits.  It shares no code with the package, so it can say which last digit
+of a float level is right.
 """
 
 import mpmath

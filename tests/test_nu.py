@@ -191,10 +191,22 @@ class TestErrors:
             nu.reduce(Poly2(1.0), Poly2(0.0, 1.0, 1.0), Poly2(0.0, 2.0))
 
     def test_linear_q_is_not_a_square(self):
-        # sigma = r^2, tau_tilde = 2r: k = 2.5e-15 gives Q = 2.5e-15 r^2 + 1e-7 r + 1,
-        # whose r^2 coefficient is below the threshold while its r coefficient is not
-        with pytest.raises(NonPolynomialRoot, match="Q is linear in r"):
-            nu.reduce(Poly2(0.0, 0.0, 1.0), Poly2(-1.0, -1e-7), Poly2(0.0, 2.0))
+        # Q = q2 r^2 + 1e-7 r + 1 with q2 = 0, and with q2 = 1e-20, whose
+        # s0 = 1e-7 / (2 sqrt(q2)) = 500 does not square back to q0 = 1
+        for q2 in (0.0, 1e-20):
+            with pytest.raises(NonPolynomialRoot, match="Q is linear in r"):
+                nu._collapse_root(Poly2(), Poly2(1.0, 1e-7, q2), 0.0)
+
+    def test_square_with_an_r2_coefficient_under_the_threshold(self):
+        # sigma = r^2, tau_tilde = 2r: k = 2.5e-15 gives Q = 2.5e-15 r^2 + 1e-7 r + 1
+        # = (5e-8 r + 1)^2, whose r^2 coefficient is below the threshold while
+        # its r coefficient is not; it collapses, and both tau' = 2 +- 1e-7 > 0
+        sigma, q = Poly2(0.0, 0.0, 1.0), Poly2(1.0, 1e-7)
+        root = nu._collapse_root(sigma, q, 2.5e-15)
+        assert (root.c0, root.c1, root.c2) == (pytest.approx(1.0, rel=1e-12),
+                                               pytest.approx(5e-8, rel=1e-12), 0.0)
+        with pytest.raises(NoAdmissibleBranch):
+            nu.reduce(sigma, Poly2(-1.0, -1e-7), Poly2(0.0, 2.0))
 
     def test_unconstrained_k(self):
         # sigma = 1, tau_tilde = 0: Q(r; k) = k - 2 is a constant for every k

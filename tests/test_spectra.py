@@ -326,6 +326,25 @@ class TestBisectionOracle:
             assert _bisect(lambda x: calls.append(x) or f(x), 1.0, 2.0) == root
             assert calls == [1.0, 2.0]
 
+    def test_spin_root_at_the_end_of_the_short_bracket(self):
+        # where e1 = e2 (C_s = 2M at eps = 0) both margins are E - lo, the
+        # root is lo + c itself and the residual there rounds negative, so
+        # the oracle retries on (lo, lo + 2c)
+        p = spin(M=0.5, omega0=0.05, C=1.0)
+        brackets, bisect = [], spectra._bisect
+
+        def recording(f, a, b, tol=1e-12):
+            brackets.append((a, b))
+            return bisect(f, a, b, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_bisect", recording)
+            E = bisection_oracle(Equation.SPIN_EQ, p, 0)
+        (lo, short), (lo_again, wide) = brackets
+        assert lo == lo_again == 0.5
+        assert wide - lo == pytest.approx(2.0 * (short - lo), rel=1e-15)
+        assert abs(mpmath.mpf(E) - referee.level(p, 0)) <= 0.5e-12 + 2.0 * math.ulp(E)
+
     def test_pseudospin_residual_is_nan_below_its_domain(self):
         # below e1 = M + C_ps the depth margin is negative and has no sqrt
         p = pseudo()
@@ -494,6 +513,8 @@ class TestOracleInvariants:
                            eps=48.6370152283438, C=-12.548444060355564), n=0)
     @example(p=ModelParams(M=0.1, omega0=0.05, eps=4.301528887635381,
                            C=-25.287487731237853), n=0)
+    # the root is the end lo + c of the short bracket (e1 = e2)
+    @example(p=ModelParams(M=0.5, omega0=0.05, C=1.0), n=0)
     # halving stopped 1.008 times the bound from the root
     @example(p=ModelParams(M=71.72773256677044, omega0=0.5099954538961443, q=-1.0,
                            eps=52.72658438228243, C=-920.9842290221226), n=1)
@@ -546,10 +567,55 @@ class TestOracleInvariants:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectra, "_polish", recording)
             solve_level(p, n)
-        signed = lambda z: [(x, math.copysign(1.0, x)) for x in (z.real, z.imag)]
         for root, B, C, D in pairs:
-            assert signed(_polish(root.conjugate(), B, C, D)) == signed(
+            assert signed_parts(_polish(root.conjugate(), B, C, D)) == signed_parts(
                 _polish(root, B, C, D).conjugate())
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=WIDE_OR_EXTREME, n=st.integers(0, 30))
+    # _RISE refuses a step off the near-double real pair of these two draws
+    # (test_spin_level_nearly_double_pair)
+    @example(p=ModelParams(M=0.1, omega0=0.05, eps=4.301528887635381,
+                           C=-25.287487731237853), n=0)
+    @example(p=ModelParams(M=0.1, omega0=0.05, eps=1.9375), n=0)
+    def test_polish_matches_the_horner_reference(self, p, n):
+        calls = []
+
+        def recording(root, B, C, D):
+            calls.append((root, B, C, D))
+            return _polish(root, B, C, D)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_polish", recording)
+            solve_level(p, n)
+        for args in calls:
+            assert signed_parts(_polish(*args)) == signed_parts(horner_polish(*args))
+
+
+def signed_parts(z):
+    """The real and imaginary parts of z, each with the sign of its zero."""
+    return [(x, math.copysign(1.0, x)) for x in (z.real, z.imag)]
+
+
+def horner_polish(root, B, C, D):
+    """_polish with one _horner call per evaluation and max(1, |z|): the
+    reference for its inline float and complex loops."""
+    is_real = root.imag == 0.0
+    z = root.real if is_real else root
+    f, fp = spectra._horner(z, B, C, D)
+    for _ in range(4):
+        if abs(fp) < spectra._FLAT:
+            break
+        step = f / fp
+        z_next = z - step
+        if z_next == z or abs(step) < spectra._STEP * max(1.0, abs(z)):
+            break
+        f_next, fp = spectra._horner(z_next, B, C, D)
+        if is_real and abs(f_next) > abs(f) and (
+                abs(f_next) - abs(f) > spectra._RISE * spectra._term_size(z_next, B, C, D)):
+            break
+        z, f = z_next, f_next
+    return complex(z)
 
 
 def spin_root_60_digits(p, n, E):
