@@ -35,9 +35,8 @@ _EXPORTS = {
     "wavefunctions": (
         "ConstantsUndefined", "RadialFunction", "RadialKind", "ShapeConstants",
         "SingularAtOrigin", "count_nodes", "g_deviation_report",
-        "hermite", "lower_spinor_G", "lower_spinor_G_closed_form", "mean_radius",
-        "nr_radial_R", "pseudo_lower_G", "sample_radial", "shape_constants",
-        "upper_spinor_F",
+        "lower_spinor_G", "lower_spinor_G_closed_form", "mean_radius", "nr_radial_R",
+        "pseudo_lower_G", "sample_radial", "shape_constants", "upper_spinor_F",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

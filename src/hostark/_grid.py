@@ -110,9 +110,9 @@ def _newton_complex(zr, zi, B, C, D):
 def _cubic_roots_batch(B, C, D):
     """_cubic_roots over 1-d arrays of cubics.
 
-    Returns (re, im, cardano_real, finite): re and im have shape (cells, 3)
-    and hold the polished roots sorted by (real, imag); finite marks the
-    cells that _cubic_roots does not reject.
+    Returns (roots, cardano_real, finite): roots, complex of shape (cells, 3),
+    holds the polished roots sorted by (real, imag); finite marks the cells
+    that _cubic_roots does not reject.
     """
     d, e = _depressed(B, C, D)
     p = -_cubes(d / 3.0)
@@ -154,18 +154,18 @@ def _cubic_roots_batch(B, C, D):
     roots = np.empty(re.shape, complex)
     roots.real, roots.imag = re, im
     roots.sort(axis=1, kind="stable")  # NumPy orders complex by (real, imag)
-    re, im = roots.real, roots.imag
-    finite = np.isfinite(np.column_stack((B, C, D, d, e, p, re, im))).all(axis=1)
-    return re, im, cardano_real, finite
+    finite = np.isfinite(np.column_stack((B, C, D, d, e, p, roots.real, roots.imag))).all(axis=1)
+    return roots, cardano_real, finite
 
 
-def _select_batch(kappa: int, re, im, M: float, C: float, gp, k, w2: float):
+def _select_batch(kappa: int, roots, M: float, C: float, gp, k, w2: float):
     """_select's classification and residual over cells of three roots.
 
     Returns (codes, bound, selected, residual); selected is the first of the
     largest surviving energies, as Python's max picks it.
     """
-    complex_ = np.abs(im) > _PAIR * (1.0 + np.hypot(re, im))
+    re = roots.real
+    complex_ = np.abs(roots.imag) > _PAIR * (1.0 + np.abs(roots))
     codes = np.where(complex_, _COMPLEX, _sign_code(kappa, re, M, C, gp[:, None]))
     selected = np.full(gp.shape, np.nan)
     bound = np.zeros(gp.shape, dtype=bool)
@@ -244,11 +244,10 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
     R = np.repeat([_rhs_squared(M, omega0, n) for n in range(n_max + 1)], len(grid))
 
     with np.errstate(all="ignore"):
-        re, im, cardano_real, finite = _cubic_roots_batch(
-            *_level_bcd(kappa, M, C, gp, R))
+        roots, cardano_real, finite = _cubic_roots_batch(*_level_bcd(kappa, M, C, gp, R))
         k = 2.0 * np.array(ns) + 1.0
-        codes, bound, selected, residual = _select_batch(kappa, re, im, M, C, gp, k, w2)
-        alt = _alternate_code(codes, re, selected[:, None])
+        codes, bound, selected, residual = _select_batch(kappa, roots, M, C, gp, k, w2)
+        alt = _alternate_code(codes, roots.real, selected[:, None])
         refine = finite & bound & (residual > _REFINE)
         if refine.any():
             selected[refine], residual[refine] = _refine_batch(
@@ -260,11 +259,10 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
 
     # alternates in row order, the coded roots of a cell before its lower ones
     order = np.argsort(alt == _LOWER, axis=1, kind="stable")
-    alt, re, im = (np.take_along_axis(a, order, axis=1) for a in (alt, re, im))
-    im = np.where(alt == _LOWER, 0.0, im)
+    alt, roots = (np.take_along_axis(a, order, axis=1) for a in (alt, roots))
+    roots.imag[alt == _LOWER] = 0.0
     keep = alt != 0
-    values = re[keep].astype(complex)
-    values.imag = im[keep]
+    values = roots[keep]
     ends = np.cumsum(keep.sum(axis=1)).tolist()
     has = bound & finite
     # ~6.7k records on an 11x100 grid; the caller's collector setting is

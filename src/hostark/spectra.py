@@ -260,7 +260,10 @@ def _polish(root: complex, B: float, C: float, D: float) -> complex:
     for bit (the batch route still calls _horner).  A polish evaluates the
     cubic 2.73 times on average, and the calls cost more than the arithmetic:
     inlined, the 8,744 polishes of the seed-1 certify pool took 20-32% less
-    time (2-core Xeon, Python 3.11).
+    time (2-core Xeon, Python 3.11).  One loop over both kinds of start kept the
+    bits, but solve_level took 7-10% more CPU time (seed-1 to 3 certify pools, 30
+    rounds each); a likely, unverified cause is CPython 3.11's specializing
+    interpreter seeing float and complex operands at the same instructions.
     """
     if root.imag == 0.0:
         z = root.real
@@ -642,14 +645,10 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int) -> float:
         raise ValueError(f"equation {equation.value} needs {equation.value} "
                          f"parameters, got {params.sym.value}")
     gp = _stark_shift(M, omega0, params.q, params.eps)
-    k, w2 = 2 * n + 1, M * _power(omega0, 2)
-    try:
-        rhs = k * k * w2 / 2.0  # R of the level cubic, k^2 M w0^2 / 2
-    except OverflowError:  # k^2 is past float64
-        rhs = math.inf
+    k, w2, rhs = 2 * n + 1, M * _power(omega0, 2), _rhs_squared(M, omega0, n)
     if not math.isfinite(rhs):
         raise ValueError(f"(2n+1)^2 M omega0^2 / 2 is not finite in float64 at n={n}")
-    if rhs == 0.0:  # so w2 > 0 too: the pseudospin condition divides by it
+    if rhs == 0.0 or w2 == 0.0:  # the pseudospin condition divides by w2
         raise ValueError(f"(2n+1)^2 M omega0^2 / 2 underflows to 0 in float64 at "
                          f"M={M}, omega0={omega0}")
     e1, e2 = _edges(kappa, M, C, gp)

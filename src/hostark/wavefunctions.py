@@ -72,12 +72,9 @@ class RadialKind(Enum):
     NONREL_R = "NonRelR"
     PSEUDO_LOWER_G = "PseudoLowerG"
 
-    @property
-    def sym(self) -> SymmetryKind:
-        """The symmetry limit whose parameters this component is evaluated at."""
-        if self is RadialKind.PSEUDO_LOWER_G:
-            return SymmetryKind.PSEUDOSPIN
-        return SymmetryKind.SPIN
+    def __init__(self, value: str):
+        # the symmetry limit whose parameters the component is evaluated at
+        self.sym = SymmetryKind.PSEUDOSPIN if value == "PseudoLowerG" else SymmetryKind.SPIN
 
 
 @dataclass(frozen=True)
@@ -139,11 +136,10 @@ def shape_constants(params: ModelParams, energy: float) -> ShapeConstants:
     return ShapeConstants(lambda_scale=lam, b=b, eps2=eps2, **channel)
 
 
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial via H_{k+1} = 2x H_k - 2k H_{k-1}."""
-    n = _check_n(n)
+def _hermite(n: int, x):
+    """Physicists' Hermite polynomial via H_{k+1} = 2x H_k - 2k H_{k-1}; the caller checks n."""
     x = np.asarray(x)
-    h = np.empty_like(x, dtype=complex if x.dtype.kind == "c" else float)
+    h = np.empty_like(x, dtype=float)
     h.fill(1.0)  # cheaper per call than np.ones_like, and this runs once per block
     if n == 0:
         return h[()] if h.ndim == 0 else h
@@ -159,7 +155,7 @@ def _laguerre(n: int, alpha: float, x, total=None):
     """L_n^(alpha)(x); total, a buffer shaped like x, if given, gets
     sum_{k<n} L_k^(alpha)(x) = L_{n-1}^(alpha+1)(x), added up in the recurrence."""
     x = np.asarray(x)
-    lk = np.empty_like(x, dtype=complex if x.dtype.kind == "c" else float)
+    lk = np.empty_like(x, dtype=float)
     lk.fill(1.0)
     if total is not None:
         total.fill(1.0 if n else 0.0)
@@ -202,7 +198,7 @@ def _pseudo_G(sc: ShapeConstants, n: int, r, out=None):
     """The pseudospin lower component e H_n(xi) at r, into out: the envelope e
     and argument xi of the spin components, at the pseudospin constants."""
     _, envelope, xi, _ = sc._factors(r)
-    return np.multiply(envelope, hermite(n, xi), out=out)
+    return np.multiply(envelope, _hermite(n, xi), out=out)
 
 
 def _nr_constants(params: ModelParams, n: int):
@@ -227,7 +223,7 @@ def _nr_R(consts, n: int, r, out):
     np.exp(out, out=out)
     out *= pref
     x *= lam
-    out *= hermite(n, x)
+    out *= _hermite(n, x)
     return out
 
 

@@ -17,17 +17,19 @@ import math
 import random
 
 import mpmath
+import numpy as np
 
-from hostark.model import ModelParams, SymmetryKind
-from hostark.spectra import Equation, Status, bisection_oracle, solve_level
+from hostark.model import ModelParams, SymmetryKind, _potential, derived_constants
+from hostark.spectra import Equation, Status, bisection_oracle, nr_spin_level, solve_level
 from hostark.wavefunctions import (ConstantsUndefined, RadialKind, default_r_max,
-                                   sample_radial, shape_constants)
+                                   nr_radial_R, sample_radial, shape_constants,
+                                   upper_spinor_F)
 
 CHANNELS = {"spin": SymmetryKind.SPIN, "pseudospin": SymmetryKind.PSEUDOSPIN}
 SAMPLED_KINDS = {"spin": (RadialKind.UPPER_F, RadialKind.LOWER_G),
                  "pseudospin": (RadialKind.PSEUDO_LOWER_G,)}
 
-# (entry, channel, count) -> the largest value the ledger may show; a count
+# (entry, channel or kind, count) -> the largest value the ledger may show; a count
 # not listed here is pinned at 0, and "bound", the denominator, is not pinned
 PINS = {
     ("sampling_failures", "spin", "m1 <= 0"): 12,
@@ -38,6 +40,17 @@ PINS = {
     ("level_defects", "spin", "m1 <= 0"): 1470,
     ("level_defects", "pseudospin", "residual above 1e-9"): 5,
     ("lower_g_norm", "spin", "norm / exact"): 4.66e5,  # 465,053 measured
+    # the worst residual at each n, measured, rounded up to 3 digits
+    ("radial_residuals", "NonRelR", "n = 0"): 8.66e-10,  # 8.650e-10 measured
+    ("radial_residuals", "NonRelR", "n = 1"): 5.85e-10,  # 5.842e-10
+    ("radial_residuals", "NonRelR", "n = 2"): 4.43e-10,  # 4.425e-10
+    ("radial_residuals", "NonRelR", "n = 3"): 4.67e-10,  # 4.662e-10
+    ("radial_residuals", "NonRelR", "n = 4"): 5.26e-10,  # 5.259e-10
+    ("radial_residuals", "UpperF", "n = 0"): 2.18e-9,  # 2.172e-9
+    ("radial_residuals", "UpperF", "n = 1"): 0.484,  # 0.4839, the printed F's miss
+    ("radial_residuals", "UpperF", "n = 2"): 0.486,  # 0.4852
+    ("radial_residuals", "UpperF", "n = 3"): 0.484,  # 0.4832
+    ("radial_residuals", "UpperF", "n = 4"): 0.415,  # 0.4144
 }
 
 
@@ -164,8 +177,90 @@ def lower_g_norm() -> dict:
     return {"spin": {"norm / exact": norm / float(exact)}}
 
 
+def certify_draws(seed, count, n_max):
+    """count (spin parameters, n) from the certify workload's wide ranges, n <= n_max:
+    one random.Random(seed) draws, in this order, M = U(0.1, 10),
+    omega0 = U(0.05, 5), eps = U(0, 5), C = U(-40, 20), n = randrange(n_max + 1)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield (ModelParams(M=rng.uniform(0.1, 10.0), omega0=rng.uniform(0.05, 5.0),
+                           eps=rng.uniform(0.0, 5.0), C=rng.uniform(-40.0, 20.0)),
+               rng.randrange(n_max + 1))
+
+
+def bound_levels(draws):
+    """The Bound levels among (params, n) draws, as (params, n, E, shape constants)."""
+    for p, n in draws:
+        level = solve_level(p, n)
+        if level.status is Status.BOUND:
+            yield p, n, level.E, shape_constants(p, level.E)
+
+
+def edge_free(draws):
+    """Draws whose gamma = E + M - C_s the float level fixes to 12 digits: at
+    the gamma = 0 edge an ulp of E is a large part of gamma (one of the 100
+    draws of radial_residuals has gamma = 6.8e-12 at E = 15.7), and F is
+    built from that gamma."""
+    return [(p, n, E, sc) for p, n, E, sc in draws if math.ulp(E) <= 1e-12 * (E + p.M - p.C)]
+
+
+def envelope_width(sc):
+    """1 / (lambda sqrt(eps1)), the width of F's Gaussian envelope."""
+    return 1.0 / (sc.lambda_scale * math.sqrt(sc.eps1))
+
+
+def fourth_order_residual(f, coeff, r0, width, n):
+    """max |f'' - coeff(V) f| / max |coeff(V) f| at 41 points across
+    +-3 sqrt(2n+1) widths about r0, f'' the 4th-order central difference of
+    step 1e-3 width."""
+    h = 1e-3 * width
+    r = r0 + np.linspace(-3.0, 3.0, 41) * math.sqrt(2 * n + 1) * width
+    d2 = (16.0 * (f(r + h) + f(r - h)) - (f(r + 2 * h) + f(r - 2 * h)) - 30.0 * f(r)) / (12 * h * h)
+    rhs = coeff(r) * f(r)
+    return float(np.max(np.abs(d2 - rhs)) / np.max(np.abs(rhs)))
+
+
+def schrodinger_residual(p, n):
+    """-R''/(2M) + V R = (w0 (n + 1/2) - g_shift) R, the equation of nr_radial_R."""
+    E = nr_spin_level(p, n)
+    return fourth_order_residual(
+        lambda r: nr_radial_R(p, n, r),
+        lambda r: 2.0 * p.M * (_potential(p.M, p.omega0, p.q, p.eps, r) - E),
+        derived_constants(p).r0, 1.0 / math.sqrt(p.M * p.omega0), n)
+
+
+def spin_equation_residual(p, n, E, sc):
+    """F'' = gamma (M - E + V) F, gamma = E + M - C_s, the s-wave spin-limit
+    equation whose oscillator condition is the level cubic."""
+    gamma = E + p.M - p.C
+    return fourth_order_residual(
+        lambda r: upper_spinor_F(p, n, r, E),
+        lambda r: gamma * (p.M - E + _potential(p.M, p.omega0, p.q, p.eps, r)),
+        sc.b / sc.lambda_scale ** 2, envelope_width(sc), n)
+
+
+def spin_equation_levels(n):
+    """The edge-free Bound levels at n of the parameters of certify_draws(2026, 100, 0)."""
+    return edge_free(bound_levels((p, n) for p, _ in certify_draws(2026, 100, 0)))
+
+
+def radial_residuals() -> dict:
+    """The worst radial-equation residual per kind and n = 0..4, each a
+    fourth_order_residual (41 points) over the parameters of
+    certify_draws(2026, 100, 0): NonRelR against its Schrodinger equation
+    at all 100 (schrodinger_residual), UpperF against the spin equation at
+    spin_equation_levels(n) (spin_equation_residual)."""
+    params = [p for p, _ in certify_draws(2026, 100, 0)]
+    out = {"NonRelR": {}, "UpperF": {}}
+    for n in range(5):
+        out["NonRelR"][f"n = {n}"] = max(schrodinger_residual(p, n) for p in params)
+        out["UpperF"][f"n = {n}"] = max(
+            spin_equation_residual(*level) for level in spin_equation_levels(n))
+    return out
+
+
 ENTRIES = {"sampling_failures": sampling_failures, "level_defects": level_defects,
-           "lower_g_norm": lower_g_norm}
+           "lower_g_norm": lower_g_norm, "radial_residuals": radial_residuals}
 
 
 def ledger() -> dict:

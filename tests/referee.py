@@ -1,11 +1,13 @@
-"""A 50-digit referee for the levels of hostark.spectra.
+"""A 50-digit referee for the levels and cubic roots of hostark.spectra.
 
 level(params, n) solves the unsquared quantization condition in mpmath, with
 the float parameters taken as exact, inside bisection_oracle's closed-form
 bracket (for spin, the wider one it falls back to), written out here again at
 50 digits, and certifies the root by a sign change of the condition at 50
-digits.  It shares no code with the package, so it can say which last digit
-of a float level is right.
+digits.  cubic_roots(B, C, D) gives the three roots of a level cubic at 50
+digits, with the float coefficients the solver was given taken as exact.
+It shares no code with the package, so it can say which last digit of a
+float level is right.
 """
 
 import mpmath
@@ -52,3 +54,10 @@ def level(params, n):
         d = mpmath.mpf(10) ** -DIGITS * max(1, abs(root))
         assert f(root - d) < 0 < f(root + d), "no sign change about the root"
         return root
+
+
+def cubic_roots(B, C, D):
+    """The three roots of the monic cubic E^3 + B E^2 + C E + D as 50-digit
+    mpc, with the float coefficients taken as exact (mpmath.polyroots)."""
+    with mpmath.workdps(DIGITS):
+        return mpmath.polyroots([1, B, C, D], maxsteps=100, extraprec=100)

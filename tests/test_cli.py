@@ -648,7 +648,7 @@ def test_wavefunction_caps_an_unset_blas_pool(preset, numpy_first, expect):
 
 
 # the names `hostark` exported when its __init__ imported every submodule,
-# less the removed combined_potential and assoc_laguerre
+# less the removed combined_potential, assoc_laguerre and hermite
 EXPORTS = {
     "model": "DerivedConstants ModelParams SymmetryKind derived_constants "
              "eval_potential potential_curve",
@@ -663,7 +663,7 @@ EXPORTS = {
                "select_physical_root solve_cubic_cardano solve_level spectrum_grid",
     "wavefunctions": "ConstantsUndefined RadialFunction RadialKind ShapeConstants "
                      "SingularAtOrigin count_nodes g_deviation_report "
-                     "hermite lower_spinor_G lower_spinor_G_closed_form mean_radius "
+                     "lower_spinor_G lower_spinor_G_closed_form mean_radius "
                      "nr_radial_R pseudo_lower_G sample_radial "
                      "shape_constants upper_spinor_F",
 }

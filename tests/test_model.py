@@ -188,7 +188,6 @@ LEVEL_INDEX_ENTRY_POINTS = {
     "nr_spin_level": ("n", lambda n: spectra.nr_spin_level(_P, n)),
     "nr_pseudospin_level": ("n", lambda n: spectra.nr_pseudospin_level(_PS, n)),
     "spectrum_grid": ("n_max", lambda n: spectra.spectrum_grid(_PS, n, [0.1, 0.5])),
-    "hermite": ("n", lambda n: wavefunctions.hermite(n, _X)),
     "nr_radial_R": ("n", lambda n: wavefunctions.nr_radial_R(_P, n, _X)),
     "NuReduction.lambda_n": ("n", lambda n: _NU.lambda_n(n)),
     "figure2": ("n_max", _figure2_stdout),

@@ -828,21 +828,76 @@ def test_bisection_stays_finite_in_the_top_binade():
     assert _bisect(lambda x: x - 1.0, 0.0, 3.0, tol=0.0) == 1.0
 
 
+def range_draws(seed, count):
+    """count pairs of cells (range, params, n), n below 30: random.Random(seed)
+    draws a channel, then one cell of each range of WIDE_OR_EXTREME."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sym = rng.choice(list(SymmetryKind))
+        yield "wide", ModelParams(M=rng.uniform(0.1, 10.0), omega0=rng.uniform(0.05, 5.0),
+                                  eps=rng.uniform(0.0, 5.0), sym=sym,
+                                  C=rng.uniform(-40.0, 20.0)), rng.randrange(30)
+        yield "extreme", ModelParams(
+            M=rng.uniform(0.1, 100.0), omega0=rng.uniform(0.005, 50.0),
+            q=rng.choice([1.0, -1.0, 0.5, 2.0]), eps=rng.uniform(0.0, 60.0), sym=sym,
+            C=rng.uniform(-1000.0, 1000.0)), rng.randrange(30)
+
+
+def referee_ulps(p, n, E):
+    """(what, |E - r| / ulp(E)) for the referee root r nearest E: what is
+    "cubic" for the 50-digit roots of the level cubic's float coefficients,
+    or "level" for the 50-digit level where the margin-form refinement moved
+    E off every polished root of that cubic."""
+    c = cubic_coefficients(p, n)
+    if E in [root.real for root in spectra._cubic_roots(c.B, c.C, c.D)[0]]:
+        what, roots = "cubic", referee.cubic_roots(c.B, c.C, c.D)
+    else:
+        what, roots = "level", [referee.level(p, n)]
+    return what, float(min(abs(E - root) for root in roots) / math.ulp(E))
+
+
+# small grids of both channels, two in each range of WIDE_OR_EXTREME; the
+# margin-form refinement moves levels of the first and third
+REFEREE_GRIDS = [
+    ("wide", spin(M=7.6, omega0=0.06, C=-13.3), 3, [0.5, 2.0, 3.5, 5.0]),
+    ("wide", pseudo(C=-10.3), 5, [0.0, 0.5, 1.0, 1.5]),
+    ("extreme", ModelParams(M=6.0, omega0=0.013, q=0.5, C=-940.0), 3, [0.5, 2.0, 3.5, 5.0]),
+    ("extreme", ModelParams(M=40.0, omega0=2.5, q=-1.0, sym=SymmetryKind.PSEUDOSPIN,
+                            C=-600.0), 5, [0.0, 20.0, 40.0, 60.0]),
+]
+# the largest forward error from the nearest cubic root measured on the
+# levels of the test below, in ulps of E, rounded up, per route and range.
+# The extreme grid's worst, 70,952 ulps at n = 3, eps = 2, sits on a nearly
+# double pair, where rounding B, C, D to float moves the root by thousands of
+# ulps: it is 2,655 ulps from referee.level, with a residual (1.5e-10) below
+# the one that starts the refinement.
+REFEREE_ULPS = {("solve_level", "wide"): 4, ("solve_level", "extreme"): 44,
+                ("spectrum_grid", "wide"): 34, ("spectrum_grid", "extreme"): 71_000}
+# a level the refinement moved, from referee.level (measured 0.990)
+REFINED_ULPS = 1
+
+
+def test_bound_levels_are_within_pinned_ulps_of_the_referee():
+    levels = [("solve_level", range_, p, solve_level(p, n))
+              for range_, p, n in range_draws(30, 150)]
+    for range_, params, n_max, eps_list in REFEREE_GRIDS:
+        levels += [("spectrum_grid", range_, p, level)
+                   for p, level in spectrum_grid(params, n_max, eps_list)]
+    worst = dict.fromkeys([*REFEREE_ULPS, "level"], 0.0)
+    for route, range_, p, level in levels:
+        if level.status is Status.BOUND:
+            what, ulps = referee_ulps(p, level.n, level.E)
+            key = (route, range_) if what == "cubic" else what
+            worst[key] = max(worst[key], ulps)
+    assert worst.pop("level") <= REFINED_ULPS
+    assert all(worst[key] <= bound for key, bound in REFEREE_ULPS.items()), worst
+
+
 def slot_record_draws():
-    """Table-2 cells of both channels, then wide and extreme draws (the ranges
-    of WIDE_OR_EXTREME), with n below 30."""
-    rng = random.Random(26)
+    """Table-2 cells of both channels, then range_draws(26, 1000)."""
     cells = [(dataclasses.replace(p, eps=eps), n) for p in (SPIN_TBL, PSEUDO_TBL)
              for eps in (0.0, 0.1, 0.5, 1.0, 1.5) for n in range(11)]
-    for _ in range(1000):
-        sym = rng.choice(list(SymmetryKind))
-        cells.append((ModelParams(M=rng.uniform(0.1, 10.0), omega0=rng.uniform(0.05, 5.0),
-                                  eps=rng.uniform(0.0, 5.0), sym=sym,
-                                  C=rng.uniform(-40.0, 20.0)), rng.randrange(30)))
-        cells.append((ModelParams(M=rng.uniform(0.1, 100.0), omega0=rng.uniform(0.005, 50.0),
-                                  q=rng.choice([1.0, -1.0, 0.5, 2.0]), eps=rng.uniform(0.0, 60.0),
-                                  sym=sym, C=rng.uniform(-1000.0, 1000.0)), rng.randrange(30)))
-    return cells
+    return cells + [(p, n) for _, p, n in range_draws(26, 1000)]
 
 
 def test_solve_level_never_runs_the_record_constructors(monkeypatch):

@@ -9,17 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from hostark.model import ModelParams, SymmetryKind, _potential, derived_constants
-from hostark.spectra import Status, nr_spin_level, solve_level
+import ledger
+from hostark.model import ModelParams, SymmetryKind, derived_constants
+from hostark.spectra import Status, solve_level
 from hostark.wavefunctions import (
     ConstantsUndefined,
     RadialKind,
     SingularAtOrigin,
+    _hermite,
     _laguerre,
     count_nodes,
     default_r_max,
     g_deviation_report,
-    hermite,
     lower_spinor_G,
     lower_spinor_G_closed_form,
     nr_radial_R,
@@ -66,28 +67,6 @@ def laguerre_series(n, alpha, x):
         return float(total)
 
 
-def certify_draws(seed, count, n_max):
-    """count (spin parameters, n) from the certify workload's wide ranges, n <= n_max."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield (ModelParams(M=rng.uniform(0.1, 10.0), omega0=rng.uniform(0.05, 5.0),
-                           eps=rng.uniform(0.0, 5.0), C=rng.uniform(-40.0, 20.0)),
-               rng.randrange(n_max + 1))
-
-
-def bound_levels(draws):
-    """The Bound levels among (params, n) draws, as (params, n, E, shape constants)."""
-    for p, n in draws:
-        level = solve_level(p, n)
-        if level.status is Status.BOUND:
-            yield p, n, level.E, shape_constants(p, level.E)
-
-
-def envelope_width(sc):
-    """1 / (lambda sqrt(eps1)), the width of F's Gaussian envelope."""
-    return 1.0 / (sc.lambda_scale * math.sqrt(sc.eps1))
-
-
 def mp_upper_F(sc, n):
     """The printed F_n times exp(-eps1 b^2/(2 lambda^2)), the scale of
     upper_spinor_F, at mpmath's working precision, from the float shape constants."""
@@ -122,18 +101,18 @@ def mp_pseudo_G(p, n, E):
 
 class TestPolynomials:
     def test_hermite_base_cases(self):
-        assert hermite(0, 0.37) == 1.0
-        assert hermite(1, 0.5) == 1.0
-        assert hermite(2, 1.0) == 2.0  # 4x^2 - 2
+        assert _hermite(0, 0.37) == 1.0
+        assert _hermite(1, 0.5) == 1.0
+        assert _hermite(2, 1.0) == 2.0  # 4x^2 - 2
 
     def test_hermite_frozen_value(self):
-        assert hermite(5, 0.7) == pytest.approx(34.49824, rel=1e-12)
+        assert _hermite(5, 0.7) == pytest.approx(34.49824, rel=1e-12)
 
     @given(st.integers(0, 15), st.floats(-10, 10))
     @settings(max_examples=200)
     def test_hermite_matches_series(self, n, x):
         expect = hermite_series(n, x)
-        assert hermite(n, x) == pytest.approx(expect, rel=1e-10, abs=1e-10)
+        assert _hermite(n, x) == pytest.approx(expect, rel=1e-10, abs=1e-10)
 
     def test_laguerre_base_cases(self):
         assert _laguerre(0, 2.5, 1.7) == 1.0
@@ -154,12 +133,8 @@ class TestPolynomials:
 
     def test_vectorized(self):
         x = np.linspace(-2, 2, 9)
-        assert hermite(3, x).shape == x.shape
+        assert _hermite(3, x).shape == x.shape
         assert _laguerre(3, 1.0, x).shape == x.shape
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            hermite(-1, 0.0)
 
 
 class TestShapeConstants:
@@ -389,8 +364,8 @@ class TestLowerSpinorG:
         (9.3e-15 with the printed envelope, whose terms grow as r0^2)."""
         kappa = SymmetryKind.SPIN.kappa
         closed, central, upper = [], [], []
-        for p, n, E, sc in bound_levels(certify_draws(17, 40, 10)):
-            half = 4.0 * math.sqrt(2 * n + 1) * envelope_width(sc)
+        for p, n, E, sc in ledger.bound_levels(ledger.certify_draws(17, 40, 10)):
+            half = 4.0 * math.sqrt(2 * n + 1) * ledger.envelope_width(sc)
             r0 = sc.b / sc.lambda_scale ** 2
             r = np.linspace(max(r0 - half, 0.005 * half), r0 + half, 20)
             f = upper_spinor_F(p, n, r, E)
@@ -636,50 +611,19 @@ class TestSampling:
             sample_radial(kind, p, 0, normalize=normalize)
 
 
-def fourth_order_residual(f, coeff, r0, width, n):
-    """max |f'' - coeff(V) f| / max |coeff(V) f| at 41 points across
-    +-3 sqrt(2n+1) widths about r0, f'' the 4th-order central difference of
-    step 1e-3 width."""
-    h = 1e-3 * width
-    r = r0 + np.linspace(-3.0, 3.0, 41) * math.sqrt(2 * n + 1) * width
-    d2 = (16.0 * (f(r + h) + f(r - h)) - (f(r + 2 * h) + f(r - 2 * h)) - 30.0 * f(r)) / (12 * h * h)
-    rhs = coeff(r) * f(r)
-    return float(np.max(np.abs(d2 - rhs)) / np.max(np.abs(rhs)))
-
-
-def spin_equation_residual(p, n, E, sc):
-    """F'' = gamma (M - E + V) F, gamma = E + M - C_s, the s-wave spin-limit
-    equation whose oscillator condition is the level cubic."""
-    gamma = E + p.M - p.C
-    return fourth_order_residual(
-        lambda r: upper_spinor_F(p, n, r, E),
-        lambda r: gamma * (p.M - E + _potential(p.M, p.omega0, p.q, p.eps, r)),
-        sc.b / sc.lambda_scale ** 2, envelope_width(sc), n)
-
-
-def edge_free(draws):
-    """Draws whose gamma = E + M - C_s the float level fixes to 12 digits: at
-    the gamma = 0 edge an ulp of E is a large part of gamma (one of these 100
-    draws has gamma = 6.8e-12 at E = 15.7), and F is built from that gamma."""
-    return [(p, n, E, sc) for p, n, E, sc in draws if math.ulp(E) <= 1e-12 * (E + p.M - p.C)]
+@pytest.fixture(scope="module")
+def radial_residuals():
+    return ledger.radial_residuals()
 
 
 class TestRadialEquations:
-    """The components against their radial equations on 100 wide draws (the
-    bounds are the largest residuals measured there)."""
+    """The components against their radial equations on 100 wide draws, as
+    the ledger's radial_residuals entry measures them (the bounds are the
+    largest residuals measured there)."""
 
-    def test_nonrel_R_meets_the_schrodinger_equation(self):
-        # -R''/(2M) + V R = (w0 (n + 1/2) - g_shift) R; measured: median 2.8e-10, max 8.65e-10
-        worst = 0.0
-        for p, _ in certify_draws(2026, 100, 0):
-            lam, r0 = math.sqrt(p.M * p.omega0), derived_constants(p).r0
-            for n in range(5):
-                E = nr_spin_level(p, n)
-                worst = max(worst, fourth_order_residual(
-                    lambda r: nr_radial_R(p, n, r),
-                    lambda r: 2.0 * p.M * (_potential(p.M, p.omega0, p.q, p.eps, r) - E),
-                    r0, 1.0 / lam, n))
-        assert worst <= 9e-10
+    def test_nonrel_R_meets_the_schrodinger_equation(self, radial_residuals):
+        # n = 0..4; measured: median 2.8e-10, max 8.65e-10
+        assert max(radial_residuals["NonRelR"].values()) <= 9e-10
 
     @pytest.mark.parametrize("n", [
         0,
@@ -687,10 +631,9 @@ class TestRadialEquations:
             "the printed F is L_n(a x^2), x = r - r0, of degree 2n; the oscillator "
             "eigenfunction with that envelope is H_n(sqrt(a) x) (residual 0.48 here)"))),
     ])
-    def test_upper_F_meets_the_spin_equation(self, n):
-        draws = edge_free(bound_levels((p, n) for p, _ in certify_draws(2026, 100, 0)))
-        assert len(draws) >= 95
-        worst = max(spin_equation_residual(*draw) for draw in draws)
+    def test_upper_F_meets_the_spin_equation(self, n, radial_residuals):
+        assert len(ledger.spin_equation_levels(n)) >= 95
+        worst = radial_residuals["UpperF"][f"n = {n}"]
         # measured at n = 0: median 4.84e-10, max 2.17e-9; with the printed envelope, whose
         # two terms grow as r0^2, F's rounding at r0 = 12 made the max 7.06e-8
         assert worst <= 2.5e-9, worst
