@@ -19,8 +19,12 @@ from .spectra import (
 # ---------------------------------------------------------------- batch route
 #
 # _solve_grid repeats the scalar stage (_level_bcd, _cubic_roots, _select) over
-# arrays of cells, operation for operation, so each level equals solve_level's
-# bit for bit.  The rules come from spectra (the thresholds, the sign codes, the
+# arrays, so each level equals solve_level's bit for bit.  What eps alone fixes
+# (g', so the cubic's B and C, the depressed d, p = -(d/3)^3 and the
+# trigonometric u = sqrt(-d/3) and u^3; n enters only through R) is formed once
+# per eps, by the scalar stage's operations on the same operands, and each cell
+# reads its eps's value; an IEEE result depends on its operands alone, so no bit
+# can move.  The rules come from spectra (the thresholds, the sign codes, the
 # unsquared condition, the margin forms, the level scalars); this module keeps
 # the array control flow and the emulation of CPython arithmetic.  The
 # refinement bisects its cells at once, and the records are built column by
@@ -108,14 +112,22 @@ def _newton_complex(zr, zi, B, C, D):
 
 
 def _cubic_roots_batch(B, C, D):
-    """_cubic_roots over 1-d arrays of cubics.
+    """_cubic_roots over an (n, eps) grid of cubics: B and C of shape (G,),
+    one per eps, and D of shape (N, G).  d, p, u and u^3 depend on B and C
+    alone, so they are formed once per eps.
 
-    Returns (roots, cardano_real, finite): roots, complex of shape (cells, 3),
-    holds the polished roots sorted by (real, imag); finite marks the cells
-    that _cubic_roots does not reject.
+    Returns (roots, cardano_real, finite) over the N G cells, n outer: roots,
+    complex of shape (cells, 3), holds the polished roots sorted by (real,
+    imag); finite marks the cells that _cubic_roots does not reject.
     """
     d, e = _depressed(B, C, D)
     p = -_cubes(d / 3.0)
+    # e^2 < 4p needs p > 0, hence d < 0, so where d >= 0 (or is nan) no
+    # trigonometric cell reads u: u = 0 there, not sqrt's nan
+    u = np.sqrt(np.where(d < 0.0, -d / 3.0, 0.0))
+    col = np.tile(np.arange(len(B)), len(D))  # each cell's eps
+    B, C, d, p, u, u3 = (x[col] for x in (B, C, d, p, u, _cubes(u)))
+    D, e = D.ravel(), e.ravel()
     cardano_real = e * e >= 4.0 * p
     re = np.empty((len(B), 3))
     im = np.zeros((len(B), 3))
@@ -137,13 +149,12 @@ def _cubic_roots_batch(B, C, D):
     im[c, 2] = np.where(real_pair, 0.0, -sq / 2.0)
 
     t = ~cardano_real
-    u = np.sqrt(-d[t] / 3.0)
-    arg = -e[t] / (2.0 * _cubes(u))
+    arg = -e[t] / (2.0 * u3[t])
     arg = np.where(arg > -1.0, arg, -1.0)  # min(1.0, max(-1.0, arg))
     arg = np.where(arg < 1.0, arg, 1.0)
     theta = _map(math.acos, arg) / 3.0
     for k in range(3):
-        re[t, k] = (2.0 * u * _map(math.cos, theta - 2.0 * math.pi * k / 3.0)
+        re[t, k] = (2.0 * u[t] * _map(math.cos, theta - 2.0 * math.pi * k / 3.0)
                     - B[t] / 3.0)
 
     pair = im[:, 1] != 0.0  # a complex pair: polish column 1, conjugate it into 2
@@ -227,25 +238,28 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
     """Levels of the cells (n, grid[j]), n outer, as one NumPy batch.
 
     The parameters differ only in eps; g_shifts[j] is grid[j]'s g_shift.
+    The cubic's B and C are formed once per eps (_level_bcd takes g' of shape
+    (G,) and R of shape (N, 1)), as are d, p and u^3 in _cubic_roots_batch.
     Roots, selection, residual, boundary flag, gamma/alpha/v/beta, the
-    margin-form refinement and the alternates' values and reasons are
-    columns, and the records are built from them column by column.  Cells
-    whose cubic is not finite take the scalar stage, which raises for them
-    as solve_level does.
+    margin-form refinement and the alternates' values and reasons are arrays
+    over the cells, and the records are built from them column by column.
+    Cells whose cubic is not finite take the scalar stage, which raises for
+    them as solve_level does.
     """
     p0 = grid[0]
     kappa = p0.kappa
     M, omega0, C = p0.M, p0.omega0, p0.C
     w2 = M * _power(omega0, 2)
-    rows = grid * (n_max + 1)
-    ns = [n for n in range(n_max + 1) for _ in grid]
-    gp = np.array(g_shifts * (n_max + 1))
-    qeps = np.array([p0.q * p.eps for p in grid] * (n_max + 1))
-    R = np.repeat([_rhs_squared(M, omega0, n) for n in range(n_max + 1)], len(grid))
+    size, cells = len(grid), len(grid) * (n_max + 1)
+    ns = np.repeat(np.arange(n_max + 1), size)
+    R = np.array([_rhs_squared(M, omega0, n) for n in range(n_max + 1)])[:, None]
+    gp = np.tile(g_shifts, n_max + 1)
+    qeps = np.tile([p0.q * p.eps for p in grid], n_max + 1)
 
     with np.errstate(all="ignore"):
-        roots, cardano_real, finite = _cubic_roots_batch(*_level_bcd(kappa, M, C, gp, R))
-        k = 2.0 * np.array(ns) + 1.0
+        roots, cardano_real, finite = _cubic_roots_batch(
+            *_level_bcd(kappa, M, C, np.array(g_shifts), R))
+        k = 2.0 * ns + 1.0
         codes, bound, selected, residual = _select_batch(kappa, roots, M, C, gp, k, w2)
         alt = _alternate_code(codes, roots.real, selected[:, None])
         refine = finite & bound & (residual > _REFINE)
@@ -258,9 +272,12 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
         v.imag = np.where(v2 < 0.0, np.sqrt(-v2), 0.0)
 
     # alternates in row order, the coded roots of a cell before its lower ones
-    order = np.argsort(alt == _LOWER, axis=1, kind="stable")
-    alt, roots = (np.take_along_axis(a, order, axis=1) for a in (alt, roots))
-    roots.imag[alt == _LOWER] = 0.0
+    # (no spin cell has a lower root)
+    lower = alt == _LOWER
+    if lower.any():
+        order = np.argsort(lower, axis=1, kind="stable")
+        alt, roots = (np.take_along_axis(a, order, axis=1) for a in (alt, roots))
+        roots.imag[alt == _LOWER] = 0.0
     keep = alt != 0
     values = roots[keep]
     ends = np.cumsum(keep.sum(axis=1)).tolist()
@@ -273,17 +290,17 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
         rejected = tuple(_records(RejectedRoot, len(values), values.tolist(),
                                   map(_REASONS[kappa].__getitem__, alt[keep].tolist())))
         # gamma/alpha/v/beta as complex for the Bound rows only, placed by row
-        diagnostics = np.full(len(rows), None, dtype=object)
-        diagnostics[has] = _records(ChannelScalars, int(has.sum()), *(
-            x[has].astype(complex).tolist() for x in (gamma, alpha, v, beta)))
+        scalars = iter(_records(ChannelScalars, int(has.sum()), *(
+            x[has].astype(complex).tolist() for x in (gamma, alpha, v, beta))))
+        diagnostics = [next(scalars) if h else None for h in has.tolist()]
         levels = _records(
-            EnergyLevel, len(rows), ns, repeat(kappa, len(rows)),
+            EnergyLevel, cells, ns.tolist(), repeat(kappa, cells),
             map((Status.NO_PHYSICAL_ROOT, Status.BOUND).__getitem__, bound.tolist()),
             np.where(bound, selected, None).tolist(), np.where(bound, residual, None).tolist(),
             map(rejected.__getitem__, map(slice, [0] + ends, ends)),
-            (~cardano_real).tolist(), (flag & bound).tolist(), diagnostics.tolist())
+            (~cardano_real).tolist(), (flag & bound).tolist(), diagnostics)
         for i in np.flatnonzero(~finite).tolist():
-            levels[i] = solve_level(rows[i], ns[i])
+            levels[i] = solve_level(grid[i % size], i // size)
         return levels
     finally:
         if enabled:

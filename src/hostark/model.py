@@ -66,22 +66,27 @@ class ModelParams:
     C: float = 0.0
 
     def __post_init__(self):
-        for name in ("M", "omega0", "q", "eps", "C"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not self.M > 0:
-            raise ValueError(f"M must be > 0, got {self.M}")
-        if not self.omega0 > 0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if self.q == 0 and self.eps != 0:
-            raise ValueError("q must be nonzero when eps > 0")
+        _check_params(self.M, self.omega0, self.q, self.eps, self.C)
 
     @property
     def kappa(self) -> int:
         return self.sym.kappa
+
+
+def _check_params(M, omega0, q, eps, C) -> None:
+    """ModelParams' rules on its numbers, which __post_init__ runs and
+    spectra._grid_inputs runs per eps of a grid's rows."""
+    for name, value in zip(("M", "omega0", "q", "eps", "C"), (M, omega0, q, eps, C)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not M > 0:
+        raise ValueError(f"M must be > 0, got {M}")
+    if not omega0 > 0:
+        raise ValueError(f"omega0 must be > 0, got {omega0}")
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    if q == 0 and eps != 0:
+        raise ValueError("q must be nonzero when eps > 0")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from enum import Enum
 from itertools import repeat, starmap
 from operator import attrgetter
 
-from .model import ModelParams, _check_n, _stark_shift
+from .model import ModelParams, _check_n, _check_params, _stark_shift
 
 _BOUNDARY_TOL = 1e-12
 
@@ -98,7 +98,8 @@ class CubicSolution:
 # which calls object.__setattr__ once per field in a frame entered from C:
 # solve_level builds each record with a _slot_record function, spectrum_grid
 # builds them column by column with _records, both through the slots' member
-# descriptors (_slot_setters).  So no record may define __post_init__.
+# descriptors (_slot_setters).  So no record may define __post_init__; only
+# _grid_inputs builds ModelParams so, after running its check on each eps.
 
 @dataclass(frozen=True, slots=True)
 class RejectedRoot:
@@ -135,11 +136,12 @@ class EnergyLevel:
     diagnostics: ChannelScalars | None = None
 
 
-def _slot_setters(cls) -> tuple:
+def _slot_setters(cls, checked=None) -> tuple:
     """The __set__ of each field's slot descriptor of the slotted dataclass
-    cls, in field order.  Setting the slots skips __init__, so a class with
-    __post_init__ is refused."""
-    if hasattr(cls, "__post_init__"):
+    cls, in field order.  Setting the slots skips __init__, so a class is
+    refused if it has a __post_init__ other than checked, one whose checks
+    the caller has run."""
+    if getattr(cls, "__post_init__", checked) is not checked:
         raise TypeError(f"{cls.__name__} defines __post_init__, which setting slots skips")
     return tuple(getattr(cls, field.name).__set__ for field in dataclasses.fields(cls))
 
@@ -159,13 +161,13 @@ def _slot_record(cls):
     return namespace["build"]
 
 
-def _records(cls, count: int, *columns) -> list:
+def _records(cls, count: int, *columns, checked=None) -> list:
     """count instances of the slotted dataclass cls, one column per field,
-    each field's slot set over its column in one C-level pass (_slot_setters);
-    a column of another length, or a count of columns other than the field
-    count, is refused."""
+    each field's slot set over its column in one C-level pass (_slot_setters,
+    given checked); a column of another length, or a count of columns other
+    than the field count, is refused."""
     records = list(map(object.__new__, repeat(cls, count)))
-    for set_slot, column in zip(_slot_setters(cls), columns, strict=True):
+    for set_slot, column in zip(_slot_setters(cls, checked), columns, strict=True):
         deque(starmap(set_slot, zip(records, column, strict=True)), 0)
     return records
 
@@ -714,12 +716,21 @@ def nr_pseudospin_level(params: ModelParams, n: int) -> float:
 def _grid_inputs(params: ModelParams, n_max: int, eps_list):
     """The checked inputs of an (n, eps) grid, before any cell is solved:
     n_max, then each eps's ModelParams, then each eps's g_shift.  Returns
-    (n_max, grid, g_shifts)."""
+    (n_max, grid, g_shifts).  The rows equal, and fail first where, those of
+    dataclasses.replace(params, eps=float(eps)): each eps in turn is converted
+    and takes __post_init__'s check, then the rows' slots are set (_records)."""
     n_max = _check_n(n_max, "n_max")
-    # dataclasses.replace(params, eps=float(eps)), without its walk over the fields
-    grid = [type(params)(params.M, params.omega0, params.q, float(eps), params.sym,
-                         params.C) for eps in eps_list]
-    return n_max, grid, [_stark_shift(p.M, p.omega0, p.q, p.eps) for p in grid]
+    M, omega0, q, C = params.M, params.omega0, params.q, params.C
+    eps_column = []
+    for eps in eps_list:
+        eps = float(eps)
+        _check_params(M, omega0, q, eps, C)
+        eps_column.append(eps)
+    count = len(eps_column)
+    grid = _records(type(params), count, *(repeat(x, count) for x in (M, omega0, q)),
+                    eps_column, repeat(params.sym, count), repeat(C, count),
+                    checked=ModelParams.__post_init__)
+    return n_max, grid, [_stark_shift(M, omega0, q, eps) for eps in eps_column]
 
 
 def spectrum_grid(params: ModelParams, n_max: int,
@@ -728,8 +739,10 @@ def spectrum_grid(params: ModelParams, n_max: int,
 
     The whole grid is solved as one NumPy batch (hostark._grid); every row
     equals (p, solve_level(p, n)) field for field.  Rows of one eps share one
-    ModelParams.  The records are built with the cyclic garbage collector
-    paused, process-wide; the caller's setting is restored before pairing.
+    ModelParams, and what eps alone fixes (g', the cubic's B and C, d, p, u
+    and u^3) is formed once per eps, with the bits each cell would form.  The
+    records are built with the cyclic garbage collector paused, process-wide;
+    the caller's setting is restored before pairing.
     """
     from ._grid import _solve_grid
 

@@ -3,17 +3,22 @@ scalar route, solve_level, field for field (alternates and diagnostics
 included).  Rows are compared by repr, which unlike == tells 0.0 from -0.0."""
 
 import cmath
+import contextlib
 import dataclasses
 import gc
+import io
 import itertools
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import numpy as np
 
+from hostark.cli import main
 from hostark.model import ModelParams, SymmetryKind
 from hostark import _grid
 from hostark._grid import _CUBE_SAFE, _bisect_batch, _cbrts, _cubes, _newton_real, _records
@@ -184,11 +189,20 @@ def replaced_inputs(params, eps_list):
 def test_rows_of_one_eps_share_params():
     rows = spectrum_grid(pseudo(), 2, [0.0, 0.5])
     assert rows[0][0] is rows[2][0] is rows[4][0]
-    # _grid_inputs builds each ModelParams directly, equal to replace's by repr
-    for params in (pseudo(), ModelParams(M=2.0, omega0=0.5, q=-2.0, C=3.0)):
-        eps_list = [0, 3, -0.0, 0.0, np.float64(0.1), np.float32(0.7), np.int64(2), 1e-300]
-        _, grid, _ = _grid_inputs(params, 2, eps_list)
+    # _grid_inputs sets each ModelParams' slots, equal to replace's by repr,
+    # from any eps that float() takes, and reads a generator once
+    for params in (pseudo(), ModelParams(M=2.0, omega0=0.5, q=-2.0, C=3.0),
+                   ModelParams(M=2.0, omega0=0.5, q=0.0, C=3.0)):
+        eps_list = [0, -0.0, 0.0, False, Fraction(0), Decimal("-0")]
+        if params.q != 0.0:
+            eps_list += [3, np.float64(0.1), np.float32(0.7), np.int64(2), 1e-300,
+                         Fraction(1, 3), Decimal("2.5"), True, "0.25", " 1e-3 "]
+        pulled = []
+        _, grid, _ = _grid_inputs(params, 2, (pulled.append(x) or x for x in eps_list))
         assert repr(grid) == repr(replaced_inputs(params, eps_list))
+        assert pulled == eps_list
+    rows = spectrum_grid(pseudo(), 2, (eps for eps in [0.0, 0.5]))
+    assert repr(rows) == repr(spectrum_grid(pseudo(), 2, [0.0, 0.5]))
 
 
 @pytest.mark.parametrize("sym", list(SymmetryKind))
@@ -227,13 +241,17 @@ def test_cube_and_cube_root_columns_equal_the_scalar_helpers():
         assert float_bits(_cbrts(x)) == float_bits(_cbrt(v) for v in x.tolist())
 
 
+# spin cells whose depressed-cubic d / 3 can pass _CUBE_SAFE (d = -(g - a)^2 / 3
+# and e = 2 ((a - g) / 3)^3 - R, so this R puts e near 0 for small g')
+X = 2.28e51
+HUGE = ModelParams(M=1.5, omega0=math.sqrt(2.0 * X ** 3 / 0.75), C=3.0 - 3.0 * X)
+
+
 def test_cubes_past_the_safe_bound_take_power(monkeypatch):
-    # spin cells whose depressed-cubic d / 3 lies on both sides of _CUBE_SAFE
-    # (d = -(g - a)^2 / 3 and e = 2 ((a - g) / 3)^3 - R, so this R puts e near
-    # 0: the n = 0 cells take the trigonometric form); the n = 1 cells overflow
-    # in e^2 and raise on both routes
-    X = 2.28e51
-    params = ModelParams(M=1.5, omega0=math.sqrt(2.0 * X ** 3 / 0.75), C=3.0 - 3.0 * X)
+    # HUGE's d / 3 lies on both sides of _CUBE_SAFE over these eps; the n = 0
+    # cells take the trigonometric form, and the n = 1 cells overflow in e^2
+    # and raise on both routes
+    params = HUGE
     eps_list = [0.0, 3e102, 1e103]
     thirds = [abs(_depressed(*_level_bcd(-1, p.M, p.C, gp, _rhs_squared(p.M, p.omega0, 0)))[0])
               / 3.0 for p, gp in zip(*_grid_inputs(params, 0, eps_list)[1:])]
@@ -247,6 +265,47 @@ def test_cubes_past_the_safe_bound_take_power(monkeypatch):
     with pytest.raises(ValueError, match="not finite in float64") as batch:
         spectrum_grid(params, 1, eps_list)
     assert str(batch.value) == str(scalar.value)
+
+
+def rows_or_message(solve):
+    """The reprs of the rows solve() returns, or its ValueError's message."""
+    try:
+        return [repr(row) for row in solve()]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("params, eps_list", [
+    # |d/3| >= _CUBE_SAFE with a trigonometric n = 0 cell, a trigonometric
+    # column below it, and d > 0 (rounded from -(g' - 3X)^2 / 3 ~ 0), whose
+    # cells overflow in e^2
+    (HUGE, [0.0, 1e103, 2.546685495776799e+103]),
+    # trigonometric columns, a finite Cardano-only column of d > 0 (d is
+    # -(g - a)^2 / 3 on paper), Cardano columns of d < 0, and a column of
+    # |d/3| >= _CUBE_SAFE whose p overflows
+    (spin(M=1.5, omega0=0.4, C=-2.0), [0.0, 0.7, 1.549193338482958, 3.0, 1e60]),
+    (pseudo(M=1.5, omega0=0.4, C=-5.0), [0.0, 0.7, 0.9797958971132671, 3.0, 1e60]),
+])
+def test_per_eps_quantities_in_every_kind_of_column(params, eps_list):
+    # d, p, u and u^3 are formed once per eps, u where d < 0 only (a
+    # RuntimeWarning that leaves the solver's errstate fails the suite); every
+    # ordered subset of the columns, with n_max = 0 and 3, gives the scalar
+    # route's rows or its first non-finite cell's message
+    d = [_depressed(*_level_bcd(params.kappa, params.M, params.C, gp,
+                                _rhs_squared(params.M, params.omega0, 0)))[0]
+         for gp in _grid_inputs(params, 0, eps_list)[2]]
+    assert max(d) > 0.0 and max(abs(x) / 3.0 for x in d) >= _CUBE_SAFE
+    outcomes = []
+    for n_max in (0, 3):
+        for size in range(1, len(eps_list) + 1):
+            for columns in itertools.combinations(eps_list, size):
+                batch = rows_or_message(lambda: spectrum_grid(params, n_max, columns))
+                assert batch == rows_or_message(lambda: scalar_rows(params, n_max, columns)), (
+                    n_max, columns)
+                outcomes.append(batch)
+    rows = "".join(row for rows in outcomes if isinstance(rows, list) for row in rows)
+    assert "cardano_complex_regime=True" in rows
+    assert any(isinstance(x, str) for x in outcomes)
 
 
 def level_or_value_error(solve):
@@ -320,14 +379,29 @@ def test_negative_eps_mid_list_raises_like_scalar_route():
         scalar_rows(pseudo(), 2, [0.0, -0.5, 1.0])
     with pytest.raises(ValueError, match=message):
         spectrum_grid(pseudo(), 2, [0.0, -0.5, 1.0])
-    # the direct build of _grid_inputs fails first where replace's does
-    for bad in (-0.5, math.nan, math.inf, -math.inf, np.float64(math.nan)):
-        eps_list = [0.0, np.float64(0.5), bad, -1.0, 1.0]
-        with pytest.raises(ValueError) as replaced:
-            replaced_inputs(pseudo(), eps_list)
-        with pytest.raises(ValueError) as direct:
-            _grid_inputs(pseudo(), 2, eps_list)
+    # the slot-set build of _grid_inputs fails first where replace's does, with
+    # the same exception, whether float() or the eps check refuses
+    q0 = ModelParams(M=1.5, omega0=0.4, q=0.0)
+    for params, bad in [(pseudo(), x) for x in (
+            -0.5, math.nan, math.inf, -math.inf, np.float64(math.nan), "abc", None,
+            Fraction(-1, 3), Decimal("NaN"), "-inf")] + [(q0, 0.5), (q0, True)]:
+        eps_list = [0.0, np.float64(0.0), bad, -1.0, "abc", 1.0]
+        with pytest.raises(Exception) as replaced:
+            replaced_inputs(params, eps_list)
+        with pytest.raises(Exception) as direct:
+            _grid_inputs(params, 2, eps_list)
+        assert type(direct.value) is type(replaced.value)
         assert str(direct.value) == str(replaced.value)
+    # and so does the spectrum command, which reads its rows from _grid_inputs
+    with pytest.raises(ValueError) as replaced:
+        replaced_inputs(q0, [0.0, 0.5, -1.0])
+    assert replaced.match("q must be nonzero when eps > 0")
+    argv = ["spectrum", "--symmetry", "spin", "--M", "1.5", "--omega0", "0.4", "--q", "0",
+            "--eps", "0,0.5,-1"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", f"error: {replaced.value}\n")
 
 
 def test_negative_n_max_rejected():
@@ -456,3 +530,9 @@ def test_records_refuses_a_class_with_post_init():
 
     with pytest.raises(TypeError, match="__post_init__"):
         _records(Checked, 1, [-1.0])
+    # unless the caller has run that __post_init__'s checks, as _grid_inputs
+    # runs ModelParams'
+    got = _records(Checked, 1, [2.0], checked=Checked.__post_init__)
+    assert repr(got) == repr([Checked(2.0)])
+    with pytest.raises(TypeError, match="__post_init__"):
+        _records(Checked, 1, [2.0], checked=ModelParams.__post_init__)
