@@ -32,9 +32,9 @@ from .spectra import (
 # NumPy's powers, cube roots, arccos, cos and complex product and quotient can
 # differ from CPython's in the last bit, so the first four call CPython's pow
 # and math per element and the last two are written out (_cmul, _cdiv).  _map
-# maps a builtin over a column with no Python frame per element: the cubes
-# (_cubes) map pow, and _power only where a cube could overflow; the cube roots
-# (_cbrts) map pow over |x| and take the sign with NumPy's copysign.  As in
+# maps a function over a column in Python floats: the cubes (_cubes) map
+# _power, which gives an overflowing cube its inf, and the cube roots (_cbrts)
+# map pow over |x| and take the sign with NumPy's copysign.  As in
 # _cubic_roots, real roots take _polish's float steps and a complex pair's lower
 # member is its polished upper one's conjugate; the batch runs all four masked
 # steps where _polish stops at a fixed point, which later steps repeat.
@@ -45,14 +45,8 @@ def _map(fn, x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, len(x))
 
 
-# Where |x| < _CUBE_SAFE, x^3 is finite in float64 (5e102^3 = 1.25e308), so
-# pow(x, 3) cannot raise the OverflowError that _power handles.
-_CUBE_SAFE = 5e102
-
-
 def _cubes(x: np.ndarray) -> np.ndarray:
-    """_power(x, 3) per element, as pow(x, 3) where every |x| < _CUBE_SAFE."""
-    return _map(pow if (np.abs(x) < _CUBE_SAFE).all() else _power, x, 3)
+    return _map(_power, x, 3)
 
 
 def _cbrts(x: np.ndarray) -> np.ndarray:
@@ -111,30 +105,30 @@ def _newton_complex(zr, zi, B, C, D):
     return zr, zi
 
 
-def _cubic_roots_batch(B, C, D):
+def _cubic_roots_batch(B, C, D, col):
     """_cubic_roots over an (n, eps) grid of cubics: B and C of shape (G,),
-    one per eps, and D of shape (N, G).  d, p, u and u^3 depend on B and C
-    alone, so they are formed once per eps.
+    one per eps, D of shape (N, G), and col each cell's eps index, n outer.
+    d, p, u and u^3 depend on B and C alone, so they stay per eps, where their
+    finiteness is checked, and each branch reads its cells' values via col.
 
-    Returns (roots, cardano_real, finite) over the N G cells, n outer: roots,
-    complex of shape (cells, 3), holds the polished roots sorted by (real,
-    imag); finite marks the cells that _cubic_roots does not reject.
+    Returns (roots, cardano_real, finite) over the cells: roots, complex of
+    shape (cells, 3), holds the polished roots sorted by (real, imag); finite
+    marks the cells that _cubic_roots does not reject.
     """
     d, e = _depressed(B, C, D)
     p = -_cubes(d / 3.0)
     # e^2 < 4p needs p > 0, hence d < 0, so where d >= 0 (or is nan) no
     # trigonometric cell reads u: u = 0 there, not sqrt's nan
     u = np.sqrt(np.where(d < 0.0, -d / 3.0, 0.0))
-    col = np.tile(np.arange(len(B)), len(D))  # each cell's eps
-    B, C, d, p, u, u3 = (x[col] for x in (B, C, d, p, u, _cubes(u)))
     D, e = D.ravel(), e.ravel()
-    cardano_real = e * e >= 4.0 * p
-    re = np.empty((len(B), 3))
-    im = np.zeros((len(B), 3))
+    cardano_real = e * e >= 4.0 * p[col]
+    re = np.empty((len(D), 3))
+    im = np.zeros((len(D), 3))
 
     c = cardano_real
-    Bc, Cc, dc, ec = B[c], C[c], d[c], e[c]
-    x = ec * ec - 4.0 * p[c]
+    cc = col[c]
+    Bc, Cc, dc, ec = B[cc], C[cc], d[cc], e[c]
+    x = ec * ec - 4.0 * p[cc]
     s = np.sqrt(np.where(0.0 > x, 0.0, x))  # max(x, 0.0)
     z3 = np.where(ec > 0.0, -ec / 2.0 - s / 2.0, -ec / 2.0 + s / 2.0)
     z = _cbrts(np.where(dc == 0.0, -ec, z3))
@@ -149,23 +143,27 @@ def _cubic_roots_batch(B, C, D):
     im[c, 2] = np.where(real_pair, 0.0, -sq / 2.0)
 
     t = ~cardano_real
-    arg = -e[t] / (2.0 * u3[t])
+    ct = col[t]
+    arg = -e[t] / (2.0 * _cubes(u)[ct])
     arg = np.where(arg > -1.0, arg, -1.0)  # min(1.0, max(-1.0, arg))
     arg = np.where(arg < 1.0, arg, 1.0)
     theta = _map(math.acos, arg) / 3.0
     for k in range(3):
-        re[t, k] = (2.0 * u[t] * _map(math.cos, theta - 2.0 * math.pi * k / 3.0)
-                    - B[t] / 3.0)
+        re[t, k] = (2.0 * u[ct] * _map(math.cos, theta - 2.0 * math.pi * k / 3.0)
+                    - B[ct] / 3.0)
 
     pair = im[:, 1] != 0.0  # a complex pair: polish column 1, conjugate it into 2
-    zr, zi = _newton_complex(re[pair, 1], im[pair, 1], B[pair], C[pair], D[pair])
+    cp = col[pair]
+    zr, zi = _newton_complex(re[pair, 1], im[pair, 1], B[cp], C[cp], D[pair])
     real = im == 0.0
-    re[real] = _newton_real(re[real], *(x[real.nonzero()[0]] for x in (B, C, D)))
+    rows = real.nonzero()[0]
+    re[real] = _newton_real(re[real], B[col[rows]], C[col[rows]], D[rows])
     re[pair, 1], re[pair, 2], im[pair, 1], im[pair, 2] = zr, zr, zi, -zi
     roots = np.empty(re.shape, complex)
     roots.real, roots.imag = re, im
     roots.sort(axis=1, kind="stable")  # NumPy orders complex by (real, imag)
-    finite = np.isfinite(np.column_stack((B, C, D, d, e, p, roots.real, roots.imag))).all(axis=1)
+    finite = (np.isfinite(np.column_stack((B, C, d, p))).all(axis=1)[col]
+              & np.isfinite(np.column_stack((D, e, roots.real, roots.imag))).all(axis=1))
     return roots, cardano_real, finite
 
 
@@ -238,8 +236,9 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
     """Levels of the cells (n, grid[j]), n outer, as one NumPy batch.
 
     The parameters differ only in eps; g_shifts[j] is grid[j]'s g_shift.
-    The cubic's B and C are formed once per eps (_level_bcd takes g' of shape
-    (G,) and R of shape (N, 1)), as are d, p and u^3 in _cubic_roots_batch.
+    Cell i is (ns[i], grid[col[i]]) = divmod(i, G), the one layout every
+    per-cell read goes through.  B and C are formed once per eps (_level_bcd
+    takes g' of shape (G,), R of shape (N, 1)), as are d, p, u and u^3.
     Roots, selection, residual, boundary flag, gamma/alpha/v/beta, the
     margin-form refinement and the alternates' values and reasons are arrays
     over the cells, and the records are built from them column by column.
@@ -250,15 +249,15 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
     kappa = p0.kappa
     M, omega0, C = p0.M, p0.omega0, p0.C
     w2 = M * _power(omega0, 2)
-    size, cells = len(grid), len(grid) * (n_max + 1)
-    ns = np.repeat(np.arange(n_max + 1), size)
+    cells = len(grid) * (n_max + 1)
+    ns, col = np.divmod(np.arange(cells), len(grid))
     R = np.array([_rhs_squared(M, omega0, n) for n in range(n_max + 1)])[:, None]
-    gp = np.tile(g_shifts, n_max + 1)
-    qeps = np.tile([p0.q * p.eps for p in grid], n_max + 1)
+    g = np.array(g_shifts)
+    gp = g[col]
+    qeps = np.array([p0.q * p.eps for p in grid])[col]
 
     with np.errstate(all="ignore"):
-        roots, cardano_real, finite = _cubic_roots_batch(
-            *_level_bcd(kappa, M, C, np.array(g_shifts), R))
+        roots, cardano_real, finite = _cubic_roots_batch(*_level_bcd(kappa, M, C, g, R), col)
         k = 2.0 * ns + 1.0
         codes, bound, selected, residual = _select_batch(kappa, roots, M, C, gp, k, w2)
         alt = _alternate_code(codes, roots.real, selected[:, None])
@@ -300,7 +299,7 @@ def _solve_grid(grid: list[ModelParams], n_max: int,
             map(rejected.__getitem__, map(slice, [0] + ends, ends)),
             (~cardano_real).tolist(), (flag & bound).tolist(), diagnostics)
         for i in np.flatnonzero(~finite).tolist():
-            levels[i] = solve_level(grid[i % size], i // size)
+            levels[i] = solve_level(grid[col[i]], ns[i])
         return levels
     finally:
         if enabled:

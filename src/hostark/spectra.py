@@ -738,11 +738,11 @@ def spectrum_grid(params: ModelParams, n_max: int,
     """Levels over an (n, eps) grid, n outer and eps inner, cells independent.
 
     The whole grid is solved as one NumPy batch (hostark._grid); every row
-    equals (p, solve_level(p, n)) field for field.  Rows of one eps share one
-    ModelParams, and what eps alone fixes (g', the cubic's B and C, d, p, u
-    and u^3) is formed once per eps, with the bits each cell would form.  The
-    records are built with the cyclic garbage collector paused, process-wide;
-    the caller's setting is restored before pairing.
+    equals (p, solve_level(p, n)) field for field, row i being the cell
+    (n, j) = divmod(i, G) of the G eps.  Rows of one eps share one
+    ModelParams, and what eps alone fixes (g', B, C, d, p, u, u^3) is formed
+    once per eps.  The records are built with the cyclic garbage collector
+    paused, process-wide; the caller's setting is restored before pairing.
     """
     from ._grid import _solve_grid
 

@@ -21,7 +21,7 @@ import numpy as np
 from hostark.cli import main
 from hostark.model import ModelParams, SymmetryKind
 from hostark import _grid
-from hostark._grid import _CUBE_SAFE, _bisect_batch, _cbrts, _cubes, _newton_real, _records
+from hostark._grid import _bisect_batch, _cbrts, _cubes, _newton_real, _records
 from hostark.spectra import (
     ChannelScalars,
     Equation,
@@ -220,9 +220,10 @@ def test_overflowing_cells_take_the_scalar_route(sym):
         assert str(batch.value) == str(scalar.value)
 
 
+CUBE_SAFE = 5e102  # a round bound below which x^3 is finite in float64 (1.25e308)
 CUBE_EDGE = 5.643803094122361e102  # the largest x whose x^3 is finite in float64
 HELPER_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1.5, -2.0e-100] + [
-    s * x for x in (_CUBE_SAFE, CUBE_EDGE) for s in (1.0, -1.0)
+    s * x for x in (CUBE_SAFE, CUBE_EDGE) for s in (1.0, -1.0)
     for x in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))] + [
     math.inf, -math.inf, math.nan, -math.nan]
 
@@ -233,29 +234,30 @@ def float_bits(values):
 
 def test_cube_and_cube_root_columns_equal_the_scalar_helpers():
     assert _power(CUBE_EDGE, 3) < math.inf == _power(math.nextafter(CUBE_EDGE, math.inf), 3)
-    # each point alone, then all at once: below _CUBE_SAFE the column maps pow,
-    # at and above it _power, whose OverflowError handler gives the cube's inf
+    # each point alone, then all at once: on both sides of CUBE_SAFE and
+    # CUBE_EDGE the column maps _power, whose OverflowError handler gives the
+    # cube's inf
     columns = [np.array([x]) for x in HELPER_POINTS] + [np.array(HELPER_POINTS)]
     for x in columns:
         assert float_bits(_cubes(x)) == float_bits(_power(v, 3) for v in x.tolist())
         assert float_bits(_cbrts(x)) == float_bits(_cbrt(v) for v in x.tolist())
 
 
-# spin cells whose depressed-cubic d / 3 can pass _CUBE_SAFE (d = -(g - a)^2 / 3
+# spin cells whose depressed-cubic d / 3 can pass CUBE_SAFE (d = -(g - a)^2 / 3
 # and e = 2 ((a - g) / 3)^3 - R, so this R puts e near 0 for small g')
 X = 2.28e51
 HUGE = ModelParams(M=1.5, omega0=math.sqrt(2.0 * X ** 3 / 0.75), C=3.0 - 3.0 * X)
 
 
 def test_cubes_past_the_safe_bound_take_power(monkeypatch):
-    # HUGE's d / 3 lies on both sides of _CUBE_SAFE over these eps; the n = 0
+    # HUGE's d / 3 lies on both sides of CUBE_SAFE over these eps; the n = 0
     # cells take the trigonometric form, and the n = 1 cells overflow in e^2
     # and raise on both routes
     params = HUGE
     eps_list = [0.0, 3e102, 1e103]
     thirds = [abs(_depressed(*_level_bcd(-1, p.M, p.C, gp, _rhs_squared(p.M, p.omega0, 0)))[0])
               / 3.0 for p, gp in zip(*_grid_inputs(params, 0, eps_list)[1:])]
-    assert min(thirds) < _CUBE_SAFE <= max(thirds) < CUBE_EDGE
+    assert min(thirds) < CUBE_SAFE <= max(thirds) < CUBE_EDGE
     exponents = []
     monkeypatch.setattr(_grid, "_power", lambda x, k: exponents.append(k) or _power(x, k))
     rows = same_rows(params, 0, eps_list)
@@ -276,13 +278,13 @@ def rows_or_message(solve):
 
 
 @pytest.mark.parametrize("params, eps_list", [
-    # |d/3| >= _CUBE_SAFE with a trigonometric n = 0 cell, a trigonometric
+    # |d/3| >= CUBE_SAFE with a trigonometric n = 0 cell, a trigonometric
     # column below it, and d > 0 (rounded from -(g' - 3X)^2 / 3 ~ 0), whose
     # cells overflow in e^2
     (HUGE, [0.0, 1e103, 2.546685495776799e+103]),
     # trigonometric columns, a finite Cardano-only column of d > 0 (d is
     # -(g - a)^2 / 3 on paper), Cardano columns of d < 0, and a column of
-    # |d/3| >= _CUBE_SAFE whose p overflows
+    # |d/3| >= CUBE_SAFE whose p overflows
     (spin(M=1.5, omega0=0.4, C=-2.0), [0.0, 0.7, 1.549193338482958, 3.0, 1e60]),
     (pseudo(M=1.5, omega0=0.4, C=-5.0), [0.0, 0.7, 0.9797958971132671, 3.0, 1e60]),
 ])
@@ -294,7 +296,7 @@ def test_per_eps_quantities_in_every_kind_of_column(params, eps_list):
     d = [_depressed(*_level_bcd(params.kappa, params.M, params.C, gp,
                                 _rhs_squared(params.M, params.omega0, 0)))[0]
          for gp in _grid_inputs(params, 0, eps_list)[2]]
-    assert max(d) > 0.0 and max(abs(x) / 3.0 for x in d) >= _CUBE_SAFE
+    assert max(d) > 0.0 and max(abs(x) / 3.0 for x in d) >= CUBE_SAFE
     outcomes = []
     for n_max in (0, 3):
         for size in range(1, len(eps_list) + 1):
@@ -306,6 +308,28 @@ def test_per_eps_quantities_in_every_kind_of_column(params, eps_list):
     rows = "".join(row for rows in outcomes if isinstance(rows, list) for row in rows)
     assert "cardano_complex_regime=True" in rows
     assert any(isinstance(x, str) for x in outcomes)
+
+
+# spin cells whose cubic overflows in e^2 at n = 1 for eps 7.2e102 and 7.5e102
+# only: n = 0 stays finite there, and eps up to 6.5e102 stay finite at n = 1
+LAYOUT = ModelParams(M=1.5, omega0=4.2e76, C=-5.5e51)
+LAYOUT_EPS = [7.2e102, 0.0, 3e102, 6.5e102, 7.5e102]
+
+
+@pytest.mark.parametrize("n_max, eps_list, raises", [
+    (1, LAYOUT_EPS, True),  # not finite at eps index 0 of n = 1 and the last cell
+    (1, LAYOUT_EPS[1:], True),  # the last cell only
+    (0, LAYOUT_EPS, False),
+    (1, [3e102], False),
+    (1, [7.2e102], True),
+])
+def test_cell_layout_is_n_outer_eps_inner(n_max, eps_list, raises):
+    # cell i is (n, eps index) = divmod(i, G) in the batch columns, the
+    # records and the cells that take the scalar route, whose first error
+    # names its cell's B, C and D
+    batch = rows_or_message(lambda: spectrum_grid(LAYOUT, n_max, eps_list))
+    assert batch == rows_or_message(lambda: scalar_rows(LAYOUT, n_max, eps_list))
+    assert isinstance(batch, str) == raises
 
 
 def level_or_value_error(solve):
