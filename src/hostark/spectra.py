@@ -395,46 +395,18 @@ def _in_domain(kappa: int, m1):
     return m1 > 0.0 if kappa < 0 else m1 >= 0.0
 
 
-def _residual(kappa: int, k: int, M: float, C: float, gp: float, w2: float,
-              lo: float = -math.inf):
-    """_condition as a function of E, nan outside its domain; the spin
-    residual reads -inf, its limit, on and under its gamma = 0 edge, and on
-    and under lo, instead.  The oracle's bisection calls it once per
-    evaluation, so it writes the margins out and precomputes kappa M."""
-    kM = kappa * M
-    if kappa < 0:
-        def f(E):
-            m1 = E - kM - C
-            if E <= lo or m1 <= 0.0:
-                return -math.inf
-            return _condition(kappa, k, m1, E + kM + gp, w2)
-    else:
-        def f(E):
-            m1 = E - kM - C
-            if m1 < 0.0:
-                return math.nan
-            return _condition(kappa, k, m1, -(E + kM + gp), w2)
-    return f
-
-
 # Enough halvings to take any float64 bracket down to adjacent floats: one
 # to zero, then 2098 from 2^1024 to the smallest subnormal 2^-1074.
 _MAX_HALVINGS = 2100
 
 
 def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
-    """Root of f between a and b, where f must change sign, to within tol or
-    until the midpoint equals an end of the bracket (at most _MAX_HALVINGS
-    steps, which any float64 bracket reaches).  The midpoint is 0.5 (a + b),
-    or 0.5 a + 0.5 b where a + b overflows.
-
-    Step j = 0, 1, ... evaluates the ITP point (Oliveira & Takahashi, ACM
-    TOMS 47(1), 2020): regula falsi, truncated towards the midpoint by
-    0.2 (b - a)^2 / (b0 - a0) and projected to within r = tol 2^(n_half - j)
-    - (b - a)/2 of it, n_half = ceil(log2((b0 - a0) / tol)); so it takes at
-    most one step more than halving, and a smooth f far fewer.  A step takes
-    the midpoint where r <= 0 (always at tol = 0) or where regula falsi is
-    not strictly inside the bracket (an end reads +-inf, or it rounds onto one).
+    """Root of f between a and b, where f must change sign, by plain halving:
+    each step keeps the half whose ends differ in sign, until the bracket is
+    no wider than tol or its midpoint equals an end (at most _MAX_HALVINGS
+    steps, which any float64 bracket reaches), and returns that midpoint.
+    The midpoint is 0.5 (a + b), or 0.5 a + 0.5 b where a + b overflows.  A
+    zero of f at an end or a midpoint is the root.
     """
     fa, fb = f(a), f(b)
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
@@ -443,33 +415,19 @@ def _bisect(f, a: float, b: float, tol: float = 1e-12) -> float:
         return a
     if fb == 0.0:
         return b
-    # s = tol 2^(n_half - j), n_half exact from the exponent of (b0 - a0) / tol;
-    # nan (every step the midpoint) at tol = 0 or where that quotient overflows
-    frac, exp = math.frexp((b - a) / tol) if tol > 0.0 else (math.inf, 0)
-    s = math.ldexp(tol, exp - (frac == 0.5)) if frac < math.inf else math.nan
-    k1 = 0.2 / (b - a)
     for _ in range(_MAX_HALVINGS):
         m = 0.5 * (a + b)
         if math.isinf(m):
             m = 0.5 * a + 0.5 * b
-        w = b - a
-        if w <= tol or m == a or m == b:
+        if b - a <= tol or m == a or m == b:
             break
-        x, r = m, s - 0.5 * w
-        if r > 0.0:
-            xf = (fb * a - fa * b) / (fb - fa)
-            if a < xf < b:
-                d, delta = m - xf, k1 * w * w
-                xt = xf + math.copysign(delta, d) if delta <= abs(d) else m
-                x = xt if abs(xt - m) <= r else m - math.copysign(r, d)
-        s *= 0.5
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (fa < 0.0):
-            a, fa = x, fx
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
         else:
-            b, fb = x, fx
+            b = m
     return m
 
 
@@ -626,19 +584,28 @@ def solve_level(params: ModelParams, n: int) -> EnergyLevel:
 def bisection_oracle(equation: Equation, params: ModelParams, n: int) -> float:
     """Root of the chosen unsquared condition, independent of the cubic path.
 
-    The bracket is closed form in the sign-condition edges e1 = kappa M + C
-    and e2 = -kappa M - g', where the margins vanish.  The spin residual
-    rises on its domain, and with lo = max(e1, e2) both margins are at least
-    E - lo, so it is positive above lo + c, c = (k^2 M w0^2 / 2)^(1/3),
-    k = 2n+1: the bracket is (lo, lo + c], or (lo, lo + 2c) where the residual
-    at lo + c rounds negative (where e1 = e2 the root is lo + c itself).  The
-    spin residual reads -inf on and below the gamma = 0 edge e1, its limit
-    there, and at lo itself, where margins recomputed from lo can round
-    positive when the root is within an ulp of lo.  The pseudospin residual equals
-    2n+1 at both ends of its window lo = e1, hi = e2 and is smallest at
-    lo + (hi - lo)/3, so the bracket (lo + (hi - lo)/3, hi) holds the
-    tabulated upper root.  _bisect locates the root to 1e-12 in ITP steps.
-    The equation must match params.sym.
+    With the margins m1 = E - e1 and m2 = -kappa (E - e2) of the edges
+    e1 = kappa M + C and e2 = -kappa M - g', both channels' conditions read
+    u m2 = sqrt(R) in u = sqrt(m1), R = (2n+1)^2 M w0^2 / 2: the largest
+    zero in the bracket of the cubic
+
+        G(u) = u^3 + (e1 - e2) u + kappa sqrt(R) = -kappa (u m2 - sqrt(R)).
+
+    G is convex on u > 0 (G'' = 6u), so Newton from the bracket's upper end,
+    where G > 0, descends monotonically onto that zero; it stops where a
+    step no longer lowers u.  Spin: m1 runs from lo - e1 to lo - e1 + 2c,
+    lo = max(e1, e2) and c = R^(1/3); G is -sqrt(R) at the lower end and must
+    be positive at the upper one.  Pseudospin: u runs over the window from
+    sqrt(g/3), where G is smallest and must be negative, to sqrt(g), where
+    it is sqrt(R), g = e2 - e1 > 0: the tabulated upper root.  A zero of G at
+    the checked end is the root.
+
+    u^2 carries m1 to full relative precision, but E = e1 + u^2 cannot carry
+    ulp(E) where |E| << |e1|, so E takes one Newton step on the condition in
+    E (_condition), kept only where it lowers |f|.  The oracle never squares
+    the condition, so it has no spurious roots to filter, and it shares no
+    step with the cubic route: no Cardano or trigonometric roots, deflation,
+    polish or selection.  The equation must match params.sym.
     """
     n = _check_n(n)
     M, C, omega0 = params.M, params.C, params.omega0
@@ -650,20 +617,42 @@ def bisection_oracle(equation: Equation, params: ModelParams, n: int) -> float:
     k, w2, rhs = 2 * n + 1, M * _power(omega0, 2), _rhs_squared(M, omega0, n)
     if not math.isfinite(rhs):
         raise ValueError(f"(2n+1)^2 M omega0^2 / 2 is not finite in float64 at n={n}")
-    if rhs == 0.0 or w2 == 0.0:  # the pseudospin condition divides by w2
+    if rhs == 0.0 or w2 == 0.0:
         raise ValueError(f"(2n+1)^2 M omega0^2 / 2 underflows to 0 in float64 at "
                          f"M={M}, omega0={omega0}")
     e1, e2 = _edges(kappa, M, C, gp)
-    if kappa < 0:
-        lo, c = max(e1, e2), rhs ** (1.0 / 3.0)
-        f = _residual(kappa, k, M, C, gp, w2, lo)
-        try:
-            return _bisect(f, lo, lo + c)
-        except NoSignChange:
-            return _bisect(f, lo, lo + 2.0 * c)
-    if e1 >= e2:
+    gap, s = e1 - e2, kappa * math.sqrt(rhs)
+    if kappa < 0:  # G = s at u = a
+        lo = max(-gap, 0.0)
+        a, b = math.sqrt(lo), math.sqrt(lo + 2.0 * rhs ** (1.0 / 3.0))
+    elif gap >= 0.0:
         raise NoSignChange("pseudospin sign conditions define an empty window")
-    return _bisect(_residual(kappa, k, M, C, gp, w2), e1 + (e2 - e1) / 3.0, e2)
+    else:  # G = s at u = b
+        a, b = math.sqrt(-gap / 3.0), math.sqrt(-gap)
+    u = b if kappa < 0 else a
+    g = (u * u + gap) * u + s  # at the other end: a zero is the root, else -kappa g > 0
+    if g != 0.0:
+        if not -kappa * g > 0.0:
+            raise NoSignChange(f"no sign change over [{e1 + a * a}, {e1 + b * b}]")
+        if kappa > 0:
+            u, g = b, (b * b + gap) * b + s
+    d = (3.0 * u) * u + gap
+    while g > 0.0 and d > 0.0:
+        u_next = u - g / d
+        if not u_next < u:
+            break
+        u = u_next
+        g, d = (u * u + gap) * u + s, (3.0 * u) * u + gap
+    # f = G/u (spin) or G k/sqrt(R) (pseudospin), and dE = 2u du
+    E = e1 + u * u
+    m1, m2 = E - e1, -kappa * (E - e2)
+    if m1 > 0.0 and d > 0.0:
+        f = _condition(kappa, k, m1, m2, w2)
+        E_next = E - 2.0 * u * f * (u if kappa < 0 else s / k) / d
+        m1, m2 = E_next - e1, -kappa * (E_next - e2)
+        if m1 > 0.0 and abs(_condition(kappa, k, m1, m2, w2)) < abs(f):
+            E = E_next
+    return E
 
 
 def relativistic_ho_level(M: float, omega: float, n: int) -> float:

@@ -12,12 +12,15 @@ pin in PINS.  The pins only go down: a change that lowers a count lowers its
 pin and says so in CHANGES.md, and no change raises one.
 """
 
+import itertools
 import json
 import math
 import random
 
 import mpmath
 import numpy as np
+
+import referee
 
 from hostark.model import ModelParams, SymmetryKind, _potential, derived_constants
 from hostark.spectra import Equation, Status, bisection_oracle, nr_spin_level, solve_level
@@ -40,6 +43,11 @@ PINS = {
     ("level_defects", "spin", "m1 <= 0"): 1470,
     ("level_defects", "pseudospin", "residual above 1e-9"): 5,
     ("lower_g_norm", "spin", "norm / exact"): 4.66e5,  # 465,053 measured
+    # ulps from the 50-digit root, measured, rounded up to 3 digits
+    ("oracle_ulps", "spin", "max ulps"): 19.1,  # 19.06 measured
+    ("oracle_ulps", "spin", "p99 ulps"): 2.60,  # 2.592
+    ("oracle_ulps", "pseudospin", "max ulps"): 2.32,  # 2.312
+    ("oracle_ulps", "pseudospin", "p99 ulps"): 1.96,  # 1.958
     # the worst residual at each n, measured, rounded up to 3 digits
     ("radial_residuals", "NonRelR", "n = 0"): 8.66e-10,  # 8.650e-10 measured
     ("radial_residuals", "NonRelR", "n = 1"): 5.85e-10,  # 5.842e-10
@@ -153,6 +161,26 @@ def level_defects() -> dict:
     return out
 
 
+def oracle_ulps() -> dict:
+    """Per channel, the forward error of bisection_oracle in ulps of its E,
+    |E - referee.level| / ulp(E), over the Bound levels of every 40th spin
+    and every 10th pseudospin draw of level_draws: the number of levels, the
+    max, and the p99 (the nearest-rank 99th percentile)."""
+    out = {}
+    for channel, step in (("spin", 40), ("pseudospin", 10)):
+        sym = CHANNELS[channel]
+        equation = Equation.SPIN_EQ if sym is SymmetryKind.SPIN else Equation.PSEUDOSPIN_EQ
+        ulps = []
+        for p, n in itertools.islice(level_draws(sym), 0, None, step):
+            if solve_level(p, n).status is Status.BOUND:
+                E = bisection_oracle(equation, p, n)
+                ulps.append(float(abs(mpmath.mpf(E) - referee.level(p, n))) / math.ulp(E))
+        ulps.sort()
+        out[channel] = {"bound": len(ulps), "max ulps": ulps[-1],
+                        "p99 ulps": ulps[math.ceil(0.99 * len(ulps)) - 1]}
+    return out
+
+
 def lower_g_norm() -> dict:
     """The spin LOWER_G norm that sample_radial computes, over the exact
     integral of G^2 on the same [1e-8, r_max]: M = 1.5, omega0 = 0.4,
@@ -260,7 +288,8 @@ def radial_residuals() -> dict:
 
 
 ENTRIES = {"sampling_failures": sampling_failures, "level_defects": level_defects,
-           "lower_g_norm": lower_g_norm, "radial_residuals": radial_residuals}
+           "oracle_ulps": oracle_ulps, "lower_g_norm": lower_g_norm,
+           "radial_residuals": radial_residuals}
 
 
 def ledger() -> dict:

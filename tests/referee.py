@@ -1,13 +1,14 @@
 """A 50-digit referee for the levels and cubic roots of hostark.spectra.
 
 level(params, n) solves the unsquared quantization condition in mpmath, with
-the float parameters taken as exact, inside bisection_oracle's closed-form
-bracket (for spin, the wider one it falls back to), written out here again at
-50 digits, and certifies the root by a sign change of the condition at 50
-digits.  cubic_roots(B, C, D) gives the three roots of a level cubic at 50
-digits, with the float coefficients the solver was given taken as exact.
-It shares no code with the package, so it can say which last digit of a
-float level is right.
+the float parameters taken as exact, by its own root search in E: a
+closed-form bracket from the sign-condition edges (spin: from max(e1, e2) up
+2 (k^2 w2 / 2)^(1/3); pseudospin: from the condition's minimum to e2) and
+mpmath's Anderson solver.  It certifies the root by a sign change of the
+condition at 50 digits.  cubic_roots(B, C, D) gives the three roots of a
+level cubic at 50 digits, with the float coefficients the solver was given
+taken as exact.  It shares no code with the package, so it can say which
+last digit of a float level is right.
 """
 
 import mpmath

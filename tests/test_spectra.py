@@ -2,7 +2,6 @@ import dataclasses
 import math
 import random
 import sys
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -23,7 +22,6 @@ from hostark.spectra import (
     _margins,
     _polish,
     _refine_near_boundary,
-    _residual,
     _sign_code,
     field_free_closed_form_variant,
     bisection_oracle,
@@ -313,11 +311,9 @@ class TestBisectionOracle:
         assert E == pytest.approx(-1.635, abs=5e-3)
 
     def test_invalid_bracket(self):
-        # the oracle's pseudospin residual is positive at both ends of (0, 1)
-        p = pseudo()
-        f = _residual(p.kappa, 1, p.M, p.C, 0.0, p.M * p.omega0 ** 2)
+        # a function positive at both ends of (0, 1) brackets no root
         with pytest.raises(NoSignChange):
-            _bisect(f, 0.0, 1.0)
+            _bisect(lambda x: 1.0 + x * x, 0.0, 1.0)
 
     def test_root_on_an_end_of_the_bracket(self):
         # a zero at either end is the root, found by the two end evaluations
@@ -326,30 +322,26 @@ class TestBisectionOracle:
             assert _bisect(lambda x: calls.append(x) or f(x), 1.0, 2.0) == root
             assert calls == [1.0, 2.0]
 
-    def test_spin_root_at_the_end_of_the_short_bracket(self):
-        # where e1 = e2 (C_s = 2M at eps = 0) both margins are E - lo, the
-        # root is lo + c itself and the residual there rounds negative, so
-        # the oracle retries on (lo, lo + 2c)
+    def test_spin_root_where_the_edges_meet(self):
+        # where e1 = e2 (C_s = 2M at eps = 0) both margins are E - lo and the
+        # root is lo + c, halfway up the bracket (lo, lo + 2c)
         p = spin(M=0.5, omega0=0.05, C=1.0)
-        brackets, bisect = [], spectra._bisect
-
-        def recording(f, a, b, tol=1e-12):
-            brackets.append((a, b))
-            return bisect(f, a, b, tol)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectra, "_bisect", recording)
-            E = bisection_oracle(Equation.SPIN_EQ, p, 0)
-        (lo, short), (lo_again, wide) = brackets
-        assert lo == lo_again == 0.5
-        assert wide - lo == pytest.approx(2.0 * (short - lo), rel=1e-15)
+        E = bisection_oracle(Equation.SPIN_EQ, p, 0)
         assert abs(mpmath.mpf(E) - referee.level(p, 0)) <= 0.5e-12 + 2.0 * math.ulp(E)
 
-    def test_pseudospin_residual_is_nan_below_its_domain(self):
-        # below e1 = M + C_ps the depth margin is negative and has no sqrt
-        p = pseudo()
-        f = _residual(p.kappa, 1, p.M, p.C, 0.0, p.M * p.omega0 ** 2)
-        assert math.isnan(f(p.M + p.C - 1.0))
+    def test_pseudospin_window_without_a_bound_pair(self):
+        # e1 = -5 < e2 = -2, but G = u^3 - 3u + 6 is 4 > 0 at its minimum
+        # u = 1: the window holds no root of the unsquared condition
+        p = ModelParams(M=2.0, omega0=2.0, C=-7.0, sym=SymmetryKind.PSEUDOSPIN)
+        with pytest.raises(NoSignChange):
+            bisection_oracle(Equation.PSEUDOSPIN_EQ, p, 1)
+        assert referee.level(p, 1) is None
+
+    def test_zero_at_the_end_of_the_pseudospin_bracket_is_the_root(self):
+        # at n = 0 the same draw has G = u^3 - 3u + 2 = (u - 1)^2 (u + 2), zero
+        # in float64 at the bracket's lower end u = sqrt(g/3) = 1, E = e1 + 1
+        p = ModelParams(M=2.0, omega0=2.0, C=-7.0, sym=SymmetryKind.PSEUDOSPIN)
+        assert bisection_oracle(Equation.PSEUDOSPIN_EQ, p, 0) == -4.0
 
     def test_rel_ho_root_past_200_halvings(self):
         # the default bracket [1, 1e201 + 11] holds the root 1.71e133 (50-digit
@@ -496,12 +488,6 @@ def oracle_equation(p):
     return Equation.SPIN_EQ if p.sym is SymmetryKind.SPIN else Equation.PSEUDOSPIN_EQ
 
 
-def ceil_log2(q: Fraction) -> int:
-    """ceil(log2(q)) of a positive rational, exactly: log2(q) lies in (k - 1, k + 1)."""
-    k = q.numerator.bit_length() - q.denominator.bit_length()
-    return k + (Fraction(2) ** k < q)
-
-
 class TestOracleInvariants:
     @settings(max_examples=300, deadline=None)
     @given(p=WIDE_OR_EXTREME, n=st.integers(0, 30))
@@ -513,14 +499,14 @@ class TestOracleInvariants:
                            eps=48.6370152283438, C=-12.548444060355564), n=0)
     @example(p=ModelParams(M=0.1, omega0=0.05, eps=4.301528887635381,
                            C=-25.287487731237853), n=0)
-    # the root is the end lo + c of the short bracket (e1 = e2)
+    # the root is lo + c, halfway up the spin bracket (e1 = e2)
     @example(p=ModelParams(M=0.5, omega0=0.05, C=1.0), n=0)
     # halving stopped 1.008 times the bound from the root
     @example(p=ModelParams(M=71.72773256677044, omega0=0.5099954538961443, q=-1.0,
                            eps=52.72658438228243, C=-920.9842290221226), n=1)
     def test_oracle_roots_within_tol_of_the_50_digit_root(self, p, n):
-        # the oracle stops within tol = 1e-12 of the float residual's sign
-        # change, and so returns the root to tol/2 plus rounding
+        # the oracle's root is within tol/2 + 2 ulp(E) of the 50-digit root,
+        # tol = 1e-12; ledger.oracle_ulps measures how far inside it lands
         root = referee.level(p, n)
         try:
             E = bisection_oracle(oracle_equation(p), p, n)
@@ -528,28 +514,6 @@ class TestOracleInvariants:
             assert root is None
             return
         assert abs(mpmath.mpf(E) - root) <= 0.5e-12 + 2.0 * math.ulp(E)
-
-    @settings(max_examples=300, deadline=None)
-    @given(p=WIDE_OR_EXTREME, n=st.integers(0, 30))
-    def test_oracle_takes_at_most_one_step_more_than_halving(self, p, n):
-        # halving a bracket [a, b] to tol takes ceil(log2((b - a) / tol))
-        # steps, + 1 where rounding keeps a half above tol; ITP adds n0 = 1
-        calls, bisect = [], spectra._bisect
-
-        def counted(f, a, b, tol=1e-12):
-            evals = []
-            root = bisect(lambda x: evals.append(x) or f(x), a, b, tol)
-            calls.append((len(evals) - 2, a, b, tol))  # not the two ends
-            return root
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectra, "_bisect", counted)
-            try:
-                bisection_oracle(oracle_equation(p), p, n)
-            except NoSignChange:
-                pass
-        for steps, a, b, tol in calls:
-            assert steps <= ceil_log2((Fraction(b) - Fraction(a)) / Fraction(tol)) + 2
 
     @settings(max_examples=300, deadline=None)
     @given(p=WIDE_OR_EXTREME, n=st.integers(0, 30))
